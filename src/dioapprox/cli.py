@@ -4,6 +4,12 @@ Every payload numeric is an exact string (integer, fraction or radical
 expression); floats never appear.  The JSON envelope echoes a canonical
 argv, and re-running that argv reproduces the payload byte for byte.
 
+Every command is one row of ``_COMMANDS``: its group, name, arguments
+and a handler.  Each argument has a kind that pairs a parser with a
+canonical formatter, and ``parse(fmt(v)) == v`` holds for every kind.
+The argparse tree, the ``inputs`` echo and the canonical argv are all
+derived from the rows, so the replay promise holds by construction.
+
 Exit codes: 0 success, 1 contract violation found (e.g. a partition
 check FAILs), 2 usage or parse error, 3 resource limit reached.
 """
@@ -14,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import approx, beatty, farey, nonarch, oracle
 from .errors import (
@@ -25,7 +31,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .exactnum import ensure_exact, format_exact, parse_exact
+from .exactnum import format_exact, parse_exact
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -44,6 +50,65 @@ def _fmt_fr(x: Fraction) -> str:
     return format_exact(Fraction(x))
 
 
+def _fmt_laurent(x) -> str:
+    # parse_laurent reads back every rational function format_laurent
+    # writes; the only series it parses is the builtin.
+    return nonarch.format_laurent(x) if isinstance(x, nonarch.RatFunc) else "sqrt1p(eps)"
+
+
+# -- argument kinds and the table's row types -------------------------------
+
+
+class _Kind(NamedTuple):
+    """One parser and its canonical formatter.  ``parse`` takes the text
+    and the parsed namespace; ``None`` leaves conversion to argparse."""
+
+    fmt: Callable
+    parse: Optional[Callable] = None
+    type: Optional[Callable] = None
+    choices: Optional[tuple] = None
+
+
+_INT = _Kind(str, type=int)
+_EXACT = _Kind(format_exact, lambda text, ns: parse_exact(text))
+_RATIONAL = _Kind(_fmt_fr, lambda text, ns: _fr(text))
+_LAURENT = _Kind(_fmt_laurent, lambda text, ns: nonarch.parse_laurent(text, ns.precision))
+_FLAG = _Kind(bool)
+
+
+def _choice(*values: str) -> _Kind:
+    return _Kind(str, choices=values)
+
+
+_SIDE = _choice(approx.ABOVE, approx.BELOW)
+_CERT_KIND = _choice(*(k.value for k in beatty.CertKind))
+_REQUIRED = object()
+
+
+class _Arg(NamedTuple):
+    name: str  # "alpha" for a positional, "--limit" for an option
+    kind: _Kind
+    default: object = _REQUIRED  # options only
+
+    @property
+    def option(self) -> bool:
+        return self.name.startswith("--")
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """``handler`` takes each argument's value by dest and returns the
+    result, or ``(result, exit_code, resource)``."""
+
+    group: str
+    name: str
+    args: tuple
+    handler: Callable
+
+
 class _Outcome:
     def __init__(self, command, inputs, result, canonical, exit_code=EXIT_OK,
                  resource=None):
@@ -55,88 +120,40 @@ class _Outcome:
         self.resource = resource
 
 
-# -- farey ---------------------------------------------------------------
+def _text(x) -> Optional[str]:
+    return None if x is None else str(x)
 
 
-def _cmd_farey_list(args) -> _Outcome:
-    terms = [str(f) for f in farey.sequence(args.N)]
-    return _Outcome(
-        "farey list",
-        {"N": str(args.N)},
-        {"terms": terms, "count": str(len(terms))},
-        ["farey", "list", str(args.N)],
-    )
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-def _parse_farey(text: str, order: int) -> farey.FareyFraction:
-    value = _fr(text)
-    return farey.farey_fraction(value.numerator, value.denominator, order)
+def _checked(ok: bool) -> int:
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_farey_succ(args) -> _Outcome:
-    f = _parse_farey(args.fraction, args.N)
-    out = farey.successor(f)
-    return _Outcome(
-        "farey succ",
-        {"fraction": str(f), "N": str(args.N)},
-        {"successor": str(out)},
-        ["farey", "succ", str(f), str(args.N)],
-    )
+# -- handlers ---------------------------------------------------------------
 
 
-def _cmd_farey_pred(args) -> _Outcome:
-    f = _parse_farey(args.fraction, args.N)
-    out = farey.predecessor(f)
-    return _Outcome(
-        "farey pred",
-        {"fraction": str(f), "N": str(args.N)},
-        {"predecessor": str(out)},
-        ["farey", "pred", str(f), str(args.N)],
-    )
+def _listing(terms: list) -> dict:
+    return {"terms": terms, "count": str(len(terms))}
 
 
-def _cmd_farey_mediant(args) -> _Outcome:
-    f = _parse_farey(args.left, args.N)
-    g = _parse_farey(args.right, args.N)
-    med = farey.mediant(f, g)
-    return _Outcome(
-        "farey mediant",
-        {"left": str(f), "right": str(g), "N": str(args.N)},
-        {
-            "raw": f"{med.num}/{med.den}",
-            "value": _fmt_fr(med.value),
-        },
-        ["farey", "mediant", str(f), str(g), str(args.N)],
-    )
+def _farey(x: Fraction, order: int) -> farey.FareyFraction:
+    return farey.farey_fraction(x.numerator, x.denominator, order)
 
 
-def _cmd_farey_phi(args) -> _Outcome:
-    f = _parse_farey(args.fraction, args.N)
-    return _Outcome(
-        "farey phi",
-        {"fraction": str(f), "N": str(args.N)},
-        {"phi": str(farey.phi_embed(f))},
-        ["farey", "phi", str(f), str(args.N)],
-    )
+def _farey_mediant(left, right, N):
+    med = farey.mediant(_farey(left, N), _farey(right, N))
+    return {"raw": f"{med.num}/{med.den}", "value": _fmt_fr(med.value)}
 
 
-def _cmd_farey_greatest(args) -> _Outcome:
-    f = farey.greatest_below(args.N, args.m, strict=not args.nonstrict)
-    canonical = ["farey", "greatest", str(args.N), str(args.m)]
-    if args.nonstrict:
-        canonical.append("--nonstrict")
-    return _Outcome(
-        "farey greatest",
-        {"N": str(args.N), "m": str(args.m), "strict": not args.nonstrict},
-        {"fraction": str(f), "phi": str(farey.phi_embed(f))},
-        canonical,
-    )
+def _farey_greatest(N, m, nonstrict):
+    f = farey.greatest_below(N, m, strict=not nonstrict)
+    return {"fraction": str(f), "phi": str(farey.phi_embed(f))}
 
 
-# -- approx --------------------------------------------------------------
-
-
-def _appr_result(alpha, appr: approx.Approximation) -> dict:
+def _appr(appr: approx.Approximation) -> dict:
     return {
         "p": str(appr.p),
         "q": str(appr.q),
@@ -145,379 +162,95 @@ def _appr_result(alpha, appr: approx.Approximation) -> dict:
     }
 
 
-def _cmd_approx_dirichlet(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    appr = approx.dirichlet(alpha, args.Q)
-    return _Outcome(
-        "approx dirichlet",
-        {"alpha": format_exact(alpha), "Q": str(args.Q)},
-        _appr_result(alpha, appr),
-        ["approx", "dirichlet", format_exact(alpha), str(args.Q)],
-    )
-
-
-def _cmd_approx_large(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    appr = approx.large_denominator(alpha, args.Q)
-    return _Outcome(
-        "approx large",
-        {"alpha": format_exact(alpha), "Q": str(args.Q)},
-        _appr_result(alpha, appr),
-        ["approx", "large", format_exact(alpha), str(args.Q)],
-    )
-
-
-def _cmd_approx_segre(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    tau = _fr(args.tau)
-    appr = approx.segre(alpha, tau, args.Q)
-    return _Outcome(
-        "approx segre",
-        {"alpha": format_exact(alpha), "tau": _fmt_fr(tau), "Q": str(args.Q)},
-        _appr_result(alpha, appr),
-        ["approx", "segre", format_exact(alpha), _fmt_fr(tau), str(args.Q)],
-    )
-
-
-def _cmd_approx_hurwitz(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    appr = approx.hurwitz(alpha, args.Q)
-    return _Outcome(
-        "approx hurwitz",
-        {"alpha": format_exact(alpha), "Q": str(args.Q)},
-        _appr_result(alpha, appr),
-        ["approx", "hurwitz", format_exact(alpha), str(args.Q)],
-    )
-
-
-def _cmd_approx_onesided(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    appr = approx.one_sided(alpha, args.Q, args.side)
-    return _Outcome(
-        "approx onesided",
-        {"alpha": format_exact(alpha), "Q": str(args.Q), "side": args.side},
-        _appr_result(alpha, appr),
-        ["approx", "onesided", format_exact(alpha), str(args.Q), args.side],
-    )
-
-
-def _cmd_approx_verify(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    if args.kind == "dirichlet":
-        bound = approx.Bound.dirichlet(args.bound_q)
-    elif args.kind == "square":
-        bound = approx.Bound.square(args.bound_q)
-    elif args.kind == "segre":
-        bound = approx.Bound.segre(_fr(args.tau or "1"), args.bound_q)
-    elif args.kind == "hurwitz":
-        bound = approx.Bound.hurwitz(args.bound_q)
+def _approx_verify(alpha, p, q, kind, bound_q, tau, side):
+    if kind == "segre":
+        bound = approx.Bound.segre(Fraction(1) if tau is None else tau, bound_q)
+    elif kind == "onesided":
+        bound = approx.Bound.one_sided(side or approx.ABOVE, bound_q)
     else:
-        bound = approx.Bound.one_sided(args.side or approx.ABOVE, args.bound_q)
-    appr = approx.Approximation(args.p, args.q, bound, verified=False)
-    ok = approx.verify(alpha, appr)
-    canonical = [
-        "approx", "verify", format_exact(alpha), str(args.p), str(args.q),
-        "--kind", args.kind, "--bound-q", str(args.bound_q),
-    ]
-    if args.kind == "segre":
-        canonical += ["--tau", _fmt_fr(_fr(args.tau or "1"))]
-    if args.kind == "onesided":
-        canonical += ["--side", args.side or approx.ABOVE]
-    return _Outcome(
-        "approx verify",
-        {
-            "alpha": format_exact(alpha),
-            "p": str(args.p),
-            "q": str(args.q),
-            "kind": args.kind,
-            "bound_q": str(args.bound_q),
-        },
-        {"verified": ok},
-        canonical,
-        exit_code=EXIT_OK if ok else EXIT_VIOLATION,
-    )
+        bound = getattr(approx.Bound, kind)(bound_q)
+    ok = approx.verify(alpha, approx.Approximation(p, q, bound, verified=False))
+    return {"verified": ok}, _checked(ok), None
 
 
-# -- beatty --------------------------------------------------------------
+def _beatty_member(alpha, k):
+    witness = beatty.member(alpha, k)
+    return {"member": witness is not None, "witness": _text(witness)}
 
 
-def _cmd_beatty_term(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    return _Outcome(
-        "beatty term",
-        {"alpha": format_exact(alpha), "n": str(args.n)},
-        {"value": str(beatty.beatty_term(alpha, args.n))},
-        ["beatty", "term", format_exact(alpha), str(args.n)],
-    )
-
-
-def _cmd_beatty_member(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    witness = beatty.member(alpha, args.k)
-    return _Outcome(
-        "beatty member",
-        {"alpha": format_exact(alpha), "k": str(args.k)},
-        {"member": witness is not None,
-         "witness": None if witness is None else str(witness)},
-        ["beatty", "member", format_exact(alpha), str(args.k)],
-    )
-
-
-def _cmd_beatty_window(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    win = beatty.window(alpha, args.M)
-    return _Outcome(
-        "beatty window",
-        {"alpha": format_exact(alpha), "M": str(args.M)},
-        {"members": [str(k) for k in win.members]},
-        ["beatty", "window", format_exact(alpha), str(args.M)],
-    )
-
-
-def _cmd_beatty_mu(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    return _Outcome(
-        "beatty mu",
-        {"alpha": format_exact(alpha), "h": str(args.h)},
-        {"count": str(beatty.mu(alpha, args.h))},
-        ["beatty", "mu", format_exact(alpha), str(args.h)],
-    )
-
-
-def _cmd_beatty_partition(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
-    rep = beatty.partition_check(alpha, beta, args.M)
-    result = {"status": "PASS" if rep.ok else "FAIL", "checked_to": str(rep.checked_to)}
+def _beatty_partition(alpha, beta, M):
+    rep = beatty.partition_check(alpha, beta, M)
+    result = {"status": _status(rep.ok), "checked_to": str(rep.checked_to)}
     if rep.first_shared is not None:
         result["first_shared"] = str(rep.first_shared)
     if rep.first_uncovered is not None:
         result["first_uncovered"] = str(rep.first_uncovered)
-    return _Outcome(
-        "beatty partition",
-        {"alpha": format_exact(alpha), "beta": format_exact(beta), "M": str(args.M)},
-        result,
-        ["beatty", "partition", format_exact(alpha), format_exact(beta), str(args.M)],
-        exit_code=EXIT_OK if rep.ok else EXIT_VIOLATION,
-    )
+    return result, _checked(rep.ok), None
 
 
-def _cmd_beatty_apdecomp(args) -> _Outcome:
-    rep = beatty.ap_decomposition(args.p, args.q, args.M)
-    return _Outcome(
-        "beatty apdecomp",
-        {"p": str(args.p), "q": str(args.q), "M": str(args.M)},
-        {
-            "progressions": [f"{pr.modulus}*I+{pr.residue}" for pr in rep.progressions],
-            "status": "PASS" if rep.ok else "FAIL",
-        },
-        ["beatty", "apdecomp", str(args.p), str(args.q), str(args.M)],
-        exit_code=EXIT_OK if rep.ok else EXIT_VIOLATION,
-    )
+def _beatty_apdecomp(p, q, M):
+    rep = beatty.ap_decomposition(p, q, M)
+    progressions = [f"{pr.modulus}*I+{pr.residue}" for pr in rep.progressions]
+    return {"progressions": progressions, "status": _status(rep.ok)}, _checked(rep.ok), None
 
 
-def _cmd_beatty_separate(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
+def _beatty_separate(alpha, beta):
     res = beatty.separation_witness(alpha, beta)
-    result = {
+    return {
         "status": res.status,
-        "witness": None if res.witness is None else str(res.witness),
+        "witness": _text(res.witness),
         "container": res.container,
         "trace": {k: str(v) for k, v in res.trace.items()},
     }
-    return _Outcome(
-        "beatty separate",
-        {"alpha": format_exact(alpha), "beta": format_exact(beta)},
-        result,
-        ["beatty", "separate", format_exact(alpha), format_exact(beta)],
-    )
 
 
-def _cmd_beatty_cert(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
-    cert = beatty.certificate_search(
-        beatty.CertKind(args.kind), alpha, beta, args.bound
-    )
-    result = (
-        {"found": False}
-        if cert is None
-        else {"found": True, "a": str(cert.a), "b": str(cert.b), "c": str(cert.c)}
-    )
-    return _Outcome(
-        "beatty cert",
-        {
-            "kind": args.kind,
-            "alpha": format_exact(alpha),
-            "beta": format_exact(beta),
-            "bound": str(args.bound),
-        },
-        result,
-        ["beatty", "cert", args.kind, format_exact(alpha), format_exact(beta),
-         "--bound", str(args.bound)],
-    )
+def _beatty_cert(kind, alpha, beta, bound):
+    cert = beatty.certificate_search(beatty.CertKind(kind), alpha, beta, bound)
+    if cert is None:
+        return {"found": False}
+    return {"found": True, "a": str(cert.a), "b": str(cert.b), "c": str(cert.c)}
 
 
-def _cmd_beatty_imply(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
-    kind = beatty.CertKind(args.kind)
-    cert = beatty.Certificate(kind, args.a, args.b, args.c)
-    rep = beatty.verify_implication(kind, alpha, beta, cert, args.M)
-    result = {"status": "PASS" if rep.ok else "FAIL"}
+def _beatty_imply(kind, alpha, beta, a, b, c, M):
+    kind = beatty.CertKind(kind)
+    rep = beatty.verify_implication(kind, alpha, beta, beatty.Certificate(kind, a, b, c), M)
+    result = {"status": _status(rep.ok)}
     if rep.violation:
         result["violation"] = rep.violation
-    return _Outcome(
-        "beatty imply",
-        {
-            "kind": args.kind,
-            "alpha": format_exact(alpha),
-            "beta": format_exact(beta),
-            "a": str(args.a),
-            "b": str(args.b),
-            "c": str(args.c),
-            "M": str(args.M),
-        },
-        result,
-        ["beatty", "imply", args.kind, format_exact(alpha), format_exact(beta),
-         str(args.a), str(args.b), str(args.c), str(args.M)],
-        exit_code=EXIT_OK if rep.ok else EXIT_VIOLATION,
-    )
+    return result, _checked(rep.ok), None
 
 
-def _cmd_beatty_common(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
-    scan = beatty.common_elements(alpha, beta, args.start, args.count,
-                                  limit=args.limit)
-    resource = {"scan_limit": str(args.limit), "exhausted": scan.exhausted}
-    return _Outcome(
-        "beatty common",
-        {
-            "alpha": format_exact(alpha),
-            "beta": format_exact(beta),
-            "start": str(args.start),
-            "count": str(args.count),
-        },
+def _beatty_common(alpha, beta, start, count, limit):
+    scan = beatty.common_elements(alpha, beta, start, count, limit=limit)
+    return (
         {"found": [str(v) for v in scan.found], "exhausted": scan.exhausted},
-        ["beatty", "common", format_exact(alpha), format_exact(beta),
-         str(args.start), str(args.count), "--limit", str(args.limit)],
-        exit_code=EXIT_RESOURCE if scan.exhausted else EXIT_OK,
-        resource=resource,
+        EXIT_RESOURCE if scan.exhausted else EXIT_OK,
+        {"scan_limit": str(limit), "exhausted": scan.exhausted},
     )
 
 
-def _search_outcome(command, inputs, canonical, hit: Optional[int], limit: int) -> _Outcome:
-    resource = None if hit is not None else {"scan_limit": str(limit), "exhausted": True}
-    return _Outcome(
-        command,
-        inputs,
-        {"found": hit is not None, "n": None if hit is None else str(hit)},
-        canonical,
-        exit_code=EXIT_OK if hit is not None else EXIT_RESOURCE,
-        resource=resource,
-    )
+def _search(hit: Optional[int], limit: int):
+    if hit is None:
+        return ({"found": False, "n": None}, EXIT_RESOURCE,
+                {"scan_limit": str(limit), "exhausted": True})
+    return {"found": True, "n": str(hit)}
 
 
-def _cmd_beatty_dmo(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    lo, hi = _fr(args.lo), _fr(args.hi)
-    hit = beatty.dmo_window_search(alpha, lo, hi, args.limit)
-    return _search_outcome(
-        "beatty dmo",
-        {"alpha": format_exact(alpha), "lo": _fmt_fr(lo), "hi": _fmt_fr(hi),
-         "limit": str(args.limit)},
-        ["beatty", "dmo", format_exact(alpha), _fmt_fr(lo), _fmt_fr(hi),
-         str(args.limit)],
-        hit,
-        args.limit,
-    )
+def _beatty_pthroot(p, lo, hi):
+    m, n = beatty.pth_root_dmo_witness(p, lo, hi)
+    return {"M": str(m), "n": str(n)}
 
 
-def _cmd_beatty_residue(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    hit = beatty.residue_search(alpha, args.m, args.k, args.limit)
-    return _search_outcome(
-        "beatty residue",
-        {"alpha": format_exact(alpha), "m": str(args.m), "k": str(args.k),
-         "limit": str(args.limit)},
-        ["beatty", "residue", format_exact(alpha), str(args.m), str(args.k),
-         str(args.limit)],
-        hit,
-        args.limit,
-    )
-
-
-def _cmd_beatty_pthroot(args) -> _Outcome:
-    lo, hi = _fr(args.lo), _fr(args.hi)
-    m, n = beatty.pth_root_dmo_witness(args.p, lo, hi)
-    return _Outcome(
-        "beatty pthroot",
-        {"p": str(args.p), "lo": _fmt_fr(lo), "hi": _fmt_fr(hi)},
-        {"M": str(m), "n": str(n)},
-        ["beatty", "pthroot", str(args.p), _fmt_fr(lo), _fmt_fr(hi)],
-    )
-
-
-def _cmd_beatty_kronecker(args) -> _Outcome:
-    alpha, beta = ensure_exact(args.alpha), ensure_exact(args.beta)
-    rect = tuple(_fr(x) for x in (args.l1, args.r1, args.l2, args.r2))
-    hit = beatty.kronecker_search(alpha, beta, rect, args.limit)
-    return _search_outcome(
-        "beatty kronecker",
-        {
-            "alpha": format_exact(alpha),
-            "beta": format_exact(beta),
-            "rect": [_fmt_fr(x) for x in rect],
-            "limit": str(args.limit),
-        },
-        ["beatty", "kronecker", format_exact(alpha), format_exact(beta),
-         *(_fmt_fr(x) for x in rect), str(args.limit)],
-        hit,
-        args.limit,
-    )
-
-
-def _cmd_beatty_radius(args) -> _Outcome:
-    rho = _fr(args.rho)
-    delta = beatty.agreement_radius(rho, args.m)
-    return _Outcome(
-        "beatty radius",
-        {"rho": _fmt_fr(rho), "m": str(args.m)},
-        {"delta": _fmt_fr(delta)},
-        ["beatty", "radius", _fmt_fr(rho), str(args.m)],
-    )
-
-
-def _cmd_beatty_claim51(args) -> _Outcome:
-    rho = _fr(args.rho)
-    beta = ensure_exact(args.beta)
+def _beatty_claim51(rho, beta):
     rep = beatty.claim51_check(rho, beta)
     result = {
         "status": rep.status,
-        "m": None if rep.m is None else str(rep.m),
-        "t": None if rep.t is None else str(rep.t),
-        "k": None if rep.k is None else str(rep.k),
-        "separator": None if rep.separator is None else str(rep.separator),
+        "m": _text(rep.m),
+        "t": _text(rep.t),
+        "k": _text(rep.k),
+        "separator": _text(rep.separator),
     }
-    return _Outcome(
-        "beatty claim51",
-        {"rho": _fmt_fr(rho), "beta": format_exact(beta)},
-        result,
-        ["beatty", "claim51", _fmt_fr(rho), format_exact(beta)],
-        exit_code=EXIT_VIOLATION if rep.status == beatty.FAILS else EXIT_OK,
-    )
-
-
-# -- nonarch -------------------------------------------------------------
-
-
-def _cmd_nonarch_floor(args) -> _Outcome:
-    x = nonarch.parse_laurent(args.expr, args.precision)
-    out = nonarch.floor_ip(x)
-    return _Outcome(
-        "nonarch floor",
-        {"expr": nonarch.format_laurent(x)},
-        {"floor": str(out)},
-        ["nonarch", "floor", nonarch.format_laurent(x),
-         "--precision", str(args.precision)],
-    )
+    return result, EXIT_VIOLATION if rep.status == beatty.FAILS else EXIT_OK, None
 
 
 _NONARCH_OPS = {
@@ -528,95 +261,122 @@ _NONARCH_OPS = {
 }
 
 
-def _cmd_nonarch_arith(args) -> _Outcome:
-    x = nonarch.parse_laurent(args.left, args.precision)
-    y = nonarch.parse_laurent(args.right, args.precision)
-    out = _NONARCH_OPS[args.op](x, y)
-    return _Outcome(
-        "nonarch arith",
-        {"left": nonarch.format_laurent(x), "op": args.op,
-         "right": nonarch.format_laurent(y)},
-        {"value": nonarch.format_laurent(out)},
-        ["nonarch", "arith", nonarch.format_laurent(x), args.op,
-         nonarch.format_laurent(y), "--precision", str(args.precision)],
-    )
-
-
-def _cmd_nonarch_beatty(args) -> _Outcome:
-    alpha = nonarch.parse_laurent(args.alpha, args.precision)
-    n_expr = nonarch.parse_laurent(args.n, args.precision)
-    if not isinstance(n_expr, nonarch.RatFunc) or n_expr.den != nonarch.Poly([1]):
+def _nonarch_beatty(alpha, n, precision):
+    if not isinstance(n, nonarch.RatFunc) or n.den != nonarch.Poly([1]):
         raise DomainError("the index must be a polynomial with integer constant")
-    n = nonarch.IPElem(n_expr.num)
-    out = nonarch.beatty_nonarch(alpha, n)
-    return _Outcome(
-        "nonarch beatty",
-        {"alpha": nonarch.format_laurent(alpha), "n": str(n)},
-        {"value": str(out)},
-        ["nonarch", "beatty", nonarch.format_laurent(alpha), str(n),
-         "--precision", str(args.precision)],
-    )
+    return {"value": str(nonarch.beatty_nonarch(alpha, nonarch.IPElem(n.num)))}
 
 
-def _cmd_nonarch_linf(args) -> _Outcome:
-    sigma = nonarch.parse_laurent(args.sigma, args.precision)
-    rho = nonarch.parse_laurent(args.rho, args.precision)
+def _nonarch_linf(sigma, rho, precision):
     rep = nonarch.linf_experiment(sigma, rho)
     if not rep.applicable:
-        result = {"applicable": False, "reason": rep.reason}
-    else:
-        result = {
-            "applicable": True,
-            "m": str(rep.m),
-            "k": str(rep.k),
-            "separator": str(rep.separator),
-            "between": [str(rep.lower_neighbor), str(rep.upper_neighbor)],
-        }
-    return _Outcome(
-        "nonarch linf",
-        {"sigma": nonarch.format_laurent(sigma), "rho": nonarch.format_laurent(rho)},
-        result,
-        ["nonarch", "linf", nonarch.format_laurent(sigma),
-         nonarch.format_laurent(rho), "--precision", str(args.precision)],
-    )
+        return {"applicable": False, "reason": rep.reason}
+    return {
+        "applicable": True,
+        "m": str(rep.m),
+        "k": str(rep.k),
+        "separator": str(rep.separator),
+        "between": [str(rep.lower_neighbor), str(rep.upper_neighbor)],
+    }
 
 
-# -- oracle --------------------------------------------------------------
+# -- the command table ------------------------------------------------------
+
+_N = _Arg("N", _INT)
+_Q = _Arg("Q", _INT)
+_M = _Arg("M", _INT)
+_ALPHA = _Arg("alpha", _EXACT)
+_BETA = _Arg("beta", _EXACT)
+_LIMIT = _Arg("limit", _INT)
+_PRECISION = _Arg("--precision", _INT, nonarch.DEFAULT_PRECISION)
+
+_COMMANDS = (
+    _Command("farey", "list", (_N,),
+             lambda N: _listing([str(f) for f in farey.sequence(N)])),
+    _Command("farey", "succ", (_Arg("fraction", _RATIONAL), _N),
+             lambda fraction, N: {"successor": str(farey.successor(_farey(fraction, N)))}),
+    _Command("farey", "pred", (_Arg("fraction", _RATIONAL), _N),
+             lambda fraction, N: {"predecessor": str(farey.predecessor(_farey(fraction, N)))}),
+    _Command("farey", "mediant", (_Arg("left", _RATIONAL), _Arg("right", _RATIONAL), _N),
+             _farey_mediant),
+    _Command("farey", "phi", (_Arg("fraction", _RATIONAL), _N),
+             lambda fraction, N: {"phi": str(farey.phi_embed(_farey(fraction, N)))}),
+    _Command("farey", "greatest", (_N, _Arg("m", _INT), _Arg("--nonstrict", _FLAG, False)),
+             _farey_greatest),
+
+    _Command("approx", "dirichlet", (_ALPHA, _Q),
+             lambda alpha, Q: _appr(approx.dirichlet(alpha, Q))),
+    _Command("approx", "large", (_ALPHA, _Q),
+             lambda alpha, Q: _appr(approx.large_denominator(alpha, Q))),
+    _Command("approx", "segre", (_ALPHA, _Arg("tau", _RATIONAL), _Q),
+             lambda alpha, tau, Q: _appr(approx.segre(alpha, tau, Q))),
+    _Command("approx", "hurwitz", (_ALPHA, _Q),
+             lambda alpha, Q: _appr(approx.hurwitz(alpha, Q))),
+    _Command("approx", "onesided", (_ALPHA, _Q, _Arg("side", _SIDE)),
+             lambda alpha, Q, side: _appr(approx.one_sided(alpha, Q, side))),
+    _Command("approx", "verify",
+             (_ALPHA, _Arg("p", _INT), _Arg("q", _INT),
+              _Arg("--kind", _choice("dirichlet", "square", "segre", "hurwitz", "onesided")),
+              _Arg("--bound-q", _INT), _Arg("--tau", _RATIONAL, None), _Arg("--side", _SIDE, None)),
+             _approx_verify),
+
+    _Command("beatty", "term", (_ALPHA, _Arg("n", _INT)),
+             lambda alpha, n: {"value": str(beatty.beatty_term(alpha, n))}),
+    _Command("beatty", "member", (_ALPHA, _Arg("k", _INT)), _beatty_member),
+    _Command("beatty", "window", (_ALPHA, _M),
+             lambda alpha, M: {"members": [str(k) for k in beatty.window(alpha, M).members]}),
+    _Command("beatty", "mu", (_ALPHA, _Arg("h", _INT)),
+             lambda alpha, h: {"count": str(beatty.mu(alpha, h))}),
+    _Command("beatty", "partition", (_ALPHA, _BETA, _M), _beatty_partition),
+    _Command("beatty", "apdecomp", (_Arg("p", _INT), _Arg("q", _INT), _M), _beatty_apdecomp),
+    _Command("beatty", "separate", (_ALPHA, _BETA), _beatty_separate),
+    _Command("beatty", "cert",
+             (_Arg("kind", _CERT_KIND), _ALPHA, _BETA, _Arg("--bound", _INT, 10**6)),
+             _beatty_cert),
+    _Command("beatty", "imply",
+             (_Arg("kind", _CERT_KIND), _ALPHA, _BETA,
+              _Arg("a", _INT), _Arg("b", _INT), _Arg("c", _INT), _M),
+             _beatty_imply),
+    _Command("beatty", "common",
+             (_ALPHA, _BETA, _Arg("start", _INT), _Arg("count", _INT),
+              _Arg("--limit", _INT, beatty.DEFAULT_SCAN_LIMIT)),
+             _beatty_common),
+    _Command("beatty", "dmo", (_ALPHA, _Arg("lo", _RATIONAL), _Arg("hi", _RATIONAL), _LIMIT),
+             lambda alpha, lo, hi, limit: _search(beatty.dmo_window_search(alpha, lo, hi, limit), limit)),
+    _Command("beatty", "residue", (_ALPHA, _Arg("m", _INT), _Arg("k", _INT), _LIMIT),
+             lambda alpha, m, k, limit: _search(beatty.residue_search(alpha, m, k, limit), limit)),
+    _Command("beatty", "pthroot", (_Arg("p", _INT), _Arg("lo", _RATIONAL), _Arg("hi", _RATIONAL)),
+             _beatty_pthroot),
+    _Command("beatty", "kronecker",
+             (_ALPHA, _BETA, *(_Arg(x, _RATIONAL) for x in ("l1", "r1", "l2", "r2")), _LIMIT),
+             lambda alpha, beta, l1, r1, l2, r2, limit: _search(
+                 beatty.kronecker_search(alpha, beta, (l1, r1, l2, r2), limit), limit)),
+    _Command("beatty", "radius", (_Arg("rho", _RATIONAL), _Arg("m", _INT)),
+             lambda rho, m: {"delta": _fmt_fr(beatty.agreement_radius(rho, m))}),
+    _Command("beatty", "claim51", (_Arg("rho", _RATIONAL), _BETA), _beatty_claim51),
+
+    _Command("nonarch", "floor", (_Arg("expr", _LAURENT), _PRECISION),
+             lambda expr, precision: {"floor": str(nonarch.floor_ip(expr))}),
+    _Command("nonarch", "arith",
+             (_Arg("left", _LAURENT), _Arg("op", _choice(*_NONARCH_OPS)), _Arg("right", _LAURENT),
+              _PRECISION),
+             lambda left, op, right, precision: {
+                 "value": nonarch.format_laurent(_NONARCH_OPS[op](left, right))}),
+    _Command("nonarch", "beatty", (_Arg("alpha", _LAURENT), _Arg("n", _LAURENT), _PRECISION),
+             _nonarch_beatty),
+    _Command("nonarch", "linf", (_Arg("sigma", _LAURENT), _Arg("rho", _LAURENT), _PRECISION),
+             _nonarch_linf),
+
+    _Command("oracle", "farey", (_N,),
+             lambda N: _listing([f"{h}/{k}" for h, k in oracle.farey_naive(N)])),
+    _Command("oracle", "dirichlet", (_ALPHA, _Q),
+             lambda alpha, Q: {"satisfying": [f"{p}/{q}" for p, q in oracle.dirichlet_naive(alpha, Q)]}),
+    _Command("oracle", "beatty", (_ALPHA, _M),
+             lambda alpha, M: {"members": [str(v) for v in sorted(oracle.beatty_naive(alpha, M))]}),
+)
 
 
-def _cmd_oracle_farey(args) -> _Outcome:
-    pairs = oracle.farey_naive(args.N)
-    return _Outcome(
-        "oracle farey",
-        {"N": str(args.N)},
-        {"terms": [f"{h}/{k}" for h, k in pairs], "count": str(len(pairs))},
-        ["oracle", "farey", str(args.N)],
-    )
-
-
-def _cmd_oracle_dirichlet(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    hits = oracle.dirichlet_naive(alpha, args.Q)
-    return _Outcome(
-        "oracle dirichlet",
-        {"alpha": format_exact(alpha), "Q": str(args.Q)},
-        {"satisfying": [f"{p}/{q}" for p, q in hits]},
-        ["oracle", "dirichlet", format_exact(alpha), str(args.Q)],
-    )
-
-
-def _cmd_oracle_beatty(args) -> _Outcome:
-    alpha = ensure_exact(args.alpha)
-    members = sorted(oracle.beatty_naive(alpha, args.M))
-    return _Outcome(
-        "oracle beatty",
-        {"alpha": format_exact(alpha), "M": str(args.M)},
-        {"members": [str(v) for v in members]},
-        ["oracle", "beatty", format_exact(alpha), str(args.M)],
-    )
-
-
-# -- wiring --------------------------------------------------------------
+# -- the generic path -------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,66 +387,50 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json"), default="plain")
     groups = top.add_subparsers(dest="group", required=True)
-
-    def leaf(group, name, fn):
-        p = group.add_parser(name, parents=[common])
-        p.set_defaults(fn=fn)
-        return p
-
-    fa = groups.add_parser("farey").add_subparsers(dest="cmd", required=True)
-    p = leaf(fa, "list", _cmd_farey_list); p.add_argument("N", type=int)
-    p = leaf(fa, "succ", _cmd_farey_succ); p.add_argument("fraction"); p.add_argument("N", type=int)
-    p = leaf(fa, "pred", _cmd_farey_pred); p.add_argument("fraction"); p.add_argument("N", type=int)
-    p = leaf(fa, "mediant", _cmd_farey_mediant); p.add_argument("left"); p.add_argument("right"); p.add_argument("N", type=int)
-    p = leaf(fa, "phi", _cmd_farey_phi); p.add_argument("fraction"); p.add_argument("N", type=int)
-    p = leaf(fa, "greatest", _cmd_farey_greatest); p.add_argument("N", type=int); p.add_argument("m", type=int); p.add_argument("--nonstrict", action="store_true")
-
-    ap = groups.add_parser("approx").add_subparsers(dest="cmd", required=True)
-    p = leaf(ap, "dirichlet", _cmd_approx_dirichlet); p.add_argument("alpha"); p.add_argument("Q", type=int)
-    p = leaf(ap, "large", _cmd_approx_large); p.add_argument("alpha"); p.add_argument("Q", type=int)
-    p = leaf(ap, "segre", _cmd_approx_segre); p.add_argument("alpha"); p.add_argument("tau"); p.add_argument("Q", type=int)
-    p = leaf(ap, "hurwitz", _cmd_approx_hurwitz); p.add_argument("alpha"); p.add_argument("Q", type=int)
-    p = leaf(ap, "onesided", _cmd_approx_onesided); p.add_argument("alpha"); p.add_argument("Q", type=int); p.add_argument("side", choices=(approx.ABOVE, approx.BELOW))
-    p = leaf(ap, "verify", _cmd_approx_verify)
-    p.add_argument("alpha"); p.add_argument("p", type=int); p.add_argument("q", type=int)
-    p.add_argument("--kind", required=True, choices=("dirichlet", "square", "segre", "hurwitz", "onesided"))
-    p.add_argument("--bound-q", type=int, required=True)
-    p.add_argument("--tau"); p.add_argument("--side", choices=(approx.ABOVE, approx.BELOW))
-
-    be = groups.add_parser("beatty").add_subparsers(dest="cmd", required=True)
-    p = leaf(be, "term", _cmd_beatty_term); p.add_argument("alpha"); p.add_argument("n", type=int)
-    p = leaf(be, "member", _cmd_beatty_member); p.add_argument("alpha"); p.add_argument("k", type=int)
-    p = leaf(be, "window", _cmd_beatty_window); p.add_argument("alpha"); p.add_argument("M", type=int)
-    p = leaf(be, "mu", _cmd_beatty_mu); p.add_argument("alpha"); p.add_argument("h", type=int)
-    p = leaf(be, "partition", _cmd_beatty_partition); p.add_argument("alpha"); p.add_argument("beta"); p.add_argument("M", type=int)
-    p = leaf(be, "apdecomp", _cmd_beatty_apdecomp); p.add_argument("p", type=int); p.add_argument("q", type=int); p.add_argument("M", type=int)
-    p = leaf(be, "separate", _cmd_beatty_separate); p.add_argument("alpha"); p.add_argument("beta")
-    p = leaf(be, "cert", _cmd_beatty_cert); p.add_argument("kind", choices=[k.value for k in beatty.CertKind]); p.add_argument("alpha"); p.add_argument("beta"); p.add_argument("--bound", type=int, default=10**6)
-    p = leaf(be, "imply", _cmd_beatty_imply)
-    p.add_argument("kind", choices=[k.value for k in beatty.CertKind])
-    p.add_argument("alpha"); p.add_argument("beta")
-    p.add_argument("a", type=int); p.add_argument("b", type=int); p.add_argument("c", type=int)
-    p.add_argument("M", type=int)
-    p = leaf(be, "common", _cmd_beatty_common); p.add_argument("alpha"); p.add_argument("beta"); p.add_argument("start", type=int); p.add_argument("count", type=int); p.add_argument("--limit", type=int, default=beatty.DEFAULT_SCAN_LIMIT)
-    p = leaf(be, "dmo", _cmd_beatty_dmo); p.add_argument("alpha"); p.add_argument("lo"); p.add_argument("hi"); p.add_argument("limit", type=int)
-    p = leaf(be, "residue", _cmd_beatty_residue); p.add_argument("alpha"); p.add_argument("m", type=int); p.add_argument("k", type=int); p.add_argument("limit", type=int)
-    p = leaf(be, "pthroot", _cmd_beatty_pthroot); p.add_argument("p", type=int); p.add_argument("lo"); p.add_argument("hi")
-    p = leaf(be, "kronecker", _cmd_beatty_kronecker); p.add_argument("alpha"); p.add_argument("beta"); p.add_argument("l1"); p.add_argument("r1"); p.add_argument("l2"); p.add_argument("r2"); p.add_argument("limit", type=int)
-    p = leaf(be, "radius", _cmd_beatty_radius); p.add_argument("rho"); p.add_argument("m", type=int)
-    p = leaf(be, "claim51", _cmd_beatty_claim51); p.add_argument("rho"); p.add_argument("beta")
-
-    na = groups.add_parser("nonarch").add_subparsers(dest="cmd", required=True)
-    p = leaf(na, "floor", _cmd_nonarch_floor); p.add_argument("expr"); p.add_argument("--precision", type=int, default=nonarch.DEFAULT_PRECISION)
-    p = leaf(na, "arith", _cmd_nonarch_arith); p.add_argument("left"); p.add_argument("op", choices=tuple(_NONARCH_OPS)); p.add_argument("right"); p.add_argument("--precision", type=int, default=nonarch.DEFAULT_PRECISION)
-    p = leaf(na, "beatty", _cmd_nonarch_beatty); p.add_argument("alpha"); p.add_argument("n"); p.add_argument("--precision", type=int, default=nonarch.DEFAULT_PRECISION)
-    p = leaf(na, "linf", _cmd_nonarch_linf); p.add_argument("sigma"); p.add_argument("rho"); p.add_argument("--precision", type=int, default=nonarch.DEFAULT_PRECISION)
-
-    orc = groups.add_parser("oracle").add_subparsers(dest="cmd", required=True)
-    p = leaf(orc, "farey", _cmd_oracle_farey); p.add_argument("N", type=int)
-    p = leaf(orc, "dirichlet", _cmd_oracle_dirichlet); p.add_argument("alpha"); p.add_argument("Q", type=int)
-    p = leaf(orc, "beatty", _cmd_oracle_beatty); p.add_argument("alpha"); p.add_argument("M", type=int)
-
+    subparsers = {}
+    for cmd in _COMMANDS:
+        if cmd.group not in subparsers:
+            subparsers[cmd.group] = groups.add_parser(cmd.group).add_subparsers(
+                dest="cmd", required=True)
+        p = subparsers[cmd.group].add_parser(cmd.name, parents=[common])
+        p.set_defaults(command=cmd)
+        for arg in cmd.args:
+            if arg.kind is _FLAG:
+                p.add_argument(arg.name, action="store_true")
+            elif arg.option:
+                required = arg.default is _REQUIRED
+                p.add_argument(arg.name, type=arg.kind.type, choices=arg.kind.choices,
+                               required=required, default=None if required else arg.default)
+            else:
+                p.add_argument(arg.name, type=arg.kind.type, choices=arg.kind.choices)
     return top
+
+
+def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
+    values = {}
+    for arg in cmd.args:
+        value = getattr(ns, arg.dest)
+        if value is not None and arg.kind.parse is not None:
+            value = arg.kind.parse(value, ns)
+        values[arg.dest] = value
+    reply = cmd.handler(**values)
+    result, exit_code, resource = reply if isinstance(reply, tuple) else (reply, EXIT_OK, None)
+    # The echo: every argument with a value, as canonical text; the argv:
+    # positionals in table order, then options.
+    inputs, positionals, options = {}, [], []
+    for arg in cmd.args:
+        value = values[arg.dest]
+        if value is None:
+            continue
+        inputs[arg.dest] = text = arg.kind.fmt(value)
+        if not arg.option:
+            positionals.append(text)
+        elif arg.kind is not _FLAG:
+            options += [arg.name, text]
+        elif value:
+            options.append(arg.name)
+    return _Outcome(f"{cmd.group} {cmd.name}", inputs, result,
+                    [cmd.group, cmd.name, *positionals, *options], exit_code, resource)
 
 
 def _render_plain(outcome: _Outcome, stream):
@@ -718,7 +462,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     fmt = args.format
     try:
-        outcome = args.fn(args)
+        outcome = _execute(args.command, args)
     except (ParseError, DomainError, NotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE

@@ -336,8 +336,10 @@ def _sign_two(u: Fraction, v: Fraction, d: int, w: Fraction, e: int) -> int:
     if _sgn(u) == s_rad:
         return s_rad
     # Opposite signs: compare |v*sqrt(d) + w*sqrt(e)| with |u| by squaring.
-    s2, m2 = squarefree_split(d * e)
-    sigma = _sign_one(v * v * d + w * w * e - u * u, 2 * v * w * s2, m2)
+    # d and e are squarefree, so sqrt(d*e) = g*sqrt((d/g)*(e/g)) with a
+    # squarefree cofactor: no trial division is needed.
+    g = gcd(d, e)
+    sigma = _sign_one(v * v * d + w * w * e - u * u, 2 * v * w * g, (d // g) * (e // g))
     if sigma > 0:
         return s_rad
     if sigma < 0:
@@ -545,18 +547,15 @@ def _solve_scaled_quad(p: Fraction, q: Fraction, r: Fraction, s: Fraction,
         if max(abs(a), abs(b), abs(c)) > bound:
             return None
         return (a, b, c)
-    # POSITIVE_INT
+    # POSITIVE_INT.  (a1, b1) is coprime, so at any multiple k of the
+    # smallest integral scaling gcd(a, b, c) = k: only k = 1 can qualify.
     if b1 <= 0 or c1 <= 0:
         return None
-    k = 1
-    while True:
-        j = c1.denominator * k
-        a, b, c = j * a1, j * b1, int(j * c1)
-        if max(a, b, c) > bound:
-            return None
-        if c > 1 and gcd(gcd(a, b), c) == 1:
-            return (a, b, c)
-        k += 1
+    j = c1.denominator
+    a, b, c = j * a1, j * b1, c1.numerator
+    if c > 1 and max(a, b, c) <= bound:
+        return (a, b, c)
+    return None
 
 
 def linear_relation_solve(alpha, beta, form: RelationForm, bound: int = 10**6):
@@ -627,7 +626,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", self.text, start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter's int/str digit limit
+            raise ParseError("too many digits", self.text, start) from None
 
     def word(self, w: str) -> bool:
         self.skip_ws()

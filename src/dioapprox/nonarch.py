@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -788,6 +789,13 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
 # -- textual syntax ------------------------------------------------------
 
 
+def _int_at(text: str, i: int, j: int) -> int:
+    try:
+        return int(text[i:j])
+    except ValueError:  # longer than the interpreter's int/str digit limit
+        raise ParseError("too many digits", text, i) from None
+
+
 def _parse_poly(text: str, start: int, end: int) -> Poly:
     """Integer-coefficient polynomial in t: e.g. '3*t^2 - t + 1'."""
     coeffs: dict[int, Fraction] = {}
@@ -814,7 +822,7 @@ def _parse_poly(text: str, start: int, end: int) -> Poly:
         while j < end and text[j].isdigit():
             j += 1
         if j > i:
-            coef = int(text[i:j])
+            coef = _int_at(text, i, j)
             i = j
             while i < end and text[i].isspace():
                 i += 1
@@ -833,7 +841,7 @@ def _parse_poly(text: str, start: int, end: int) -> Poly:
                     j += 1
                 if j == i:
                     raise ParseError("expected exponent digits", text, i)
-                power = int(text[i:j])
+                power = _int_at(text, i, j)
                 i = j
             if coef is None:
                 coef = 1
@@ -912,13 +920,22 @@ def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
 
 
 def format_laurent(x: LaurentElem) -> str:
-    """Exact textual form: polynomial, quotient, or truncated series."""
-    if isinstance(x, RatFunc):
-        if x.den == Poly([1]):
-            return _poly_str(x.num)
-        return f"({_poly_str(x.num)})/({_poly_str(x.den)})"
+    """Exact textual form: polynomial, quotient, or truncated series.
+
+    A rational function prints with integer coefficients (a rational
+    constant as ``p/q``), so parse_laurent reads it back; a truncated
+    series has no such inverse.
+    """
     if isinstance(x, IPElem):
-        return _poly_str(x.poly)
+        x = RatFunc(x.poly)
+    if isinstance(x, RatFunc):
+        num, den = x.num, x.den
+        if den.deg > 0 or num.deg > 0:
+            scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+            num, den = num.scale(scale), den.scale(scale)
+        if den == Poly([1]):
+            return _poly_str(num)
+        return f"({_poly_str(num)})/({_poly_str(den)})"
     parts = []
     for idx, c in enumerate(x.coeffs):
         i = x.lead + idx

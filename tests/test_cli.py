@@ -117,3 +117,58 @@ def test_every_numeric_in_json_is_a_string():
     ):
         _, out, _ = run_capture(argv)
         walk(json.loads(out))
+
+
+# One sample argv per command-table row.
+REPLAY_SAMPLES = [
+    ["farey", "list", "5"],
+    ["farey", "succ", "2/6", "5"],
+    ["farey", "pred", "2/5", "5"],
+    ["farey", "mediant", "1/3", "2/5", "5"],
+    ["farey", "phi", "2/5", "5"],
+    ["farey", "greatest", "5", "9", "--nonstrict"],
+    ["approx", "dirichlet", "sqrt(2)", "5"],
+    ["approx", "large", "2+sqrt(3)", "7"],
+    ["approx", "segre", "(1+1*sqrt(5))/2", "2/6", "10"],
+    ["approx", "hurwitz", "sqrt(3)", "10"],
+    ["approx", "onesided", "sqrt(2)", "10", "below"],
+    ["approx", "verify", "sqrt(2)", "17", "12", "--kind", "segre", "--bound-q", "5",
+     "--tau", "1/2"],
+    ["beatty", "term", "sqrt(8)", "10"],
+    ["beatty", "member", "sqrt(2)", "7"],
+    ["beatty", "window", "sqrt(2)", "12"],
+    ["beatty", "mu", "sqrt(2)", "10"],
+    ["beatty", "partition", "sqrt(2)", "2+sqrt(2)", "100"],
+    ["beatty", "apdecomp", "5", "3", "50"],
+    ["beatty", "separate", "3", "5/2"],
+    ["beatty", "cert", "disjoint", "sqrt(2)", "2+sqrt(2)", "--bound", "100"],
+    ["beatty", "imply", "disjoint", "sqrt(2)", "2+sqrt(2)", "1", "1", "1", "100"],
+    ["beatty", "common", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "0", "1", "--limit", "500"],
+    ["beatty", "dmo", "sqrt(2)", "9/10", "19/20", "100"],
+    ["beatty", "residue", "sqrt(2)", "3", "1", "100"],
+    ["beatty", "pthroot", "2", "1/3", "1/2"],
+    ["beatty", "kronecker", "sqrt(2)", "sqrt(3)", "0", "1/2", "1/2", "1", "100"],
+    ["beatty", "radius", "3/2", "5"],
+    ["beatty", "claim51", "3/2", "sqrt(2)"],
+    ["nonarch", "floor", "(t^2)/(2*t+1)"],
+    ["nonarch", "arith", "sqrt1p(eps)", "mul", "t", "--precision", "8"],
+    ["nonarch", "beatty", "(t+1)/(t)", "(t)/(2)"],
+    ["nonarch", "linf", "5/4", "3/2", "--precision", "16"],
+    ["oracle", "farey", "5"],
+    ["oracle", "dirichlet", "sqrt(2)", "10"],
+    ["oracle", "beatty", "(1+1*sqrt(5))/2", "12"],
+]
+
+
+def test_every_command_replays_its_json_argv():
+    rows = {(c.group, c.name): c for c in cli._COMMANDS}
+    assert {tuple(argv[:2]) for argv in REPLAY_SAMPLES} == set(rows)
+    for argv in REPLAY_SAMPLES:
+        code, first, err = run_capture(argv + ["--format", "json"])
+        assert code in (0, 1, 3) and not err, argv
+        env = json.loads(first)
+        assert run_capture(env["argv"]) == (code, first, ""), argv
+        given = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        expected = {a.dest for a in rows[tuple(argv[:2])].args
+                    if not a.option or a.dest in given or a.default is not None}
+        assert set(env["inputs"]) == expected, argv

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dioapprox import approx, beatty
 from dioapprox.errors import (
     DomainError,
     MixedRadicalError,
@@ -218,6 +219,22 @@ def test_hurwitz_squaring_chain():
     assert bound_sign(21, 13) < 0
 
 
+def test_two_radical_squaring_on_large_radicands():
+    # d*e passes the squarefree trial bound's square (10^8) in each call
+    alpha = sqrt_int(5000011)
+    appr = approx.segre(alpha, Fraction(1, 3), 100)
+    assert appr.verified and approx.verify(alpha, appr)
+    alpha = sqrt_int(20000003)
+    appr = approx.hurwitz(alpha, 100)
+    assert appr.verified and approx.verify(alpha, appr)
+    a, b = sqrt_int(1000003), sqrt_int(3000017)
+    res = beatty.separation_witness(a, b)
+    assert res.status == beatty.FOUND
+    inside, outside = (a, b) if res.container == "alpha" else (b, a)
+    assert beatty.member(inside, res.witness) is not None
+    assert beatty.member(outside, res.witness) is None
+
+
 # --- relation solving ---------------------------------------------------
 
 def test_relation_disjoint_unit():
@@ -258,6 +275,14 @@ def test_relation_positive_int_form():
     assert compare(a / alpha + b / SQRT2, c) == 0
 
 
+def test_relation_positive_int_unit_sum_is_none():
+    # 1/sqrt(2) + 1/(2 + sqrt(2)) = 1: the primitive relation has c = 1 and
+    # every multiple has gcd > 1, so the answer is None without a search up
+    # to the bound.
+    got = linear_relation_solve(SQRT2, 2 + SQRT2, RelationForm.POSITIVE_INT, bound=10**18)
+    assert got is None
+
+
 # --- parsing and formatting ---------------------------------------------
 
 def test_parse_grammar():
@@ -278,6 +303,10 @@ def test_parse_errors_carry_position():
         parse_exact("(1+1*sqrt(5)/2")
     with pytest.raises(ParseError):
         parse_exact("1/0")
+    # past the interpreter's int/str digit limit
+    with pytest.raises(ParseError) as err:
+        parse_exact("(1+sqrt(2))/" + "9" * 5000)
+    assert err.value.pos == 12
 
 
 def test_format_round_trip():
