@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import farey
 from .errors import DomainError, RationalInputError, ResourceLimitError
 from .exactnum import (
     ExactReal,
     compare,
+    convergents,
     decompose,
     ensure_exact,
     floor_of,
@@ -41,6 +43,7 @@ __all__ = [
 ABOVE = "above"
 BELOW = "below"
 
+#: Candidates past Q that segre, hurwitz and one_sided try before giving up.
 DEFAULT_MAX_ROUNDS = 64
 
 
@@ -191,46 +194,46 @@ def dirichlet(alpha: ExactReal, q_cap: int) -> Approximation:
     return _finish(alpha, pick.h + whole * pick.k, pick.k, Bound.dirichlet(q_cap))
 
 
-def _refined_bracket(beta: ExactReal, q_floor: int) -> farey.FareyBracket:
-    """Bracket of beta whose endpoints both have denominators > q_floor.
+def _candidates(alpha: ExactReal) -> Iterator[tuple[int, int]]:
+    """Each convergent of alpha and the intermediate fractions next to
+    it, (p_{k-1} + p_k)/(q_{k-1} + q_k) and (p_{k+1} - p_k)/(q_{k+1} - q_k),
+    in increasing q.  By Fatou-Grace every p/q with |alpha - p/q| < 1/q^2
+    is among them."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    for a, p, q in convergents(alpha):
+        for t in sorted({1, a - 1}):
+            if 1 <= t < a:
+                yield p0 + t * p1, q0 + t * q1
+        yield p, q
+        p0, q0, p1, q1 = p1, q1, p, q
 
-    Re-bracketing at order floor(2/eps) + 1, where eps is the distance to
-    the nearer order-Q neighbor, forces both new neighbors strictly
-    inside the old gap, hence past denominator Q.
-    """
-    coarse = farey.bracket(beta, q_floor)
-    left = beta - coarse.lo.value()
-    right = coarse.hi.value() - beta
-    eps = left if compare(left, right) <= 0 else right
-    order = floor_of(2 / eps) + 1
-    fine = farey.bracket(beta, order)
-    if fine.lo.k <= q_floor or fine.hi.k <= q_floor:
-        raise AssertionError("refined bracket failed to clear the denominator floor")
-    return fine
+
+def _first(alpha, q_floor, candidates, holds, budget, bound) -> Approximation:
+    """The first of ``candidates`` with q > Q that ``holds``, trying at most
+    ``budget`` of those, re-verified against ``bound``."""
+    for p, q in islice(((p, q) for p, q in candidates if q > q_floor), budget):
+        if holds(p, q):
+            return _finish(alpha, p, q, bound)
+    raise ResourceLimitError(
+        f"no candidate passed the bound within {budget} candidates past Q = {q_floor}"
+    )
 
 
 def large_denominator(alpha: ExactReal, q_floor: int) -> Approximation:
-    """h/k with k > Q and |alpha - h/k| < 1/k^2, all checked exactly.
+    """p/q with q > Q and |alpha - p/q| < 1/q^2, all checked exactly.
 
-    Of the two refined neighbors at least one passes; the mediant is
-    tested as well, in the fixed order lo, mediant, hi.
+    The first candidate past Q that passes.  Every convergent does, and
+    at most two intermediate fractions precede the next one, so at most
+    three are tried.
     """
     alpha = _require_positive_irrational(alpha)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    whole = floor_of(alpha)
-    beta = alpha - whole
-    fine = _refined_bracket(beta, q_floor)
-    candidates = [
-        (fine.lo.h, fine.lo.k),
-        (fine.lo.h + fine.hi.h, fine.lo.k + fine.hi.k),
-        (fine.hi.h, fine.hi.k),
-    ]
-    bound = Bound.square(q_floor)
-    for h, k in candidates:
-        if k > q_floor and compare(_abs_diff(beta, h, k), Fraction(1, k * k)) < 0:
-            return _finish(alpha, h + whole * k, k, bound)
-    raise AssertionError("no refined candidate met the 1/k^2 bound")
+    return _first(
+        alpha, q_floor, _candidates(alpha),
+        lambda p, q: compare(_abs_diff(alpha, p, q), Fraction(1, q * q)) < 0,
+        3, Bound.square(q_floor),
+    )
 
 
 def segre(
@@ -240,12 +243,13 @@ def segre(
     *,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Approximation:
-    """Asymmetric approximation: k > Q with
-    -1/(sqrt(1+4t) k^2) < alpha - h/k < t/(sqrt(1+4t) k^2).
+    """Asymmetric approximation: q > Q with
+    -1/(sqrt(1+4t) q^2) < alpha - p/q < t/(sqrt(1+4t) q^2).
 
-    Brackets at doubling orders starting from the refined order; each
-    round tests lo, mediant, hi in that fixed order.  For t > 0 the
-    first round already succeeds; t = 0 (one-sided) may need several.
+    The first candidate past Q that passes.  For t <= 2 + sqrt(5) the
+    region lies within 1/q^2 of alpha, so Segre's theorem puts infinitely
+    many solutions among the candidates; for larger t every convergent
+    below alpha passes.  ``max_rounds`` caps the candidates tried past Q.
     """
     alpha = _require_positive_irrational(alpha)
     tau = Fraction(tau)
@@ -253,24 +257,10 @@ def segre(
         raise DomainError(f"tau must be >= 0, got {tau}")
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    whole = floor_of(alpha)
-    beta = alpha - whole
-    fine = _refined_bracket(beta, q_floor)
-    order = fine.lo.order
-    bound = Bound.segre(tau, q_floor)
-    for _ in range(max_rounds):
-        br = farey.bracket(beta, order)
-        candidates = [
-            (br.lo.h, br.lo.k),
-            (br.lo.h + br.hi.h, br.lo.k + br.hi.k),
-            (br.hi.h, br.hi.k),
-        ]
-        for h, k in candidates:
-            if k > q_floor and _segre_bound_holds(beta, h, k, tau):
-                return _finish(alpha, h + whole * k, k, bound)
-        order *= 2
-    raise ResourceLimitError(
-        f"no candidate passed the asymmetric bound within {max_rounds} rounds"
+    return _first(
+        alpha, q_floor, _candidates(alpha),
+        lambda p, q: _segre_bound_holds(alpha, p, q, tau),
+        max_rounds, Bound.segre(tau, q_floor),
     )
 
 
@@ -291,16 +281,25 @@ def one_sided(
 ) -> Approximation:
     """Approximation from one side only: tau = 0, mirrored for 'below'.
 
-    'above': 0 < p/q - alpha < 1/q^2.  'below' runs the same search on
-    ceil(alpha) - alpha, then reflects the result back.
+    'above': 0 < p/q - alpha < 1/q^2, from the first convergent past Q
+    that lies above alpha (odd index); each one is within 1/q^2.
+    'below' runs the same search on ceil(alpha) - alpha, then reflects
+    the result back.
     """
     alpha = _require_positive_irrational(alpha)
     if side not in (ABOVE, BELOW):
         raise DomainError(f"side must be {ABOVE!r} or {BELOW!r}")
+    if q_floor < 1:
+        raise DomainError(f"Q must be >= 1, got {q_floor}")
     bound = Bound.one_sided(side, q_floor)
-    if side == ABOVE:
-        inner = segre(alpha, 0, q_floor, max_rounds=max_rounds)
-        return _finish(alpha, inner.p, inner.q, bound)
     top = floor_of(alpha) + 1
-    mirrored = segre(top - alpha, 0, q_floor, max_rounds=max_rounds)
-    return _finish(alpha, top * mirrored.q - mirrored.p, mirrored.q, bound)
+    target = alpha if side == ABOVE else top - alpha
+    above = ((p, q) for _, p, q in islice(convergents(target), 1, None, 2))
+    inner = _first(
+        target, q_floor, above,
+        lambda p, q: _segre_bound_holds(target, p, q, Fraction(0)),
+        max_rounds, Bound.segre(0, q_floor),
+    )
+    if side == ABOVE:
+        return _finish(alpha, inner.p, inner.q, bound)
+    return _finish(alpha, top * inner.q - inner.p, inner.q, bound)

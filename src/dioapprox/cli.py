@@ -163,6 +163,10 @@ def _appr(appr: approx.Approximation) -> dict:
 
 
 def _approx_verify(alpha, p, q, kind, bound_q, tau, side):
+    if tau is not None and kind != "segre":
+        raise DomainError("--tau applies only to --kind segre")
+    if side is not None and kind != "onesided":
+        raise DomainError("--side applies only to --kind onesided")
     if kind == "segre":
         bound = approx.Bound.segre(Fraction(1) if tau is None else tau, bound_q)
     elif kind == "onesided":

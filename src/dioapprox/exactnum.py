@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import (
     DomainError,
@@ -34,6 +34,7 @@ __all__ = [
     "RelationForm",
     "ceil_of",
     "compare",
+    "convergents",
     "decompose",
     "ensure_exact",
     "ext_gcd",
@@ -304,7 +305,7 @@ def decompose(x) -> tuple[Fraction, Fraction, int]:
 
 
 def _sign_one(u: Fraction, v: Fraction, d: int) -> int:
-    """Sign of u + v*sqrt(d) for squarefree d >= 2 (or v = 0)."""
+    """Sign of u + v*sqrt(d) for any positive integer d."""
     if v == 0:
         return _sgn(u)
     if u == 0:
@@ -319,7 +320,8 @@ def _sign_one(u: Fraction, v: Fraction, d: int) -> int:
 
 
 def _sign_two(u: Fraction, v: Fraction, d: int, w: Fraction, e: int) -> int:
-    """Sign of u + v*sqrt(d) + w*sqrt(e), both radicals live (d != e >= 2).
+    """Sign of u + v*sqrt(d) + w*sqrt(e), both radicals live (d != e, both
+    >= 2, not necessarily squarefree).
 
     Isolate the radical pair, square once to compare against the
     rational part, and resolve the remaining single radical exactly.
@@ -335,9 +337,8 @@ def _sign_two(u: Fraction, v: Fraction, d: int, w: Fraction, e: int) -> int:
         return _sgn(u)
     if _sgn(u) == s_rad:
         return s_rad
-    # Opposite signs: compare |v*sqrt(d) + w*sqrt(e)| with |u| by squaring.
-    # d and e are squarefree, so sqrt(d*e) = g*sqrt((d/g)*(e/g)) with a
-    # squarefree cofactor: no trial division is needed.
+    # Opposite signs: compare |v*sqrt(d) + w*sqrt(e)| with |u| by squaring,
+    # with sqrt(d*e) = g*sqrt((d/g)*(e/g)) to keep the radicand small.
     g = gcd(d, e)
     sigma = _sign_one(v * v * d + w * w * e - u * u, 2 * v * w * g, (d // g) * (e // g))
     if sigma > 0:
@@ -347,24 +348,15 @@ def _sign_two(u: Fraction, v: Fraction, d: int, w: Fraction, e: int) -> int:
     return 0
 
 
-def _fold_radical(v: Fraction, d: int, trial_bound: int) -> tuple[Fraction, int]:
-    if v == 0:
-        return Fraction(0), 1
-    s, m = squarefree_split(d, trial_bound)
-    return v * s, m
-
-
-def radical_sign(u, v=0, d=1, w=0, e=1, *, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> int:
+def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
     """Exact sign of u + v*sqrt(d) + w*sqrt(e); returns -1, 0 or +1.
 
-    u, v, w may be ints or Fractions; d and e positive integers (not
-    necessarily squarefree -- square parts are extracted first).
+    u, v, w may be ints or Fractions; d and e any positive integers.
+    Squaring decides every sign, so no radicand is factored.
     """
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
     if d < 1 or e < 1:
         raise DomainError("radicands must be positive integers")
-    v, d = _fold_radical(v, d, trial_bound)
-    w, e = _fold_radical(w, e, trial_bound)
     if d == 1:
         u, v = u + v, Fraction(0)
     if e == 1:
@@ -419,6 +411,36 @@ def frac_of(x) -> ExactReal:
     """Fractional part x - floor(x), in [0, 1)."""
     x = ensure_exact(x)
     return x - floor_of(x)
+
+
+def convergents(x) -> Iterator[tuple[int, int, int]]:
+    """Partial quotients and convergents of x: yields (a_k, p_k, q_k) for
+    k = 0, 1, ..., with p_k/q_k = [a_0; a_1, ..., a_k].
+
+    A rational runs Euclid and stops at its last quotient; a quadratic
+    irrational never stops.  It is rewritten as (P + sqrt(D))/Q with
+    Q | D - P^2, and the complete quotients follow the integer PQa
+    recurrence P' = a*Q - P, Q' = (D - P'^2)/Q, with isqrt(D) taken once.
+    """
+    x = ensure_exact(x)
+    p0, q0, p1, q1 = 0, 1, 1, 0  # p_{k-2}, q_{k-2}, p_{k-1}, q_{k-1}
+    if isinstance(x, QuadIrr):
+        a, c = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
+        D, P, Q = x.b * x.b * x.d * c * c, a * abs(c), c * abs(c)
+        r = isqrt(D)
+        while True:
+            # sqrt(D) is irrational, so floor((P + sqrt(D))/Q) = floor((P + r + [Q < 0])/Q)
+            quo = (P + r + (Q < 0)) // Q
+            p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
+            yield quo, p1, q1
+            P = quo * Q - P
+            Q = (D - P * P) // Q
+    num, den = x.numerator, x.denominator
+    while den:
+        quo, rem = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
+        yield quo, p1, q1
+        num, den = den, rem
 
 
 # -- linear relation certificates --------------------------------------

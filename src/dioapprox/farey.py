@@ -1,6 +1,6 @@
 """Farey series of order N: ordered enumeration, neighbor computation via
 Bezout shifts, mediants, the floor embedding into [0, N^2], greatest-element
-search and exact bracketing of irrationals by consecutive terms.
+search and exact bracketing by consecutive terms, from convergents.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, NotFoundError, RationalInputError
-from .exactnum import ExactReal, compare, ensure_exact, is_rational
+from .exactnum import ExactReal, convergents, ensure_exact, floor_of, is_rational
 
 __all__ = [
     "FareyBracket",
@@ -140,24 +140,26 @@ def phi_embed(f: FareyFraction) -> int:
     return (f.order * f.order * f.h) // f.k
 
 
-def _best_below(order: int, target_num: int, target_den: int) -> tuple[int, int]:
-    """Greatest reduced fraction < target with denominator <= order."""
-    if target_num > target_den:  # target > 1: everything qualifies
-        return 1, 1
-    lh, lk, hh, hk = 0, 1, 1, 1
-    while True:
-        mn, md = lh + hh, lk + hk
-        if md > order:
-            return lh, lk
-        if mn * target_den < target_num * md:
-            lh, lk = mn, md
-        else:
-            hh, hk = mn, md
+def _neighbors(terms, order: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The order-N terms (lo, hi) around a target that is not a term, from
+    its convergents: the last p_k/q_k with q_k <= N, and the semiconvergent
+    (p_{k-1} + t*p_k)/(q_{k-1} + t*q_k) with t = floor((N - q_{k-1})/q_k)
+    on the other side.  Even k puts the convergent below."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    below = False
+    for _, h, k in terms:
+        if k > order:
+            break
+        h0, k0, h1, k1 = h1, k1, h, k
+        below = not below
+    t = (order - k0) // k1
+    semi = (h0 + t * h1, k0 + t * k1)
+    return ((h1, k1), semi) if below else (semi, (h1, k1))
 
 
 def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:
     """Greatest series member whose phi-embedding is < m (or <= m when
-    strict=False).  Stern-Brocot descent against the rational bound m/N^2."""
+    strict=False): the series term just below the rational bound m/N^2."""
     if order < 1:
         raise DomainError(f"series order must be >= 1, got {order}")
     cutoff = m if strict else m + 1
@@ -165,7 +167,12 @@ def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:
         raise NotFoundError(f"no series member embeds below {m}")
     if m > order * order:
         raise DomainError(f"m must be at most N^2 = {order * order}, got {m}")
-    h, k = _best_below(order, cutoff, order * order)
+    target = Fraction(cutoff, order * order)
+    if target > 1:
+        return farey_fraction(1, 1, order)
+    if target.denominator <= order:
+        return predecessor(farey_fraction(target.numerator, target.denominator, order))
+    h, k = _neighbors(convergents(target), order)[0]
     return farey_fraction(h, k, order)
 
 
@@ -189,25 +196,16 @@ class FareyBracket:
 def bracket(alpha: ExactReal, order: int) -> FareyBracket:
     """Consecutive series terms lo < alpha < hi for irrational alpha in (0,1).
 
-    Mediant descent pruned at denominator N; every comparison is exact.
-    Rationals are rejected since they can collide with a series term.
+    The last convergent with denominator <= N and one semiconvergent,
+    in O(log N) integer steps.  Rationals are rejected since they can
+    collide with a series term.
     """
     alpha = ensure_exact(alpha)
     if is_rational(alpha):
         raise RationalInputError("bracket needs an irrational target")
     if order < 1:
         raise DomainError(f"series order must be >= 1, got {order}")
-    if compare(alpha, 0) <= 0 or compare(alpha, 1) >= 0:
+    if floor_of(alpha) != 0:
         raise DomainError("bracket target must lie strictly between 0 and 1")
-    lh, lk, hh, hk = 0, 1, 1, 1
-    while True:
-        mn, md = lh + hh, lk + hk
-        if md > order:
-            break
-        if compare(alpha, Fraction(mn, md)) < 0:
-            hh, hk = mn, md
-        else:
-            lh, lk = mn, md
-    return FareyBracket(
-        FareyFraction(lh, lk, order), FareyFraction(hh, hk, order)
-    )
+    (lh, lk), (hh, hk) = _neighbors(convergents(alpha), order)
+    return FareyBracket(FareyFraction(lh, lk, order), FareyFraction(hh, hk, order))

@@ -13,11 +13,12 @@ from math import gcd, lcm
 from .errors import DomainError
 from .exactnum import ExactReal, compare, ensure_exact, floor_of
 
-__all__ = ["beatty_naive", "dirichlet_naive", "farey_naive"]
+__all__ = ["beatty_naive", "dirichlet_naive", "farey_naive", "farey_walk"]
 
 FAREY_GUARD = 1000
 DIRICHLET_GUARD = 1000
 BEATTY_GUARD = 100_000
+WALK_GUARD = 50_000
 
 
 def farey_naive(order: int) -> list[tuple[int, int]]:
@@ -33,6 +34,27 @@ def farey_naive(order: int) -> list[tuple[int, int]]:
                 pairs.append((h * unit, h, k))
     pairs.sort()
     return [(h, k) for _, h, k in pairs]
+
+
+def farey_walk(target: ExactReal, order: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Consecutive order-N terms lo < target <= hi, for 0 < target <= 1.
+
+    Stern-Brocot mediant descent, one exact comparison per step, so the
+    steps number the sum of the partial quotients up to N.
+    """
+    target = ensure_exact(target)
+    if order < 1 or compare(target, 0) <= 0 or compare(target, 1) > 0:
+        raise DomainError("farey_walk needs N >= 1 and 0 < target <= 1")
+    lh, lk, hh, hk = 0, 1, 1, 1
+    for _ in range(WALK_GUARD):
+        mn, md = lh + hh, lk + hk
+        if md > order:
+            return (lh, lk), (hh, hk)
+        if compare(Fraction(mn, md), target) < 0:
+            lh, lk = mn, md
+        else:
+            hh, hk = mn, md
+    raise DomainError(f"farey_walk guard: more than {WALK_GUARD} mediant steps")
 
 
 def dirichlet_naive(alpha: ExactReal, q_cap: int) -> list[tuple[int, int]]:

@@ -194,3 +194,46 @@ def test_builders_always_verified():
         ):
             appr = build(alpha)
             assert appr.verified and approx.verify(alpha, appr)
+
+
+# --- convergent search --------------------------------------------------
+
+def test_asymmetric_builders_clear_q_and_verify():
+    import random
+
+    rng = random.Random(53)
+    for _ in range(60):
+        d = rng.choice((2, 3, 5, 7, 13, 1000003, 10**7 + 19))
+        alpha = quad(rng.randint(0, 30), rng.randint(1, 3), rng.choice((1, 7, 10**3)), d)
+        q_floor = rng.choice((1, 2, rng.randint(1, 10**6), 10**rng.randint(1, 29)))
+        tau = Fraction(rng.randint(0, 100), rng.randint(1, 5))
+        for appr in (
+            approx.segre(alpha, tau, q_floor),
+            approx.hurwitz(alpha, q_floor),
+            approx.one_sided(alpha, q_floor, approx.ABOVE),
+            approx.one_sided(alpha, q_floor, approx.BELOW),
+        ):
+            assert appr.q > q_floor
+            assert appr.verified and approx.verify(alpha, appr)
+
+
+def test_convergent_search_finds_the_least_denominator():
+    # within 1/q^2 of alpha (large_denominator, and segre for tau <= 4 <
+    # 2 + sqrt(5)) every solution is a candidate, so the first one past Q
+    # has the least q; a scan over every q confirms it
+    def least(alpha, q_floor, bound):
+        q = q_floor + 1
+        while True:
+            base = floor_of(alpha * q)
+            for p in (base, base + 1):
+                if approx.verify(alpha, approx.Approximation(p, q, bound, False)):
+                    return p, q
+            q += 1
+
+    for alpha in (SQRT2, SQRT3, PHI, SQRT2_M1, quad(3, 1, 7, 13)):
+        for q_floor in (1, 2, 5, 17, 40):
+            a = approx.large_denominator(alpha, q_floor)
+            assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.square(q_floor))
+            for tau in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4)):
+                a = approx.segre(alpha, tau, q_floor)
+                assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.segre(tau, q_floor))

@@ -62,6 +62,22 @@ def test_verify_subcommand():
     assert code == 1
 
 
+def test_verify_refuses_options_of_other_kinds():
+    base = ["approx", "verify", "sqrt(2)", "7", "5", "--kind", "dirichlet", "--bound-q", "5"]
+    for extra in (["--tau", "1/2"], ["--side", "below"], ["--tau", "1/2", "--side", "below"]):
+        code, out, err = run_capture(base + extra)
+        assert code == 2 and not out and "applies only to" in err, extra
+    code, _, err = run_capture(["approx", "verify", "sqrt(2)", "7", "5", "--kind", "segre",
+                                "--bound-q", "5", "--side", "below"])
+    assert code == 2 and "--side" in err
+    code, _, err = run_capture(["approx", "verify", "sqrt(2)", "7", "5", "--kind", "onesided",
+                                "--bound-q", "5", "--tau", "1"])
+    assert code == 2 and "--tau" in err
+    code, _, _ = run_capture(["approx", "verify", "sqrt(2)", "7", "5", "--kind", "onesided",
+                              "--bound-q", "1", "--side", "below"])
+    assert code == 0
+
+
 def test_nonarch_commands():
     code, out, _ = run_capture(["nonarch", "floor", "(t^2)/(t+1)"])
     assert code == 0 and "t - 1" in out

@@ -18,6 +18,7 @@ from dioapprox.exactnum import (
     RelationForm,
     ceil_of,
     compare,
+    convergents,
     ensure_exact,
     ext_gcd,
     floor_of,
@@ -171,6 +172,35 @@ def test_cross_radicand_comparison_works():
     assert compare(sqrt_int(6), SQRT2) > 0
 
 
+# --- continued fractions ------------------------------------------------
+
+def _expansion_by_floors(x, terms):
+    """Partial quotients and convergents from floor_of and exact inversion."""
+    out, p0, q0, p1, q1 = [], 0, 1, 1, 0
+    for _ in range(terms):
+        a = floor_of(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((a, p1, q1))
+        if x == a:
+            break
+        x = 1 / (x - a)
+    return out
+
+
+def test_convergents_match_floor_expansion():
+    from itertools import islice
+
+    rng = random.Random(11)
+    for _ in range(150):
+        d = rng.choice(SQUAREFREE_POOL + (1000003, 99991))
+        x = quad(rng.randint(-40, 40), rng.choice([-3, -1, 1, 2]), rng.randint(1, 30), d)
+        assert list(islice(convergents(x), 12)) == _expansion_by_floors(x, 12)
+    for x in (Fraction(355, 113), Fraction(-7, 3), Fraction(0), Fraction(5), Fraction(1, 10**9)):
+        assert list(convergents(x)) == _expansion_by_floors(x, 100)
+    assert list(islice(convergents(SQRT2), 4)) == [(1, 1, 1), (2, 3, 2), (2, 7, 5), (2, 17, 12)]
+    assert list(islice(convergents(PHI), 5)) == [(1, 1, 1), (1, 2, 1), (1, 3, 2), (1, 5, 3), (1, 8, 5)]
+
+
 # --- radical signs ------------------------------------------------------
 
 def test_radical_sign_examples():
@@ -204,6 +234,27 @@ def test_radical_sign_against_interval_oracle():
             agreed += 1
             assert got == expected
     assert agreed > 400  # the oracle decided nearly everything
+    # radicands that are not squarefree, perfect squares, or past 10^8,
+    # where no square part is extracted before the sign is decided
+    pool = (1, 4, 8, 9, 12, 18, 25, 45, 50, 72, 98, 100,
+            100000007, 4 * 100000007, 10**12 + 39, (10**4 + 7) ** 2)
+    agreed = 0
+    for _ in range(500):
+        u = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        w = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        d, e = rng.choice(pool), rng.choice(pool + SQUAREFREE_POOL)
+        expected = interval_sign(u, v, d, w, e)
+        got = radical_sign(u, v, d, w, e)
+        if expected is None:
+            assert got == 0
+        else:
+            agreed += 1
+            assert got == expected
+    assert agreed > 400
+    for k, m in ((2, 2), (3, 5), (7, 100000007), (10**4 + 7, 1)):
+        assert radical_sign(0, 1, k * k * m, -k, m) == 0
+        assert radical_sign(1, 1, k * k * m, -k, m) == 1
 
 
 def test_hurwitz_squaring_chain():

@@ -181,3 +181,59 @@ def test_bracket_is_consecutive_pair():
         terms = list(farey.sequence(order))
         idx = terms.index(br.lo)
         assert terms[idx + 1] == br.hi
+
+
+# --- differential: continued-fraction core against the mediant walk ---------
+
+def _pairs(br):
+    return (br.lo.h, br.lo.k), (br.hi.h, br.hi.k)
+
+
+def test_bracket_matches_mediant_walk():
+    from dioapprox.exactnum import frac_of
+
+    rng = random.Random(43)
+    bounded = [PHI_M1, SQRT2_M1] + [frac_of(quad(1, 1, 2, d)) for d in (13, 21, 29)]
+    for alpha in bounded:
+        for order in [1, 2, 10, 10**3, 10**10, 10**50, 10**150, 10**300] + [
+                rng.randint(1, 10**6) for _ in range(4)]:
+            assert _pairs(farey.bracket(alpha, order)) == oracle.farey_walk(alpha, order)
+    for d, j in ((2, 1), (3, 2), (7, 3), (2, 4)):
+        alpha = quad(0, 1, 10**j, d)  # sqrt(d)/10^j: one large partial quotient
+        for order in (1, 10**j // 2, 2 * 10**j, rng.randint(1, 2 * 10**j)):
+            assert _pairs(farey.bracket(alpha, order)) == oracle.farey_walk(alpha, order)
+    for d in (1000003, 10**7 + 19, 99999989):
+        alpha = frac_of(quad(0, 1, 1, d))
+        for order in (10, 1000, rng.randint(1, 10_000)):
+            assert _pairs(farey.bracket(alpha, order)) == oracle.farey_walk(alpha, order)
+
+
+def test_greatest_below_matches_mediant_walk():
+    rng = random.Random(47)
+    cases = [(order, m) for order in (1, 2, 3, 10, 5000) for m in (1, 2, order * order)]
+    for _ in range(60):
+        order = rng.randint(1, 300)
+        cases.append((order, rng.randint(1, order * order)))
+    for order, m in cases:
+        square = order * order
+        if m > square:
+            continue
+        for strict in (True, False):
+            cutoff = m if strict else m + 1
+            want = (1, 1) if cutoff > square else oracle.farey_walk(
+                Fraction(cutoff, square), order)[0]
+            got = farey.greatest_below(order, m, strict=strict)
+            assert (got.h, got.k) == want, (order, m, strict)
+
+
+def test_bracket_and_greatest_below_at_scale():
+    # past the mediant walk's reach: check the invariants directly
+    order = 10**6
+    alpha = quad(0, 1, 10**5, 2)
+    br = farey.bracket(alpha, order)  # FareyBracket checks k*h' - h*k' = 1
+    assert br.lo.value() < alpha < br.hi.value()
+    assert max(br.lo.k, br.hi.k) <= order < br.lo.k + br.hi.k
+    order = 10**12
+    f = farey.greatest_below(order, 2)
+    assert farey.phi_embed(f) < 2 <= farey.phi_embed(farey.successor(f))
+    assert f == farey.farey_fraction(0, 1, order)

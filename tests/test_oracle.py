@@ -44,3 +44,15 @@ def test_guards_are_hard_errors():
         oracle.dirichlet_naive(PHI, 1001)
     with pytest.raises(DomainError):
         oracle.beatty_naive(PHI, 100_001)
+
+
+def test_farey_walk_examples_and_guard():
+    assert oracle.farey_walk(SQRT2_M1, 5) == ((2, 5), (1, 2))
+    assert oracle.farey_walk(PHI_M1, 3) == ((1, 2), (2, 3))
+    assert oracle.farey_walk(Fraction(2, 5), 5) == ((1, 3), (2, 5))  # lo < x <= hi
+    assert oracle.farey_walk(Fraction(1), 4) == ((3, 4), (1, 1))
+    for bad in (Fraction(0), Fraction(3, 2)):
+        with pytest.raises(DomainError):
+            oracle.farey_walk(bad, 5)
+    with pytest.raises(DomainError):
+        oracle.farey_walk(Fraction(1, 10**6), 10**6)  # ~10^6 steps
