@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Iterator, Optional
 
@@ -19,6 +21,7 @@ from .errors import (
     DomainError,
     InvalidCertificateError,
     RationalInputError,
+    ResourceLimitError,
     UnsupportedPairingError,
 )
 from .exactnum import (
@@ -26,6 +29,7 @@ from .exactnum import (
     RelationForm,
     ceil_of,
     compare,
+    convergents,
     decompose,
     ensure_exact,
     floor_of,
@@ -67,6 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_SCAN_LIMIT = 100_000
+WINDOW_LIMIT = 10**6  # most members a window may hold
 
 
 def _positive(alpha) -> ExactReal:
@@ -99,6 +104,16 @@ def member(alpha, k: int) -> Optional[int]:
     return n if compare(alpha * n, k + 1) < 0 else None
 
 
+def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
+    """p/q with floor(k*alpha) = k*p // q for 0 <= k <= n: the first convergent
+    with q > n, or a rational alpha itself.  For 0 < k < q, |k*alpha - k*p/q| <
+    k/(q*q_next) < 1/q, and k*p/q lies 1/q or more from every integer."""
+    for _, p, q in convergents(alpha):
+        if q > n:
+            break
+    return p, q
+
+
 @dataclass(frozen=True, eq=False)
 class BeattyWindow:
     """The members of a floor sequence that lie in [0, bound], with a
@@ -107,27 +122,33 @@ class BeattyWindow:
     alpha: ExactReal
     bound: int
     members: tuple[int, ...]
-    witnesses: dict[int, int]
+    ratio: tuple[int, int]  # p/q: floor(n*alpha) = n*p // q at every index used
+
+    @cached_property
+    def witnesses(self) -> dict[int, int]:
+        """The least index of each member: ceil(k*q/p)."""
+        p, q = self.ratio
+        return {k: -(-k * q // p) for k in self.members}
 
     def member_set(self) -> set[int]:
         return set(self.members)
 
 
 def window(alpha, bound: int) -> BeattyWindow:
-    """Complete membership set on [0, bound] by direct enumeration."""
+    """Complete membership set on [0, bound], read off one convergent;
+    ResourceLimitError past WINDOW_LIMIT members."""
     alpha = _positive(alpha)
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
-    witnesses: dict[int, int] = {}
-    n = 0
-    while True:
-        v = floor_of(alpha * n)
-        if v > bound:
-            break
-        witnesses.setdefault(v, n)
-        n += 1
-    members = tuple(sorted(witnesses))
-    return BeattyWindow(alpha, bound, members, witnesses)
+    last = mu(alpha, bound)  # the largest index whose term is <= bound
+    p, q = _exact_ratio(alpha, last)
+    size = last + 1 if p >= q else bound + 1  # a slope below 1 hits every integer
+    if size > WINDOW_LIMIT:
+        raise ResourceLimitError(
+            f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}"
+        )
+    members = tuple([n * p // q for n in range(size)]) if p >= q else tuple(range(size))
+    return BeattyWindow(alpha, bound, members, (p, q))
 
 
 def mu(alpha, h: int) -> int:
@@ -157,21 +178,21 @@ def partition_check(alpha, beta, bound: int) -> PartitionReport:
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
         raise DomainError("partition checking needs alpha, beta > 1")
     wa, wb = window(alpha, bound), window(beta, bound)
-    in_a, in_b = wa.member_set(), wb.member_set()
-    first_shared = None
-    first_uncovered = None
-    shared_witnesses = None
-    for k in range(1, bound + 1):
-        a, b = k in in_a, k in in_b
-        if a and b and first_shared is None:
-            first_shared = k
-            shared_witnesses = (wa.witnesses[k], wb.witnesses[k])
-        if not a and not b and first_uncovered is None:
-            first_uncovered = k
-        if first_shared is not None and first_uncovered is not None:
-            break
+    in_b = wb.member_set()
+    shared = in_b.intersection(wa.members)
+    first_shared = min(shared - {0}, default=None)
+    first_uncovered = _first_uncovered(wa.members, in_b, len(shared), bound)
+    shared_witnesses = (None if first_shared is None
+                        else (wa.witnesses[first_shared], wb.witnesses[first_shared]))
     ok = first_shared is None and first_uncovered is None
     return PartitionReport(ok, bound, first_shared, first_uncovered, shared_witnesses)
+
+
+def _first_uncovered(members_a, in_b: set, n_shared: int, bound: int) -> Optional[int]:
+    """Least k in [1, bound] in neither window, or None; n_shared = |A & B|."""
+    if len(members_a) + len(in_b) - n_shared > bound:  # |A | B| = bound + 1
+        return None
+    return min(set(range(1, bound + 1)).difference(members_a, in_b))
 
 
 @dataclass(frozen=True)
@@ -213,20 +234,12 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     if p <= q:
         raise DomainError(f"need p/q > 1, got {p}/{q}")
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
-    residues = {pr.residue for pr in progs}
-    members = window(Fraction(p, q), bound).member_set()
+    members = window(Fraction(p, q), bound).members
+    predicted = sorted(chain.from_iterable(range(pr.residue, bound + 1, p) for pr in progs))
     mismatch = None
-    forbidden_hit = None
-    for k in range(0, bound + 1):
-        predicted = k % p in residues
-        if predicted != (k in members):
-            mismatch = k
-            break
-        if k in members and k % p == p - 1:
-            forbidden_hit = k
-            break
-    ok = mismatch is None and forbidden_hit is None
-    return ApDecompositionReport(progs, ok, bound, mismatch, forbidden_hit)
+    if members != tuple(predicted):
+        mismatch = min(set(members).symmetric_difference(predicted))
+    return ApDecompositionReport(progs, mismatch is None, bound, mismatch, None)
 
 
 # -- separation ---------------------------------------------------------
@@ -528,23 +541,22 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
         raise InvalidCertificateError(
             f"certificate {cert} does not hold for the given pair"
         )
-    in_a = window(alpha, bound).member_set()
+    members_a = window(alpha, bound).members
     in_b = window(beta, bound).member_set()
+    shared = in_b.intersection(members_a)
+    first_shared = min(shared - {0}, default=None)
     violation = None
-    if kind in (CertKind.DISJOINT, CertKind.PARTITION):
-        shared = sorted((in_a & in_b) - {0})
-        if shared:
-            violation = f"{shared[0]} is in both sequences"
+    if kind in (CertKind.DISJOINT, CertKind.PARTITION) and first_shared is not None:
+        violation = f"{first_shared} is in both sequences"
     if violation is None and kind in (CertKind.COVER, CertKind.PARTITION):
-        missing = sorted(set(range(1, bound + 1)) - (in_a | in_b))
-        if missing:
-            violation = f"{missing[0]} is in neither sequence"
+        missing = _first_uncovered(members_a, in_b, len(shared), bound)
+        if missing is not None:
+            violation = f"{missing} is in neither sequence"
     if violation is None and kind in (CertKind.SUBSET, CertKind.FACT_F_PRIME):
-        extra = sorted(in_a - in_b)
-        if extra:
-            violation = f"{extra[0]} is in the first sequence only"
+        if len(shared) < len(members_a):
+            violation = f"{min(set(members_a) - in_b)} is in the first sequence only"
     if violation is None and kind in (CertKind.FACT_C, CertKind.FACT_D):
-        if not (in_a & in_b) - {0}:
+        if first_shared is None:
             violation = f"no common element in [1, {bound}]"
     return ImplicationReport(violation is None, kind, bound, violation)
 
@@ -559,16 +571,14 @@ class CommonScan:
     scanned_to: int
 
 
-def _terms(alpha: ExactReal) -> Iterator[int]:
-    """Strictly increasing stream of sequence values, starting at index 1."""
-    n = 1
-    last = None
-    while True:
-        v = floor_of(alpha * n)
-        if v != last:
-            yield v
-            last = v
-        n += 1
+def _terms(alpha: ExactReal, limit: int) -> Iterator[int]:
+    """Strictly increasing sequence values from index 1 to the first past
+    `limit`: all common_elements reads, as it steps past values <= limit only."""
+    last_index = mu(alpha, limit) + 1
+    p, q = _exact_ratio(alpha, last_index)
+    if p < q:  # a slope below 1 hits every integer from floor(alpha) = 0
+        return iter(range(limit + 2))
+    return (n * p // q for n in range(1, last_index + 1))
 
 
 def common_elements(alpha, beta, start: int, count: int,
@@ -582,7 +592,7 @@ def common_elements(alpha, beta, start: int, count: int,
     if count < 0 or start < 0:
         raise DomainError("need start >= 0 and count >= 0")
     found = []
-    gen_a, gen_b = _terms(alpha), _terms(beta)
+    gen_a, gen_b = _terms(alpha, limit), _terms(beta, limit)
     va, vb = next(gen_a), next(gen_b)
     while len(found) < count:
         if va > limit and vb > limit:
@@ -620,11 +630,9 @@ def residue_search(alpha, modulus: int, residue: int, limit: int) -> Optional[in
         raise RationalInputError("residue searches need irrational alpha")
     if not 0 <= residue < modulus:
         raise DomainError("need 0 <= residue < modulus")
-    scaled = alpha * modulus
-    for n in range(1, limit + 1):
-        if floor_of(scaled * n) % modulus == residue:
-            return n
-    return None
+    p, q = _exact_ratio(alpha * modulus, limit)
+    hits = (n for n in range(1, limit + 1) if n * p // q % modulus == residue)
+    return next(hits, None)
 
 
 def _int_nth_root(x: int, n: int) -> int:

@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 #: Trial-division limit used when certifying squarefree radicands.  A
-#: radicand that is still larger than the square of this bound after
-#: square extraction is rejected rather than silently trusted.
+#: radicand whose part free of primes up to this bound is a non-square
+#: of at least its cube is rejected rather than silently trusted.
 SQUAREFREE_TRIAL_BOUND = 10_000
 
 NEG, ZERO, POS = -1, 0, 1
@@ -97,13 +97,18 @@ def squarefree_split(d: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, 
             d //= sq
             s *= p
         p += 1 if p == 2 else 2
-    r = isqrt(d)
-    if r * r == d:
-        return s * r, 1
     if d > bound * bound:
-        raise SquarefreeError(
-            f"cannot certify squarefree part of {d} with trial bound {bound}"
-        )
+        r = d  # squares are gone: strip the small primes, leaving ones above bound
+        for p in range(2, bound + 1):
+            if r % p == 0:
+                r //= p
+        root = isqrt(r)
+        if root * root == r:
+            return s * root, d // r
+        if r >= bound**3:  # below it, r has at most two prime factors
+            raise SquarefreeError(
+                f"cannot certify squarefree part of {d} with trial bound {bound}"
+            )
     return s, d
 
 

@@ -1,10 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from dioapprox import beatty, oracle
-from dioapprox.errors import DomainError, RationalInputError, UnsupportedPairingError
+from dioapprox.errors import (
+    DomainError,
+    RationalInputError,
+    ResourceLimitError,
+    UnsupportedPairingError,
+)
 from dioapprox.exactnum import compare, floor_of, frac_of, quad, sqrt_int
 from support import PHI, PHI_SQ, SQRT2, SQRT3
 
@@ -41,12 +48,63 @@ def test_window_examples():
     assert beatty.window(1, 5).members == (0, 1, 2, 3, 4, 5)
 
 
+def _random_slope(rng, lo, hi):
+    """A rational or (a + sqrt(d))/c strictly inside (lo, hi)."""
+    while True:
+        if rng.random() < 0.4:
+            c = rng.randrange(2, 60)
+            x = Fraction(rng.randrange(int(lo * c), int(hi * c) + 1), c)
+        else:
+            d, c = rng.choice((2, 3, 5, 6, 7, 10, 13, 19, 29)), rng.randrange(1, 40)
+            x = quad(round(rng.uniform(lo, hi) * c - d**0.5), 1, c, d)
+        if compare(x, Fraction(lo)) > 0 and compare(x, Fraction(hi)) < 0:
+            return x
+
+
 def test_window_matches_oracle_with_witnesses():
-    for alpha in (PHI, PHI_SQ, SQRT2, Fraction(7, 3), Fraction(2, 3)):
-        win = beatty.window(alpha, 500)
-        assert set(win.members) == oracle.beatty_naive(alpha, 500)
+    rng = random.Random(43)
+    cases = [(alpha, 500) for alpha in (PHI, PHI_SQ, SQRT2, Fraction(7, 3), Fraction(2, 3))]
+    # random slopes below 1, at 1 and above 1
+    for lo, hi in ((0.05, 1), (1, 1.5), (1.5, 4), (4, 40)):
+        cases += [(_random_slope(rng, lo, hi), rng.randrange(300)) for _ in range(12)]
+    cases += [(Fraction(1), 300), (quad(0, 1, 2, 2), 200)]
+    # rationals with large denominators, next to 1 and far from it
+    cases += [(Fraction(10**12 + 1, 10**12), 3000), (Fraction(10**12 - 1, 10**12), 3000),
+              (Fraction(31415926535897, 10**13), 2000), (Fraction(10**9 + 7, 998244353 * 3), 500)]
+    # radicands 10^6 to 10^8: sqrt(d)/m just below 1, near 2 and near 7
+    for d in (1000003, 12345679, 99999989):
+        r = isqrt(d)
+        cases += [(quad(0, 1, r + 1, d), 400), (quad(0, 1, r // 2, d), 1000),
+                  (quad(0, 1, r // 7, d), 1000)]
+    # tiny slopes, and the ends of the bound range
+    cases += [(SQRT2 / 10**4, 3), (PHI / 10**3, 20), (Fraction(1, 10**4), 3)]
+    cases += [(alpha, bound) for alpha in (PHI, SQRT2 / 7, Fraction(5, 3)) for bound in (0, 1)]
+    cases += [(PHI_SQ, 10**5)]
+    for alpha, bound in cases:
+        win = beatty.window(alpha, bound)
+        assert set(win.members) == oracle.beatty_naive(alpha, bound)
         for k, n in win.witnesses.items():
             assert floor_of(alpha * n) == k
+        assert win.members == tuple(sorted(win.members))
+        assert tuple(win.witnesses) == win.members
+        # each witness is the least index reaching its member
+        for k, n in win.witnesses.items():
+            assert n == 0 or floor_of(alpha * (n - 1)) < k
+
+
+def test_window_limit_guard():
+    assert beatty.WINDOW_LIMIT == 10**6
+    cert = beatty.Certificate(beatty.CertKind.COVER, 1, 1, 1)
+    for call in (
+        lambda: beatty.window(PHI, 10**9),
+        lambda: beatty.window(SQRT2 / 10**4, 10**6),  # every integer is a member
+        lambda: beatty.partition_check(PHI, PHI_SQ, 10**9),
+        lambda: beatty.verify_implication(beatty.CertKind.COVER, PHI, PHI_SQ, cert, 10**9),
+        lambda: beatty.ap_decomposition(7, 3, 10**9),
+    ):
+        with pytest.raises(ResourceLimitError, match="WINDOW_LIMIT"):
+            call()
+    assert len(beatty.window(SQRT2 / 10**4, 10**5).members) == 10**5 + 1
 
 
 def test_window_small_slope_covers_everything():
@@ -94,6 +152,108 @@ def test_partition_check_failure_report():
     assert rep.first_uncovered == 2
     assert rep.first_shared == 3
     assert rep.shared_witnesses == (2, 1)
+
+
+def _corrupting_window(monkeypatch, which, edit):
+    """Make beatty.window corrupt the window of its `which`-th call: drop
+    its middle member, add its largest non-member, or both.  Returns the
+    list of windows handed out."""
+    real, handed = beatty.window, []
+
+    def fake(alpha, bound):
+        win = real(alpha, bound)
+        if len(handed) == which:
+            members = list(win.members)
+            mid = len(members) // 2
+            if "add" in edit:
+                members.append(next(k for k in range(bound, 0, -1) if k not in members))
+            if "drop" in edit:
+                del members[mid]
+            members.sort()
+            win = dataclasses.replace(win, members=tuple(members))
+        handed.append(win)
+        return win
+
+    monkeypatch.setattr(beatty, "window", fake)
+    return handed
+
+
+def _per_k_partition(wa, wb, bound):
+    """First shared k with its witnesses, and first uncovered k, one k at a time."""
+    in_a, in_b = wa.member_set(), wb.member_set()
+    first_shared = first_uncovered = shared_witnesses = None
+    for k in range(1, bound + 1):
+        a, b = k in in_a, k in in_b
+        if a and b and first_shared is None:
+            first_shared, shared_witnesses = k, (wa.witnesses[k], wb.witnesses[k])
+        if not a and not b and first_uncovered is None:
+            first_uncovered = k
+    return first_shared, first_uncovered, shared_witnesses
+
+
+def _set_implication(kind, wa, wb, bound):
+    """The violation verify_implication should report, by set differences."""
+    K = beatty.CertKind
+    in_a, in_b = wa.member_set(), wb.member_set()
+    shared = sorted((in_a & in_b) - {0})
+    missing = sorted(set(range(1, bound + 1)) - (in_a | in_b))
+    extra = sorted(in_a - in_b)
+    if kind in (K.DISJOINT, K.PARTITION) and shared:
+        return f"{shared[0]} is in both sequences"
+    if kind in (K.COVER, K.PARTITION) and missing:
+        return f"{missing[0]} is in neither sequence"
+    if kind in (K.SUBSET, K.FACT_F_PRIME) and extra:
+        return f"{extra[0]} is in the first sequence only"
+    if kind in (K.FACT_C, K.FACT_D) and not shared:
+        return f"no common element in [1, {bound}]"
+    return None
+
+
+def _per_k_ap(p, q, win, bound):
+    residues = {(p * r) // q for r in range(q)}
+    members = win.member_set()
+    for k in range(bound + 1):
+        if (k % p in residues) != (k in members):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("edit", ["drop", "add", "drop+add"])
+def test_checks_report_corrupted_windows(monkeypatch, which, edit):
+    K = beatty.CertKind
+    handed = _corrupting_window(monkeypatch, which, edit)
+    for alpha, beta, bound in ((PHI, PHI_SQ, 300), (Fraction(3, 2), Fraction(3), 100),
+                               (SQRT2, 2 + SQRT2, 250)):
+        handed.clear()
+        rep = beatty.partition_check(alpha, beta, bound)
+        first_shared, first_uncovered, shared_witnesses = _per_k_partition(*handed, bound)
+        assert (rep.first_shared, rep.first_uncovered) == (first_shared, first_uncovered)
+        assert rep.shared_witnesses == shared_witnesses
+        assert rep.ok == (first_shared is None and first_uncovered is None)
+        if alpha == PHI:
+            assert not rep.ok  # the complementary pair fails once corrupted
+    fact_c = beatty.Certificate(K.FACT_C, 2, -1, 1)
+    for kind, alpha, beta, cert in (
+        (K.PARTITION, PHI, PHI_SQ, beatty.Certificate(K.PARTITION, 1, 1, 1)),
+        (K.DISJOINT, 2 + SQRT2, SQRT2, beatty.Certificate(K.DISJOINT, 1, 1, 1)),
+        (K.COVER, PHI, PHI_SQ, beatty.Certificate(K.COVER, 1, 1, 1)),
+        (K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), beatty.Certificate(K.FACT_F_PRIME, 2, 1, 1)),
+        (K.FACT_C, SQRT2, 1 + SQRT2, fact_c),
+        # a certificate of another kind: the implied relation fails uncorrupted
+        (K.DISJOINT, SQRT2, 1 + SQRT2, fact_c),
+        (K.SUBSET, SQRT2, 1 + SQRT2, fact_c),
+    ):
+        handed.clear()
+        rep = beatty.verify_implication(kind, alpha, beta, cert, 200)
+        assert rep.violation == _set_implication(kind, *handed, 200)
+        assert rep.ok == (rep.violation is None)
+    if which == 0:
+        for p, q in ((7, 3), (11, 4)):
+            handed.clear()
+            rep = beatty.ap_decomposition(p, q, 150)
+            assert rep.mismatch == _per_k_ap(p, q, handed[0], 150) is not None
+            assert not rep.ok and rep.forbidden_hit is None
 
 
 def test_ap_decomposition_examples():
@@ -278,6 +438,37 @@ def test_common_elements_examples():
 def test_common_elements_respects_start():
     scan = beatty.common_elements(SQRT2, 1 + SQRT2, 7, 2)
     assert scan.found == (9, 12)
+
+
+def _naive_common(alpha, beta, start, count, limit):
+    """(found, exhausted, scanned_to) recomputed from beatty_naive, for
+    slopes below 3 (so the next member past limit is within 3 of it)."""
+    a, b = oracle.beatty_naive(alpha, limit + 3), oracle.beatty_naive(beta, limit + 3)
+    shared = sorted(v for v in a & b if start < v <= limit)
+    if len(shared) < count:
+        return tuple(shared), True, limit
+    last = shared[count - 1]
+    after = min(min(v for v in a if v > last), min(v for v in b if v > last))
+    return tuple(shared[:count]), False, after
+
+
+def test_common_elements_match_naive_scan():
+    rng = random.Random(47)
+    cases = [(PHI, PHI_SQ, 0, 1, 3000), (SQRT2, 1 + SQRT2, 0, 1000, 200),
+             (Fraction(3, 2), Fraction(5, 2), 95, 3, 100), (Fraction(2, 3), SQRT2 / 2, 10, 40, 60),
+             (SQRT2 / 10**4, PHI / 10**3, 0, 4, 5), (Fraction(7, 3), Fraction(7, 3), 5, 4, 30),
+             # scanned_to is phi's term at index mu(phi, 11) + 1 = 8, a convergent denominator
+             (PHI, Fraction(13, 7), 0, 4, 11)]
+    for _ in range(30):
+        alpha, beta = _random_slope(rng, 0.3, 3), _random_slope(rng, 1, 3)
+        cases.append((alpha, beta, rng.randrange(50), rng.randrange(1, 25), rng.randrange(1, 400)))
+    exhausted = 0
+    for alpha, beta, start, count, limit in cases:
+        scan = beatty.common_elements(alpha, beta, start, count, limit=limit)
+        assert (scan.found, scan.exhausted, scan.scanned_to) == \
+            _naive_common(alpha, beta, start, count, limit)
+        exhausted += scan.exhausted
+    assert 5 <= exhausted < len(cases)
 
 
 def test_dmo_window_search_examples():

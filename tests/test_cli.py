@@ -50,6 +50,14 @@ def test_resource_exit_code():
     assert env["resource"]["exhausted"] is True
 
 
+def test_window_limit_exit_code():
+    for argv in (["beatty", "window", "(1+1*sqrt(5))/2", "1000000000"],
+                 ["beatty", "partition", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "1000000000"]):
+        code, out, err = run_capture(argv)
+        assert code == 3 and out == ""
+        assert "WINDOW_LIMIT" in err and "Traceback" not in err
+
+
 def test_verify_subcommand():
     code, out, _ = run_capture(
         ["approx", "verify", "sqrt(2)", "7", "5", "--kind", "dirichlet",

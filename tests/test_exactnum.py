@@ -146,8 +146,16 @@ def test_gcd_and_sign_normalization():
 
 def test_squarefree_certification_bound():
     p = 10_007  # prime beyond the default trial bound
+    big, big2 = 1_000_003, 1_000_033  # primes whose product passes the cube of that bound
     with pytest.raises(SquarefreeError):
-        quad(0, 1, 1, p * p * 3)
+        quad(0, 1, 1, big * big2 * 3)
+    with pytest.raises(SquarefreeError):
+        squarefree_split(10**12 + 39)  # prime
+    # below the cube of the bound, at most two large primes remain
+    assert squarefree_split(p * p * 3) == (p, 3)
+    assert squarefree_split(big * big * 3) == (big, 3)  # a square part is found at any size
+    assert squarefree_split(p * 10_009) == (1, p * 10_009)
+    assert isinstance(quad(0, 1, 1, 100000007), QuadIrr)
     # but an honest perfect square is still recognized via isqrt
     assert quad(0, 1, 1, p * p) == p
 
