@@ -323,16 +323,23 @@ def _separate_rational_pair(alpha: Fraction, beta: Fraction) -> SeparationResult
         return _verified(alpha, beta, x0, container, trace)
     # Residues mod p / mod s can block the conjugate witness; both
     # sequences are unions of progressions, so the symmetric difference
-    # is periodic and a bounded scan must find it.
+    # is periodic and a scan over one period must find it.  k is in the
+    # sequence of a/b > 1 exactly when n = ceil(k*b/a) has n*a // b == k.
     period = p * s // gcd(p, s)
     trace["method"] = "periodic-scan"
     trace["period"] = period
-    for k in range(1, period + 1):
-        in_a = member(alpha, k) is not None
-        in_b = member(beta, k) is not None
+    (ap, aq), (bp, bq) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    for k in range(1, min(period, DEFAULT_SCAN_LIMIT) + 1):
+        in_a = -(-k * aq // ap) * ap // aq == k
+        in_b = -(-k * bq // bp) * bp // bq == k
         if in_a != in_b:
             container = "alpha" if in_a else "beta"
             return _verified(alpha, beta, k, container, trace | {"x0": k})
+    if period > DEFAULT_SCAN_LIMIT:
+        raise ResourceLimitError(
+            f"no witness below DEFAULT_SCAN_LIMIT = {DEFAULT_SCAN_LIMIT}; "
+            f"the period to scan is {period}"
+        )
     raise AssertionError("distinct rational slopes produced identical windows")
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul as _imul
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -26,14 +27,17 @@ from .errors import (
     IndeterminateSignError,
     ParseError,
     PrecisionError,
+    ResourceLimitError,
 )
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "DEGREE_LIMIT",
     "EpsSeries",
     "IPElem",
     "LaurentElem",
     "LinfReport",
+    "PRECISION_LIMIT",
     "Poly",
     "RatFunc",
     "add",
@@ -54,6 +58,19 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
+# Input size guards: at these bounds the slowest operations measured
+# (series division at PRECISION_LIMIT; linf on two quotients of dense
+# degree-DEGREE_LIMIT polynomials with one-digit coefficients) take
+# about a second on a 2-core machine.
+DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
+PRECISION_LIMIT = 600  # largest series precision that may be requested
+
+
+def _check_precision(prec: int) -> None:
+    if prec > PRECISION_LIMIT:
+        raise ResourceLimitError(
+            f"precision {prec} exceeds PRECISION_LIMIT = {PRECISION_LIMIT}"
+        )
 
 
 class Poly:
@@ -139,12 +156,51 @@ class Poly:
         return _poly_str(self)
 
 
+def _primitive(cs: list[int]) -> list[int]:
+    """Integer coefficients without their content, leading one positive."""
+    g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+    return [c // g for c in cs]
+
+
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.lc())  # monic
+    """Monic gcd by the primitive remainder sequence over the integers:
+    pseudo-division keeps the coefficients integral and dividing out the
+    content keeps them small, where Euclid over the rationals lets them
+    swell.  Scalar factors do not change a gcd, so a step may drop them."""
+    if a.is_zero() or b.is_zero():
+        g = b if a.is_zero() else a
+        return g if g.is_zero() else g.scale(1 / g.lc())
+    x, y = (_primitive(_over_lcm(p.coeffs)[0]) for p in (a, b))
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _pseudo_rem(x, y)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return Poly(Fraction(c, y[-1]) for c in y)
+        x, y = y, _primitive(r)
+    return Poly([1])
+
+
+def _pseudo_rem(x: list[int], y: list[int]) -> list[int]:
+    """lc(y)^e * x mod y for some e >= 0, in integers.
+
+    Only the len(y) coefficients in reach of the next step are kept
+    scaled; each lower one is scaled once, as it comes into reach, and a
+    step whose leading coefficient is already zero scales nothing."""
+    ly, dy = y[-1], len(y) - 1
+    k = len(x) - 1 - dy
+    win, scale = x[k:], 1  # coefficients of t^k .. t^(k+dy)
+    while True:
+        top = win.pop()
+        if top:
+            win = [ly * w - top * c for w, c in zip(win, y)]
+            scale *= ly
+        if k == 0:
+            return win
+        k -= 1
+        win.insert(0, x[k] * scale)
 
 
 def _poly_str(p: Poly) -> str:
@@ -168,7 +224,35 @@ def _poly_str(p: Poly) -> str:
     return " ".join(parts)
 
 
-class RatFunc:
+class _FieldOps:
+    """Field operators through the module-level dispatchers."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
+
+
+class RatFunc(_FieldOps):
     """Reduced quotient of polynomials in t; the exact backend."""
 
     __slots__ = ("num", "den")
@@ -200,45 +284,8 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_ratfunc(other) / self
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -271,7 +318,7 @@ def _as_ratfunc(x):
     return NotImplemented
 
 
-class EpsSeries:
+class EpsSeries(_FieldOps):
     """Truncated eps-power series: coefficients for eps^i, lead <= i < prec.
 
     ``exact`` means every coefficient outside the stored window is zero,
@@ -333,31 +380,8 @@ class EpsSeries:
     def __str__(self):
         return format_laurent(self)
 
-    # arithmetic via the module-level dispatchers
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return EpsSeries(self.lead, tuple(-c for c in self.coeffs), self.exact)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
 
 LaurentElem = Union[RatFunc, EpsSeries]
@@ -365,6 +389,7 @@ LaurentElem = Union[RatFunc, EpsSeries]
 
 def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
     """Expand into eps powers.  Exact when the denominator is a monomial."""
+    _check_precision(prec)
     if isinstance(x, EpsSeries):
         return x
     x = _as_ratfunc(x)
@@ -385,14 +410,7 @@ def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
         raise PrecisionError(
             f"requested precision {prec} cannot hold a series starting at {lead}"
         )
-    out = []
-    for n in range(width):
-        acc = fr[n] if n < len(fr) else Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(gr) and gr[k]:
-                acc -= gr[k] * out[n - k]
-        out.append(acc / gr[0])
-    return EpsSeries.make(lead, out, False)
+    return EpsSeries.make(lead, _series_quotient(fr, gr, width), False)
 
 
 def _coerce(x, y) -> tuple[LaurentElem, LaurentElem]:
@@ -440,6 +458,12 @@ def _series_add(x: EpsSeries, y: EpsSeries, negate: bool) -> EpsSeries:
     return EpsSeries.make(lo, out, prec is _INF)
 
 
+def _over_lcm(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     if x.is_exact_zero() or y.is_exact_zero():
         return EpsSeries(0, (), True)
@@ -454,17 +478,49 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
         )
         hi = prec
     lo = x.lead + y.lead
-    out = [Fraction(0)] * (hi - lo)
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            k = i + j
-            if k < len(out):
-                out[k] += a * b
+    width = hi - lo
+    a, da = _over_lcm(x.coeffs[:width])
+    b, db = _over_lcm(y.coeffs[:width])
+    b.reverse()
+    na, nb = len(a), len(b)
+    den = da * db
+    out = []
+    for k in range(width):
+        i0, i1 = max(0, k - nb + 1), min(k + 1, na)  # a[i] meets b[k - i]
+        out.append(Fraction(sum(map(_imul, a[i0:i1], b[nb - 1 - k + i0:])), den))
     return EpsSeries.make(lo, out, prec is _INF)
+
+
+def _series_quotient(f, g, width: int) -> list[Fraction]:
+    """The first ``width`` coefficients of f/g for coefficient lists with
+    g[0] != 0: out[n] = (f[n] - sum(g[k] * out[n - k], k >= 1)) / g[0].
+
+    Runs in integers: f and g over their common denominators, and the
+    coefficients found so far as numerators over their running lcm,
+    rescaled only when that lcm grows.
+    """
+    f, df = _over_lcm(f[:width])
+    g, dg = _over_lcm(g[:width])
+    g0 = g[0]
+    rg = g[:0:-1]  # g[1:] reversed, so rg[-k] = g[k]
+    nums: list[int] = []
+    nums_den = 1
+    for n in range(width):
+        tail = rg[max(len(rg) - n, 0):]
+        acc = df * sum(map(_imul, tail, nums[n - len(tail):]))
+        top = (f[n] * dg * nums_den if n < len(f) else 0) - acc
+        bottom = df * nums_den * g0
+        if bottom < 0:
+            top, bottom = -top, -bottom
+        common = gcd(top, bottom)
+        top, bottom = top // common, bottom // common
+        if nums_den % bottom:
+            grown = lcm(nums_den, bottom)
+            scale = grown // nums_den
+            nums = [v * scale for v in nums]
+            nums_den = grown
+        nums.append(top * (nums_den // bottom))
+    return [Fraction(v, nums_den) for v in nums]
 
 
 def _series_inverse(x: EpsSeries, prec_hint: Optional[int] = None) -> EpsSeries:
@@ -483,15 +539,7 @@ def _series_inverse(x: EpsSeries, prec_hint: Optional[int] = None) -> EpsSeries:
         width = max(width, 1)
     else:
         width = x.prec - v
-    inv = [1 / s0]
-    for n in range(1, width):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            sk = x.coeffs[k] if k < len(x.coeffs) else Fraction(0)
-            if sk:
-                acc += sk * inv[n - k]
-        inv.append(-acc / s0)
-    return EpsSeries.make(-v, inv, False)
+    return EpsSeries.make(-v, _series_quotient([Fraction(1)], x.coeffs, width), False)
 
 
 def add(x, y) -> LaurentElem:
@@ -721,6 +769,7 @@ def sqrt1p_eps(prec: int = DEFAULT_PRECISION) -> EpsSeries:
     and it lies outside the rational functions, giving the model a
     genuinely irrational element.
     """
+    _check_precision(prec)
     if prec < 1:
         raise DomainError("need at least one coefficient")
     cs = [Fraction(1)]
@@ -749,14 +798,40 @@ class LinfReport:
     upper_neighbor: Optional[IPElem] = None
 
 
+def _least_denominator(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> int:
+    """Least n >= 1 such that some j/n lies between 0 <= lo < hi, each end
+    included when its flag is set.
+
+    Continued-fraction descent (Khinchin, ch. I): if the least integer c
+    in reach of lo is outside, the interval sits in (f, f + 1] for
+    f = floor(lo), and x -> 1/(x - f) maps it, ends swapped, onto an
+    interval whose least numerator is the least denominator here.  The
+    pair (q, q_prev) is the denominator row of the maps composed so far;
+    hd = 0 stands for hi = +infinity.
+    """
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    q, q_prev = 0, 1
+    while True:
+        f = ln // ld
+        c = f if lo_in and ln == f * ld else f + 1
+        if hd == 0 or c * hd < hn or (hi_in and c * hd == hn):
+            return q * c + q_prev
+        ln, ld, hn, hd = hd, hn - f * hd, ld, ln - f * ld
+        lo_in, hi_in = hi_in, lo_in
+        q, q_prev = q * f + q_prev, q
+
+
 def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
     """Constructive separation of two slopes in [1, 2) whose difference
     is not infinitesimal.
 
-    m = floor(1/(rho - sigma)) is then a standard integer; scanning
-    k <= m finds the first index where the floors split, and
-    floor((k+1)*sigma) lands strictly between consecutive elements of
-    the rho-sequence, separating the two.
+    m = floor(1/(rho - sigma)) is then a standard integer, and the floors
+    first split at some n <= m + 1.  With sigma = s + d and rho = r + e
+    (s, r rational, d, e infinitesimal), floor(n*sigma) < floor(n*rho)
+    exactly when some j/n lies in (s, r), s included when d < 0 and r
+    when e >= 0; so n is that interval's least denominator, k = n - 1,
+    and floor((k+1)*sigma) lands strictly between consecutive elements of
+    the rho-sequence, separating the two.  Four floors re-check it.
     """
     for name, x in (("sigma", sigma), ("rho", rho)):
         if compare(x, RatFunc.const(1)) < 0 or compare(x, RatFunc.const(2)) >= 0:
@@ -770,20 +845,22 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
     if not m_elem.is_standard():
         raise AssertionError("non-infinitesimal difference gave an infinite bound")
     m = m_elem.constant()
-    one = IPElem.const(1)
-    prev_s = beatty_nonarch(sigma, one)
-    prev_r = beatty_nonarch(rho, one)
-    for k in range(1, m + 1):
-        next_s = beatty_nonarch(sigma, IPElem.const(k + 1))
-        next_r = beatty_nonarch(rho, IPElem.const(k + 1))
-        if prev_s == prev_r and next_s != next_r:
-            sep = next_s
-            if not (prev_r < sep and sep < next_r):
-                raise AssertionError("separator did not fall between neighbors")
-            return LinfReport(True, m=m, k=k, separator=sep,
-                              lower_neighbor=prev_r, upper_neighbor=next_r)
-        prev_s, prev_r = next_s, next_r
-    raise AssertionError(f"no split found although floor((m+1)sigma) < floor((m+1)rho), m={m}")
+    s, r = std_part(sigma), std_part(rho)
+    n = _least_denominator(s, compare(sigma, RatFunc.const(s)) < 0,
+                           r, compare(rho, RatFunc.const(r)) >= 0)
+    k = n - 1
+    if k > m:
+        raise AssertionError(f"no split found although floor((m+1)sigma) < floor((m+1)rho), m={m}")
+    prev_s = beatty_nonarch(sigma, IPElem.const(k))
+    prev_r = beatty_nonarch(rho, IPElem.const(k))
+    sep = beatty_nonarch(sigma, IPElem.const(n))
+    next_r = beatty_nonarch(rho, IPElem.const(n))
+    if prev_s != prev_r or sep == next_r:
+        raise AssertionError(f"the floors do not split at k={k}")
+    if not (prev_r < sep and sep < next_r):
+        raise AssertionError("separator did not fall between neighbors")
+    return LinfReport(True, m=m, k=k, separator=sep,
+                      lower_neighbor=prev_r, upper_neighbor=next_r)
 
 
 # -- textual syntax ------------------------------------------------------
@@ -842,6 +919,10 @@ def _parse_poly(text: str, start: int, end: int) -> Poly:
                 if j == i:
                     raise ParseError("expected exponent digits", text, i)
                 power = _int_at(text, i, j)
+                if power > DEGREE_LIMIT:
+                    raise ResourceLimitError(
+                        f"exponent {power} exceeds DEGREE_LIMIT = {DEGREE_LIMIT}"
+                    )
                 i = j
             if coef is None:
                 coef = 1
@@ -900,7 +981,10 @@ def _require_unambiguous_side(text: str, start: int, end: int, side: str):
 
 
 def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
-    """Parse 'poly', '(poly)/(poly)' or the builtin 'sqrt1p(eps)'."""
+    """Parse 'poly', '(poly)/(poly)' or the builtin 'sqrt1p(eps)'.
+
+    ResourceLimitError past DEGREE_LIMIT or PRECISION_LIMIT."""
+    _check_precision(prec)
     stripped = text.strip()
     if stripped == "sqrt1p(eps)":
         return sqrt1p_eps(prec)
@@ -931,7 +1015,7 @@ def format_laurent(x: LaurentElem) -> str:
     if isinstance(x, RatFunc):
         num, den = x.num, x.den
         if den.deg > 0 or num.deg > 0:
-            scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+            scale = lcm(*[c.denominator for c in num.coeffs + den.coeffs])
             num, den = num.scale(scale), den.scale(scale)
         if den == Poly([1]):
             return _poly_str(num)

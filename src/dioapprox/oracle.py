@@ -13,12 +13,23 @@ from math import gcd, lcm
 from .errors import DomainError
 from .exactnum import ExactReal, compare, ensure_exact, floor_of
 
-__all__ = ["beatty_naive", "dirichlet_naive", "farey_naive", "farey_walk"]
+__all__ = [
+    "beatty_naive",
+    "dirichlet_naive",
+    "farey_naive",
+    "farey_walk",
+    "linf_scan",
+    "poly_gcd_naive",
+    "series_inverse_naive",
+    "series_product_naive",
+]
 
 FAREY_GUARD = 1000
 DIRICHLET_GUARD = 1000
 BEATTY_GUARD = 100_000
 WALK_GUARD = 50_000
+LINF_GUARD = 100_000
+SERIES_GUARD = 1000
 
 
 def farey_naive(order: int) -> list[tuple[int, int]]:
@@ -94,3 +105,79 @@ def beatty_naive(alpha: ExactReal, cap: int) -> set[int]:
             return members
         members.add(v)
         n += 1
+
+
+def series_product_naive(a: list, b: list, width: int) -> list[Fraction]:
+    """The first ``width`` coefficients of the product of two coefficient
+    lists: schoolbook, one Fraction addition per term."""
+    if max(width, len(a), len(b)) > SERIES_GUARD:
+        raise DomainError(f"series_product_naive guard: at most {SERIES_GUARD} terms")
+    out = [Fraction(0)] * width
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < width:
+                out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def series_inverse_naive(a: list, width: int) -> list[Fraction]:
+    """The first ``width`` coefficients of 1/a for a[0] != 0, by the
+    recurrence sum(a[k] * inv[n - k], 0 <= k <= n) = (n == 0)."""
+    if not a or a[0] == 0:
+        raise DomainError("series_inverse_naive needs a nonzero constant term")
+    if max(width, len(a)) > SERIES_GUARD:
+        raise DomainError(f"series_inverse_naive guard: at most {SERIES_GUARD} terms")
+    inv: list[Fraction] = []
+    for n in range(width):
+        acc = Fraction(1 if n == 0 else 0)
+        for k in range(1, min(n, len(a) - 1) + 1):
+            acc -= Fraction(a[k]) * inv[n - k]
+        inv.append(acc / Fraction(a[0]))
+    return inv
+
+
+def linf_scan(s, s_sign: int, r, r_sign: int, m: int):
+    """First k in 1..m with floor(k*sigma) = floor(k*rho) and
+    floor((k+1)*sigma) < floor((k+1)*rho), for sigma = s + d and
+    rho = r + e with rational s, r and infinitesimals of signs s_sign,
+    r_sign.  Returns (k, floor((k+1)*sigma), floor(k*rho),
+    floor((k+1)*rho)), or None when the floors never split so.
+    """
+    if not 0 <= m <= LINF_GUARD:
+        raise DomainError(f"linf_scan guard: need 0 <= m <= {LINF_GUARD}")
+
+    def fl(n, x, sign):
+        x = n * Fraction(x)
+        down = x.numerator // x.denominator
+        return down - 1 if x.denominator == 1 and sign < 0 else down
+
+    for k in range(1, m + 1):
+        if fl(k, s, s_sign) == fl(k, r, r_sign):
+            lo, hi = fl(k + 1, s, s_sign), fl(k + 1, r, r_sign)
+            if lo < hi:
+                return k, lo, fl(k, r, r_sign), hi
+    return None
+
+
+def poly_gcd_naive(a: list, b: list) -> list[Fraction]:
+    """Monic gcd of two coefficient lists (ascending powers) by Euclid
+    over the rationals; [] when both are zero."""
+    def strip(p):
+        p = [Fraction(c) for c in p]
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = strip(a), strip(b)
+    if max(len(a), len(b)) > SERIES_GUARD:
+        raise DomainError(f"poly_gcd_naive guard: at most {SERIES_GUARD} coefficients")
+    while b:
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            a = strip(a)
+            if not a:
+                break
+        a, b = b, a
+    return [c / a[-1] for c in a] if a else []

@@ -58,6 +58,24 @@ def test_window_limit_exit_code():
         assert "WINDOW_LIMIT" in err and "Traceback" not in err
 
 
+def test_nonarch_size_limits_exit_code():
+    for argv, limit in ((["nonarch", "floor", "t^200000"], "DEGREE_LIMIT"),
+                        (["nonarch", "arith", "sqrt1p(eps)", "mul", "sqrt1p(eps)",
+                          "--precision", "1500"], "PRECISION_LIMIT")):
+        code, out, err = run_capture(argv)
+        assert code == 3 and out == ""
+        assert limit in err and "Traceback" not in err
+
+
+def test_rational_pair_scan_limit_exit_code():
+    code, out, err = run_capture(["beatty", "separate", "1000001/1000000", "1000003/1000002"])
+    assert code == 3 and out == "" and "DEFAULT_SCAN_LIMIT" in err
+    code, out, _ = run_capture(["beatty", "separate", "10001/10000", "10003/10002",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["result"]["witness"] == "10000"
+
+
 def test_verify_subcommand():
     code, out, _ = run_capture(
         ["approx", "verify", "sqrt(2)", "7", "5", "--kind", "dirichlet",

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from dioapprox import nonarch as na
+from dioapprox import oracle
 from dioapprox.errors import (
     DomainError,
     IndeterminateSignError,
     ParseError,
     PrecisionError,
+    ResourceLimitError,
 )
 
 T = na.RatFunc.t_power(1)
@@ -56,11 +58,107 @@ def test_series_division_and_errors():
         na.div(one, na.EpsSeries.make(5, [], False))  # nothing known yet
 
 
+def test_ratfunc_operators_are_the_module_functions():
+    x, y = rf((1, 2, 3), (5, 1)), rf((-1, 0, 4), (2, 0, 1))
+    assert x + y == na.add(x, y) and x - y == na.sub(x, y)
+    assert x * y == na.mul(x, y) and x / y == na.div(x, y)
+    assert 2 + x == na.add(2, x) and 2 - x == na.sub(2, x)
+    assert 2 * x == na.mul(2, x) and 2 / x == na.div(2, x)
+    assert Fraction(1, 3) - x == na.sub(Fraction(1, 3), x)
+    s = na.sqrt1p_eps(8)
+    assert repr(x * s) == repr(na.mul(x, s)) and repr(x - s) == repr(na.sub(x, s))
+    with pytest.raises(ZeroDivisionError):
+        x / na.RatFunc.const(0)
+
+
+def test_poly_gcd_matches_naive():
+    rng = random.Random(37)
+
+    def rand_poly(deg):
+        return na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1)])
+
+    for _ in range(400):
+        a, b = rand_poly(rng.randint(-1, 6)), rand_poly(rng.randint(-1, 6))
+        if rng.random() < 0.6:
+            g = rand_poly(rng.randint(1, 3))
+            a, b = a * g, b * g
+        want = oracle.poly_gcd_naive(list(a.coeffs), list(b.coeffs))
+        assert list(na._poly_gcd(a, b).coeffs) == want
+    # a low-degree non-monic divisor far below a sparse dividend
+    big, low = na.Poly([1] + [0] * 499 + [1]), na.Poly([-1, 2])
+    assert list(na._poly_gcd(big, low).coeffs) == oracle.poly_gcd_naive(list(big.coeffs), list(low.coeffs))
+
+
 def test_ratfunc_reduction_is_canonical():
     a = rf((0, 0, 1), (0, 1))  # t^2/t reduces to t
     assert a == T
     b = rf((2, 2), (2,))       # (2t+2)/2 = t+1
     assert b == rf((1, 1))
+
+
+# --- the integer series kernel against the schoolbook loops ---------------
+
+def _rand_series(rng, max_len):
+    """Exact or truncated, leads -3..3, zero coefficients inside."""
+    n = rng.randint(1, max_len)
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(n)]
+    cs[0] = cs[0] or Fraction(1)
+    return na.EpsSeries(rng.randint(-3, 3), tuple(cs), rng.random() < 0.4)
+
+
+def test_series_mul_matches_naive():
+    rng = random.Random(41)
+    cases = [(_rand_series(rng, 12), _rand_series(rng, 12)) for _ in range(300)]
+    cases += [(_rand_series(rng, 80), _rand_series(rng, 80)) for _ in range(6)]
+    s = na.sqrt1p_eps(256)
+    cases.append((s, s))
+    for x, y in cases:
+        z = na.mul(x, y)
+        lo = x.lead + y.lead
+        if x.exact and y.exact:
+            width = len(x.coeffs) + len(y.coeffs) - 1
+            assert z.exact
+        else:
+            width = min(len(x.coeffs) if not x.exact else 10**9,
+                        len(y.coeffs) if not y.exact else 10**9)
+            assert not z.exact and z.prec == lo + width
+        want = oracle.series_product_naive(x.coeffs, y.coeffs, width)
+        assert [z.coeff(lo + i) for i in range(width)] == want
+
+
+def test_series_div_matches_naive():
+    rng = random.Random(43)
+    cases = [(_rand_series(rng, 12), _rand_series(rng, 12)) for _ in range(300)]
+    cases.append((na.EpsSeries.make(0, [1], True), na.sqrt1p_eps(256)))
+    for x, y in cases:
+        z = na.div(x, y)
+        shift = x.lead - y.lead
+        if not x.exact and not y.exact:
+            assert not z.exact and z.prec == shift + min(len(x.coeffs), len(y.coeffs))
+        width = z.prec - shift if not z.exact else len(x.coeffs)
+        inv = oracle.series_inverse_naive(y.coeffs, width)
+        want = oracle.series_product_naive(x.coeffs, inv, width)
+        assert [z.coeff(shift + i) for i in range(width)] == want
+
+
+def test_to_series_matches_naive():
+    rng = random.Random(47)
+    for _ in range(200):
+        num = na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
+        den = na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(2, 5))])
+        if num.is_zero() or den.is_zero():
+            continue
+        x = na.RatFunc(num, den)
+        prec = rng.choice([8, 32, 128, 256])
+        s = na.to_series(x, prec)
+        lead = x.den.deg - x.num.deg
+        if x.den.deg == 0:
+            assert s.exact
+            continue
+        assert not s.exact and s.prec == prec
+        f, g = x.num.coeffs[::-1], x.den.coeffs[::-1]
+        want = oracle.series_product_naive(f, oracle.series_inverse_naive(g, prec - lead), prec - lead)
+        assert [s.coeff(lead + i) for i in range(prec - lead)] == want
 
 
 # --- order, magnitude classes, standard part ------------------------------
@@ -255,6 +353,106 @@ def test_linf_experiment_domain_checks():
         na.linf_experiment(na.RatFunc.const(Fraction(3, 2)), na.RatFunc.const(Fraction(5, 4)))
     with pytest.raises(DomainError):
         na.linf_experiment(na.RatFunc.const(Fraction(1, 2)), na.RatFunc.const(Fraction(5, 4)))
+
+
+def _linf_case(s, a, r, b, shape):
+    """sigma = s + a*u, rho = r + b*u for one positive infinitesimal u."""
+    u = INV_T if shape == "1/t" else na.mul(INV_T, na.sqrt1p_eps(16))
+    return tuple(na.add(na.RatFunc.const(x), na.mul(c, u)) if c else na.RatFunc.const(x)
+                 for x, c in ((s, a), (r, b)))
+
+
+def _linf_bound(s, a, r, b):
+    """floor(1/(rho - sigma)) with rho - sigma = (r - s) + (b - a)*u."""
+    inv = 1 / (r - s)
+    m = inv.numerator // inv.denominator
+    return m - 1 if inv.denominator == 1 and b > a else m
+
+
+def _assert_linf_matches_scan(s, a, r, b, shape):
+    def in_range(x, c):  # 1 <= x + c*u < 2
+        return 1 < x < 2 or x == 1 and c >= 0 or x == 2 and c < 0
+
+    sigma, rho = _linf_case(s, a, r, b, shape)
+    if not (in_range(s, a) and in_range(r, b)) or (s, a) >= (r, b):
+        with pytest.raises(DomainError):
+            na.linf_experiment(sigma, rho)
+        return None
+    rep = na.linf_experiment(sigma, rho)
+    if s == r:
+        assert not rep.applicable
+        return None
+    m = _linf_bound(s, a, r, b)
+    want = oracle.linf_scan(s, a, r, b, m)
+    got = (rep.k, rep.separator.constant(), rep.lower_neighbor.constant(),
+           rep.upper_neighbor.constant())
+    assert rep.applicable and rep.m == m and got == want, (s, a, r, b, shape)
+    return rep.k
+
+
+def test_linf_matches_scan_on_random_slopes():
+    rng = random.Random(53)
+    splits = set()
+    for _ in range(400):
+        s, r = (Fraction(rng.randint(q, 2 * q), q) for q in (rng.randint(1, 60), rng.randint(1, 60)))
+        k = _assert_linf_matches_scan(s, rng.choice((-1, 0, 1)), r, rng.choice((-1, 0, 1)), "1/t")
+        splits.add(k)
+    assert len(splits) > 10
+
+
+def test_linf_matches_scan_on_sqrt1p_slopes():
+    rng = random.Random(59)
+    for _ in range(30):
+        s, r = (Fraction(rng.randint(q, 2 * q - 1), q) for q in (rng.randint(1, 12), rng.randint(1, 12)))
+        a, b = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+        if a == b:
+            continue  # rho - sigma has a truncated zero tail: floor_ip refuses m
+        _assert_linf_matches_scan(s, a, r, b, "sqrt1p")
+
+
+def test_linf_split_on_an_end_of_the_interval():
+    h = Fraction(3, 2)
+    # s = 3/2 is in reach only when sigma sits just below it: n = 2
+    assert _assert_linf_matches_scan(h, -1, Fraction(8, 5), 0, "1/t") == 1
+    assert _assert_linf_matches_scan(h, 0, Fraction(8, 5), 0, "1/t") == 4
+    assert _assert_linf_matches_scan(h, 1, Fraction(8, 5), -1, "1/t") == 6
+    # r = 3/2 counts when rho >= 3/2
+    assert _assert_linf_matches_scan(Fraction(7, 5), 0, h, 0, "1/t") == 1
+    assert _assert_linf_matches_scan(Fraction(7, 5), 0, h, -1, "1/t") == 6
+    # sigma just above 1: the split at n = m + 1, the far end of the bound
+    s = 1 + Fraction(1, 10**6)
+    for m in (5, 50, 500):
+        assert _assert_linf_matches_scan(s, 0, s + 1 / (m + Fraction(1, 2)), 0, "1/t") == m
+    for s, a, r, b in ((1, -1, Fraction(3, 2), 0), (Fraction(3, 2), 0, 2, 0),
+                       (Fraction(3, 2), 1, Fraction(3, 2), 0)):
+        _assert_linf_matches_scan(Fraction(s), a, Fraction(r), b, "1/t")
+
+
+def test_linf_makes_four_floor_calls(monkeypatch):
+    calls = []
+    real = na.beatty_nonarch
+    monkeypatch.setattr(na, "beatty_nonarch", lambda a, n: calls.append(n) or real(a, n))
+    s = 1 + Fraction(1, 10**6)
+    r = s + Fraction(2, 1001)
+    rep = na.linf_experiment(na.RatFunc.const(s), na.RatFunc.const(r))
+    assert rep.m == 500 and len(calls) == 4
+    assert rep.k == oracle.linf_scan(s, 0, r, 0, 500)[0] == 500
+
+
+# --- size guards ------------------------------------------------------------
+
+def test_degree_and_precision_limits():
+    assert na.parse_laurent(f"t^{na.DEGREE_LIMIT}") == na.RatFunc.t_power(na.DEGREE_LIMIT)
+    with pytest.raises(ResourceLimitError):
+        na.parse_laurent(f"1/(t^{na.DEGREE_LIMIT + 1} + 1)")
+    assert na.DEGREE_LIMIT >= 32 and na.PRECISION_LIMIT >= 512
+    assert na.sqrt1p_eps(na.PRECISION_LIMIT).prec == na.PRECISION_LIMIT
+    over = na.PRECISION_LIMIT + 1
+    for call in (lambda: na.sqrt1p_eps(over), lambda: na.parse_laurent("t", over),
+                 lambda: na.parse_laurent("sqrt1p(eps)", over),
+                 lambda: na.to_series(rf((1,), (1, 1)), over)):
+        with pytest.raises(ResourceLimitError):
+            call()
 
 
 # --- parsing / formatting ---------------------------------------------------

@@ -44,6 +44,23 @@ def test_guards_are_hard_errors():
         oracle.dirichlet_naive(PHI, 1001)
     with pytest.raises(DomainError):
         oracle.beatty_naive(PHI, 100_001)
+    with pytest.raises(DomainError):
+        oracle.series_product_naive([1], [1], 1001)
+    with pytest.raises(DomainError):
+        oracle.series_inverse_naive([1], 1001)
+    with pytest.raises(DomainError):
+        oracle.poly_gcd_naive([1] * 1001, [1])
+    with pytest.raises(DomainError):
+        oracle.linf_scan(1, 0, 2, 0, 100_001)
+
+
+def test_naive_series_and_gcd_examples():
+    assert oracle.series_product_naive([1, 1], [1, -1], 4) == [1, 0, -1, 0]
+    assert oracle.series_inverse_naive([1, -1], 4) == [1, 1, 1, 1]
+    assert oracle.poly_gcd_naive([-1, 0, 1], [2, 2]) == [1, 1]  # gcd(t^2 - 1, 2t + 2)
+    assert oracle.poly_gcd_naive([0], []) == []
+    # 5/4 and 3/2: floors agree at k = 1 and split at 2 (2 < 3)
+    assert oracle.linf_scan(Fraction(5, 4), 0, Fraction(3, 2), 0, 4) == (1, 2, 1, 3)
 
 
 def test_farey_walk_examples_and_guard():
