@@ -30,13 +30,12 @@ from .exactnum import (
     ceil_of,
     compare,
     convergents,
-    decompose,
     ensure_exact,
     floor_of,
     frac_of,
     is_rational,
+    least_denominator,
     linear_relation_solve,
-    radical_sign,
     sign_of,
 )
 
@@ -245,7 +244,7 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
 # -- separation ---------------------------------------------------------
 
 FOUND = "found"
-UNSUPPORTED = "unsupported"
+UNSUPPORTED = "unsupported"  # no longer returned; perfbench's separation check reads the name
 
 
 @dataclass(frozen=True)
@@ -256,101 +255,15 @@ class SeparationResult:
     trace: dict = field(default_factory=dict)
 
 
-def _floor_inv_diff(big: ExactReal, small: ExactReal) -> int:
-    """floor(1/(big - small)) for big > small, across radicands.
-
-    Same-field differences go through ordinary floor; otherwise the
-    predicate n*(big - small) <= 1 is searched by doubling + bisection,
-    each test being one exact two-radical sign evaluation.
-    """
-    u1, v1, d1 = decompose(big)
-    u2, v2, d2 = decompose(small)
-    if v1 == 0 or v2 == 0 or d1 == d2:
-        return floor_of(1 / (big - small))
-
-    def at_most_one(n: int) -> bool:
-        # sign of 1 - n*(big - small)
-        s = radical_sign(1 - n * (u1 - u2), -n * v1, d1, n * v2, d2)
-        return s >= 0
-
-    hi = 1
-    while at_most_one(hi):
-        hi *= 2
-    lo = hi // 2  # at_most_one(lo) holds (or lo = 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_most_one(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _conjugate(x: ExactReal) -> ExactReal:
-    """x / (x - 1): the complementary density for x in (1, 2)."""
-    return x / (x - 1)
-
-
-def _witness_both_large(big: ExactReal, small: ExactReal) -> tuple[int, int]:
-    """For big > small >= 2: an element of the small sequence missing from
-    the big one, namely floor((m+1)*small) with m = floor(1/(big-small))."""
-    m = _floor_inv_diff(big, small)
-    x = floor_of(small) if m == 0 else floor_of(small * (m + 1))
-    return x, m
-
-
-def _verified(alpha, beta, x: int, container: str, trace: dict) -> SeparationResult:
-    inside = alpha if container == "alpha" else beta
-    outside = beta if container == "alpha" else alpha
-    if member(inside, x) is None or member(outside, x) is not None:
-        raise AssertionError(
-            f"separation witness {x} failed its membership re-check"
-        )
-    return SeparationResult(FOUND, x, container, trace)
-
-
-def _separate_rational_pair(alpha: Fraction, beta: Fraction) -> SeparationResult:
-    """Both rational in (1, 2): conjugate to (2, inf), then repair the
-    witness by a periodic scan when the progression structure blocks it."""
-    rho, sigma = (alpha, beta) if alpha < beta else (beta, alpha)
-    eta, gam = _conjugate(rho), _conjugate(sigma)  # eta > gam > 2
-    x0, m = _witness_both_large(eta, gam)
-    p = Fraction(rho).numerator
-    s = Fraction(sigma).numerator
-    trace = {"method": "conjugate-pair", "m": m, "x0": x0}
-    if member(rho, x0) is not None and member(sigma, x0) is None:
-        container = "alpha" if rho == alpha else "beta"
-        return _verified(alpha, beta, x0, container, trace)
-    # Residues mod p / mod s can block the conjugate witness; both
-    # sequences are unions of progressions, so the symmetric difference
-    # is periodic and a scan over one period must find it.  k is in the
-    # sequence of a/b > 1 exactly when n = ceil(k*b/a) has n*a // b == k.
-    period = p * s // gcd(p, s)
-    trace["method"] = "periodic-scan"
-    trace["period"] = period
-    (ap, aq), (bp, bq) = alpha.as_integer_ratio(), beta.as_integer_ratio()
-    for k in range(1, min(period, DEFAULT_SCAN_LIMIT) + 1):
-        in_a = -(-k * aq // ap) * ap // aq == k
-        in_b = -(-k * bq // bp) * bp // bq == k
-        if in_a != in_b:
-            container = "alpha" if in_a else "beta"
-            return _verified(alpha, beta, k, container, trace | {"x0": k})
-    if period > DEFAULT_SCAN_LIMIT:
-        raise ResourceLimitError(
-            f"no witness below DEFAULT_SCAN_LIMIT = {DEFAULT_SCAN_LIMIT}; "
-            f"the period to scan is {period}"
-        )
-    raise AssertionError("distinct rational slopes produced identical windows")
-
-
 def separation_witness(alpha, beta) -> SeparationResult:
-    """Produce k lying in exactly one of the two sequences, verified by
+    """The least k lying in exactly one of the two sequences, verified by
     member() on both sides.
 
-    Covers: both slopes >= 2; exactly one below 2; both in (1, 2) of the
-    same rationality class; and the rational-below-irrational mixed case.
-    The irrational-below-rational mixed case where (m+1)*rho/(rho-1) is
-    an integer is reported UNSUPPORTED (see claim51_check for the probe).
+    For 1 < small < big, let n be the least index with
+    floor(n*small) < floor(n*big): the least denominator of a fraction in
+    (small, big] (Th. Bang, 1957).  Every earlier term agrees, and the
+    next big-term exceeds k = floor(n*small), so k is in the small
+    slope's sequence only, and no smaller integer is in just one.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
@@ -358,55 +271,12 @@ def separation_witness(alpha, beta) -> SeparationResult:
     order = compare(alpha, beta)
     if order == 0:
         raise DomainError("alpha and beta must be distinct")
-    big, big_name = (alpha, "alpha") if order > 0 else (beta, "beta")
-    small, small_name = (beta, "beta") if order > 0 else (alpha, "alpha")
-
-    if compare(small, 2) >= 0:
-        x, m = _witness_both_large(big, small)
-        return _verified(alpha, beta, x, small_name, {"method": "direct", "m": m})
-
-    if compare(big, 2) >= 0:
-        # small in (1, 2), big >= 2: 1 = floor(small) is missed by big
-        return _verified(alpha, beta, 1, small_name, {"method": "integer-gap"})
-
-    # both strictly inside (1, 2)
-    if is_rational(alpha) and is_rational(beta):
-        return _separate_rational_pair(Fraction(alpha), Fraction(beta))
-
-    if not is_rational(alpha) and not is_rational(beta):
-        eta, gam = _conjugate(small), _conjugate(big)  # eta > gam > 2
-        x, m = _witness_both_large(eta, gam)
-        # x is in the small slope's sequence and out of the big one's
-        return _verified(alpha, beta, x, small_name,
-                         {"method": "conjugate-pair", "m": m})
-
-    # mixed rational / irrational in (1, 2)
-    if is_rational(small):
-        rho, beta_irr = Fraction(small), big
-        m = floor_of((rho - 1) * (beta_irr - 1) / (beta_irr - rho))
-        x = floor_of((m + 1) * _conjugate(beta_irr))
-        return _verified(alpha, beta, x, small_name,
-                         {"method": "mixed-rational-below", "m": m})
-
-    rho = Fraction(big)
-    beta_irr = small
-    m = floor_of((beta_irr - 1) * (rho - 1) / (rho - beta_irr))
-    t = (m + 1) * rho / (rho - 1)
-    if t.denominator == 1:
-        return SeparationResult(
-            UNSUPPORTED,
-            None,
-            None,
-            {
-                "method": "open-case",
-                "m": m,
-                "t": int(t),
-                "hint": "claim51_check probes this configuration",
-            },
-        )
-    x = floor_of(t)
-    return _verified(alpha, beta, x, small_name,
-                     {"method": "mixed-irrational-below", "m": m})
+    small, big, small_name = (beta, alpha, "beta") if order > 0 else (alpha, beta, "alpha")
+    n = least_denominator(small, False, big, True)
+    x = floor_of(small * n)
+    if member(small, x) is None or member(big, x) is not None:
+        raise AssertionError(f"separation witness {x} failed its membership re-check")
+    return SeparationResult(FOUND, x, small_name, {"method": "least-split", "n": n})
 
 
 # -- certificates -------------------------------------------------------
@@ -733,13 +603,15 @@ class Claim51Report:
 
 
 def claim51_check(rho, beta) -> Claim51Report:
-    """Empirical probe of the open separation configuration.
+    """Empirical probe of the paper's Claim 5.1 separation construction.
 
     Applicable when beta is irrational, 1 < beta < rho < 2 and
     t = (m+1)*rho/(rho-1) is an integer for m = floor((beta-1)(rho-1)/(rho-beta)).
     The probe then evaluates whether t + 1 = floor((k+1)*rho) separates
-    the two sequences, with k = (m+1)/(rho-1).  Nothing is assumed:
-    every membership is re-derived and the report says what happened.
+    the two sequences, with k = (m+1)/(rho-1).  That is the construction's
+    witness, not the least one separation_witness returns.  Nothing is
+    assumed: every membership is re-derived and the report says what
+    happened.
     """
     rho = Fraction(rho)
     beta = ensure_exact(beta)

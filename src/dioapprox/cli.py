@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 from . import approx, beatty, farey, nonarch, oracle
@@ -37,6 +39,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+LIST_LIMIT = 10**6  # most terms `farey list` prints
 
 
 def _fr(text: str) -> Fraction:
@@ -137,6 +141,13 @@ def _checked(ok: bool) -> int:
 
 def _listing(terms: list) -> dict:
     return {"terms": terms, "count": str(len(terms))}
+
+
+def _farey_list(N):
+    terms = [str(f) for f in islice(farey.sequence(N), LIST_LIMIT + 1)]
+    if len(terms) > LIST_LIMIT:
+        raise ResourceLimitError(f"F_{N} has more than LIST_LIMIT = {LIST_LIMIT} terms")
+    return _listing(terms)
 
 
 def _farey(x: Fraction, order: int) -> farey.FareyFraction:
@@ -295,8 +306,7 @@ _LIMIT = _Arg("limit", _INT)
 _PRECISION = _Arg("--precision", _INT, nonarch.DEFAULT_PRECISION)
 
 _COMMANDS = (
-    _Command("farey", "list", (_N,),
-             lambda N: _listing([str(f) for f in farey.sequence(N)])),
+    _Command("farey", "list", (_N,), _farey_list),
     _Command("farey", "succ", (_Arg("fraction", _RATIONAL), _N),
              lambda fraction, N: {"successor": str(farey.successor(_farey(fraction, N)))}),
     _Command("farey", "pred", (_Arg("fraction", _RATIONAL), _N),
@@ -420,7 +430,7 @@ def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
     reply = cmd.handler(**values)
     result, exit_code, resource = reply if isinstance(reply, tuple) else (reply, EXIT_OK, None)
     # The echo: every argument with a value, as canonical text; the argv:
-    # positionals in table order, then options.
+    # positionals in table order, then options, then "--format json".
     inputs, positionals, options = {}, [], []
     for arg in cmd.args:
         value = values[arg.dest]
@@ -433,8 +443,13 @@ def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
             options += [arg.name, text]
         elif value:
             options.append(arg.name)
-    return _Outcome(f"{cmd.group} {cmd.name}", inputs, result,
-                    [cmd.group, cmd.name, *positionals, *options], exit_code, resource)
+    options += ["--format", "json"]
+    if any(text.startswith("-") for text in positionals):
+        # argparse reads a positional such as "-2/5" as an option; "--" ends the options
+        canonical = [cmd.group, cmd.name, *options, "--", *positionals]
+    else:
+        canonical = [cmd.group, cmd.name, *positionals, *options]
+    return _Outcome(f"{cmd.group} {cmd.name}", inputs, result, canonical, exit_code, resource)
 
 
 def _render_plain(outcome: _Outcome, stream):
@@ -461,7 +476,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(stdout), redirect_stderr(stderr):  # usage, errors and --help
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     fmt = args.format
@@ -474,10 +490,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"resource: {exc}", file=stderr)
         return EXIT_RESOURCE
     if fmt == "json":
-        canonical = list(outcome.canonical) + ["--format", "json"]
         envelope = {
             "command": outcome.command,
-            "argv": canonical,
+            "argv": outcome.canonical,
             "inputs": outcome.inputs,
             "result": outcome.result,
             "resource": outcome.resource,

@@ -42,6 +42,7 @@ __all__ = [
     "format_exact",
     "frac_of",
     "is_rational",
+    "least_denominator",
     "linear_relation_solve",
     "parse_exact",
     "quad",
@@ -55,9 +56,6 @@ __all__ = [
 #: radicand whose part free of primes up to this bound is a non-square
 #: of at least its cube is rejected rather than silently trusted.
 SQUAREFREE_TRIAL_BOUND = 10_000
-
-NEG, ZERO, POS = -1, 0, 1
-LT, EQ, GT = -1, 0, 1
 
 
 def _sgn(x) -> int:
@@ -446,6 +444,32 @@ def convergents(x) -> Iterator[tuple[int, int, int]]:
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
         yield quo, p1, q1
         num, den = den, rem
+
+
+def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
+    """Least n >= 1 such that some j/n lies between lo < hi, each end
+    included when its flag is set; the caller orders distinct ends.
+
+    Continued-fraction descent (Khinchin, ch. I): if the least integer c
+    in reach of lo is outside, the interval sits in (f, f + 1] for
+    f = floor(lo), and x -> 1/(x - f) maps it, ends swapped, onto an
+    interval whose least numerator is the least denominator here.  Each
+    end maps on its own, so a step needs floor_of and one integer-vs-end
+    compare, never a two-radical sign.  (q, q_prev) is the denominator
+    row of the maps so far; hi = None stands for +infinity.
+    """
+    lo, hi = ensure_exact(lo), ensure_exact(hi)
+    if lo == hi:  # canonical forms: equal irrational ends would never part
+        raise DomainError("least_denominator needs lo < hi")
+    q, q_prev = 0, 1
+    while True:
+        f = floor_of(lo)
+        c = f if lo_in and lo == f else f + 1
+        if hi is None or compare(c, hi) < 0:  # at c == hi, an included hi maps to 1, included
+            return q * c + q_prev
+        lo, hi = 1 / (hi - f), None if lo == f else 1 / (lo - f)
+        lo_in, hi_in = hi_in, lo_in
+        q, q_prev = q * f + q_prev, q
 
 
 # -- linear relation certificates --------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
+from .exactnum import least_denominator
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -724,9 +725,10 @@ def _floor_from_parts(poly_part: Poly, tail_sign: int) -> IPElem:
 def floor_ip(x) -> IPElem:
     """The unique integer-part element a with a <= x < a + 1.
 
-    Exact for rational functions.  For series the tail sign is read off
-    the known positive-index coefficients and refused when they are all
-    zero without the exact flag.
+    Exact for rational functions.  For series the tail sign matters only
+    when the constant term is an integer; it is read off the known
+    positive-index coefficients and refused when they are all zero
+    without the exact flag.
     """
     if isinstance(x, EpsSeries):
         if not x.exact and x.prec <= 0:
@@ -744,7 +746,7 @@ def floor_ip(x) -> IPElem:
             if c != 0:
                 tail_sign = 1 if c > 0 else -1
                 break
-        if tail_sign == 0 and not x.exact:
+        if tail_sign == 0 and not x.exact and poly_part.coeff(0).denominator == 1:
             raise IndeterminateSignError(
                 "tail sign unknown: computed coefficients are all zero and "
                 "the series is not flagged exactly zero beyond them"
@@ -798,29 +800,6 @@ class LinfReport:
     upper_neighbor: Optional[IPElem] = None
 
 
-def _least_denominator(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> int:
-    """Least n >= 1 such that some j/n lies between 0 <= lo < hi, each end
-    included when its flag is set.
-
-    Continued-fraction descent (Khinchin, ch. I): if the least integer c
-    in reach of lo is outside, the interval sits in (f, f + 1] for
-    f = floor(lo), and x -> 1/(x - f) maps it, ends swapped, onto an
-    interval whose least numerator is the least denominator here.  The
-    pair (q, q_prev) is the denominator row of the maps composed so far;
-    hd = 0 stands for hi = +infinity.
-    """
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    q, q_prev = 0, 1
-    while True:
-        f = ln // ld
-        c = f if lo_in and ln == f * ld else f + 1
-        if hd == 0 or c * hd < hn or (hi_in and c * hd == hn):
-            return q * c + q_prev
-        ln, ld, hn, hd = hd, hn - f * hd, ld, ln - f * ld
-        lo_in, hi_in = hi_in, lo_in
-        q, q_prev = q * f + q_prev, q
-
-
 def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
     """Constructive separation of two slopes in [1, 2) whose difference
     is not infinitesimal.
@@ -846,8 +825,8 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
         raise AssertionError("non-infinitesimal difference gave an infinite bound")
     m = m_elem.constant()
     s, r = std_part(sigma), std_part(rho)
-    n = _least_denominator(s, compare(sigma, RatFunc.const(s)) < 0,
-                           r, compare(rho, RatFunc.const(r)) >= 0)
+    n = least_denominator(s, compare(sigma, RatFunc.const(s)) < 0,
+                          r, compare(rho, RatFunc.const(r)) >= 0)
     k = n - 1
     if k > m:
         raise AssertionError(f"no split found although floor((m+1)sigma) < floor((m+1)rho), m={m}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
-from .exactnum import ExactReal, compare, ensure_exact, floor_of
+from .exactnum import ExactReal, compare, ensure_exact, floor_of, is_rational
 
 __all__ = [
     "beatty_naive",
@@ -20,6 +20,7 @@ __all__ = [
     "farey_walk",
     "linf_scan",
     "poly_gcd_naive",
+    "separation_by_cases",
     "series_inverse_naive",
     "series_product_naive",
 ]
@@ -30,6 +31,7 @@ BEATTY_GUARD = 100_000
 WALK_GUARD = 50_000
 LINF_GUARD = 100_000
 SERIES_GUARD = 1000
+SEPARATION_GUARD = 10_000
 
 
 def farey_naive(order: int) -> list[tuple[int, int]]:
@@ -181,3 +183,49 @@ def poly_gcd_naive(a: list, b: list) -> list[Fraction]:
                 break
         a, b = b, a
     return [c / a[-1] for c in a] if a else []
+
+
+def _floor_inv_gap(big: ExactReal, small: ExactReal) -> int:
+    """floor(1/(big - small)) for big > small: the largest m with
+    m*big <= m*small + 1, one exact compare per candidate."""
+    m = 0
+    while compare((m + 1) * big, (m + 1) * small + 1) <= 0:
+        m += 1
+        if m > SEPARATION_GUARD:
+            raise DomainError(f"separation guard: 1/(big - small) > {SEPARATION_GUARD}")
+    return m
+
+
+def separation_by_cases(alpha, beta):
+    """The paper's constructions of an integer x in exactly one of the
+    floor sequences of distinct alpha, beta > 1: (x, the name of the
+    input whose sequence holds x), or None where none applies.
+
+    With m = floor(1/(big - small)), x = floor((m+1)*small) for small >= 2
+    and x = 1 for small < 2 <= big.  Two slopes in (1, 2) of one kind pass
+    to their conjugates x/(x - 1); for two rationals that witness may
+    fail, giving None.  A rational rho and an irrational beta in (1, 2)
+    use m = floor((rho-1)(beta-1)/|rho-beta|): below beta, x is
+    floor((m+1)*beta/(beta-1)); above it, floor(t) for
+    t = (m+1)*rho/(rho-1), and None when t is an integer (Claim 5.1).
+    """
+    alpha, beta = ensure_exact(alpha), ensure_exact(beta)
+    order = compare(alpha, beta)
+    if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0 or order == 0:
+        raise DomainError("separation_by_cases needs distinct alpha, beta > 1")
+    (small, name), big = ((beta, "beta"), alpha) if order > 0 else ((alpha, "alpha"), beta)
+    if compare(small, 2) >= 0:
+        return floor_of((_floor_inv_gap(big, small) + 1) * small), name
+    if compare(big, 2) >= 0:
+        return 1, name
+    gam = big / (big - 1)  # the conjugate of big, below that of small
+    if is_rational(small) == is_rational(big):
+        x = floor_of((_floor_inv_gap(small / (small - 1), gam) + 1) * gam)
+        if is_rational(small) and x not in beatty_naive(small, x) - beatty_naive(big, x):
+            return None
+        return x, name
+    m = floor_of((small - 1) * (big - 1) / (big - small))
+    if is_rational(small):
+        return floor_of((m + 1) * gam), name
+    t = (m + 1) * gam
+    return None if t.denominator == 1 else (floor_of(t), name)

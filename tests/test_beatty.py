@@ -290,14 +290,16 @@ def test_ap_decomposition_rejects_slope_below_one():
 def test_separation_direct_case():
     res = beatty.separation_witness(Fraction(3), Fraction(5, 2))
     assert res.status == beatty.FOUND
-    assert res.witness == 7 and res.container == "beta"
-    assert res.trace["m"] == 2
+    assert res.witness == 2 and res.container == "beta"
+    assert res.trace == {"method": "least-split", "n": 1}
 
 
-def test_separation_open_case_reports_unsupported():
+def test_separation_claim51_case_is_found():
+    # rho = 3/2 above sqrt(2) with (m+1)*rho/(rho-1) = 9, the Claim 5.1 configuration
     res = beatty.separation_witness(Fraction(3, 2), SQRT2)
-    assert res.status == beatty.UNSUPPORTED
-    assert res.trace["m"] == 2 and res.trace["t"] == 9
+    assert res.status == beatty.FOUND
+    assert res.witness == 2 and res.container == "beta"
+    assert res.trace == {"method": "least-split", "n": 2}
 
 
 def test_separation_conjugate_pairs():
@@ -330,12 +332,66 @@ def test_separation_witnesses_are_genuine():
     for _ in range(60):
         a, b = rng.sample(pool, 2)
         res = beatty.separation_witness(a, b)
-        if res.status != beatty.FOUND:
-            continue
+        assert res.status == beatty.FOUND
         inside = a if res.container == "alpha" else b
         outside = b if res.container == "alpha" else a
         assert beatty.member(inside, res.witness) is not None
         assert beatty.member(outside, res.witness) is None
+
+
+# The p/(p-1) family, pairs across quadratic fields, two large radicands
+# and slopes within 10^-5 of 1.
+SEPARATION_POOL = [
+    Fraction(3, 2), Fraction(4, 3), Fraction(5, 4), Fraction(11, 10), Fraction(101, 100),
+    Fraction(7, 5), Fraction(10, 7), Fraction(5, 2), Fraction(3), SQRT2, SQRT3, PHI,
+    PHI_SQ, 2 + SQRT2, quad(1, 1, 2, 3), sqrt_int(1000003), sqrt_int(3000017),
+    sqrt_int(1000003) / 1000, 1 + SQRT2 / 10**5,
+]
+
+
+def test_separation_is_least_against_naive():
+    cap = 5000
+    windows = [oracle.beatty_naive(x, cap) for x in SEPARATION_POOL]
+    for i, a in enumerate(SEPARATION_POOL):
+        for j, b in enumerate(SEPARATION_POOL):
+            if i == j:
+                continue
+            res = beatty.separation_witness(a, b)
+            assert res.status == beatty.FOUND and res.trace["method"] == "least-split"
+            inside = windows[i] if res.container == "alpha" else windows[j]
+            want = min(windows[i] ^ windows[j], default=None)  # least separating integer
+            if res.witness <= cap:
+                assert res.witness == want and res.witness in inside, (a, b)
+            else:
+                assert want is None, (a, b)
+
+
+def test_separation_of_close_rationals():
+    a, b = Fraction(10**6 + 1, 10**6), Fraction(10**6 + 3, 10**6 + 2)
+    res = beatty.separation_witness(a, b)
+    assert (res.witness, res.container, res.trace["n"]) == (10**6, "beta", 10**6)
+    cap = oracle.BEATTY_GUARD
+    assert oracle.beatty_naive(a, cap) == oracle.beatty_naive(b, cap)
+
+
+def test_separation_by_cases_is_genuine_and_never_least():
+    pool = SEPARATION_POOL[:16]
+    unconstructed = 0
+    for a in pool:
+        for b in pool:
+            if a is b:
+                continue
+            case = oracle.separation_by_cases(a, b)
+            if case is None:
+                unconstructed += 1
+                continue
+            x, container = case
+            inside, outside = (a, b) if container == "alpha" else (b, a)
+            assert beatty.member(inside, x) is not None, (a, b)
+            assert beatty.member(outside, x) is None, (a, b)
+            assert x >= beatty.separation_witness(a, b).witness, (a, b)
+    assert oracle.separation_by_cases(Fraction(3, 2), SQRT2) is None
+    assert 0 < unconstructed < len(pool) * (len(pool) - 1) // 4
 
 
 def test_separation_requires_distinct_slopes():

@@ -1,6 +1,9 @@
 import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dioapprox import cli
 
 
@@ -37,6 +40,8 @@ def test_partition_pass_and_fail_exit_codes():
 def test_parse_error_exit_code():
     code, _, err = run_capture(["beatty", "term", "sqrt(", "5"])
     assert code == 2 and "error" in err
+    code, out, err = run_capture(["farey", "list"])  # argparse's usage error
+    assert code == 2 and not out and "required: N" in err
 
 
 def test_resource_exit_code():
@@ -67,13 +72,21 @@ def test_nonarch_size_limits_exit_code():
         assert limit in err and "Traceback" not in err
 
 
-def test_rational_pair_scan_limit_exit_code():
-    code, out, err = run_capture(["beatty", "separate", "1000001/1000000", "1000003/1000002"])
-    assert code == 3 and out == "" and "DEFAULT_SCAN_LIMIT" in err
-    code, out, _ = run_capture(["beatty", "separate", "10001/10000", "10003/10002",
-                                "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["result"]["witness"] == "10000"
+def test_farey_list_limit_exit_code():
+    code, out, err = run_capture(["farey", "list", "2000"])  # about 1.2e6 terms
+    assert code == 3 and out == ""
+    assert "LIST_LIMIT" in err and "Traceback" not in err
+
+
+def test_close_rational_pair_separates():
+    for a, b, witness in (("1000001/1000000", "1000003/1000002", "1000000"),
+                          ("10001/10000", "10003/10002", "10000")):
+        code, out, err = run_capture(["beatty", "separate", a, b, "--format", "json"])
+        assert code == 0 and not err
+        env = json.loads(out)
+        assert env["result"]["witness"] == witness
+        assert env["result"]["trace"] == {"method": "least-split", "n": witness}
+        assert run_capture(env["argv"]) == (0, out, "")
 
 
 def test_verify_subcommand():
@@ -131,6 +144,9 @@ def test_json_round_trip_reproduces_payload():
         ["beatty", "dmo", "sqrt(2)", "9/10", "19/20", "100", "--format", "json"],
         ["nonarch", "linf", "5/4", "3/2", "--format", "json"],
         ["oracle", "dirichlet", "sqrt(2)", "10", "--format", "json"],
+        # positionals that argparse would read as options replay after "--"
+        ["beatty", "claim51", "--format", "json", "--", "2", "-2/5"],
+        ["nonarch", "floor", "--format", "json", "--", "-2*t + 1"],
     ]
     for argv in cases:
         _, first, _ = run_capture(argv)
@@ -214,3 +230,59 @@ def test_every_command_replays_its_json_argv():
         expected = {a.dest for a in rows[tuple(argv[:2])].args
                     if not a.option or a.dest in given or a.default is not None}
         assert set(env["inputs"]) == expected, argv
+
+
+# --- argv fuzzer over the command table -------------------------------------
+
+def _poly_text(coeffs):
+    terms = [f"{c}*t^{i}" for i, c in enumerate(coeffs) if c] or ["0"]
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+_INTS = st.integers(-3, 40).map(str)
+_RATIONALS = st.builds("{}/{}".format, st.integers(-2, 12), st.integers(0, 12))
+_EXACTS = st.one_of(
+    _INTS,
+    _RATIONALS,
+    st.builds(lambda a, b, d, c: f"({a}{'-' if b < 0 else '+'}{abs(b)}*sqrt({d}))/{c}",
+              st.integers(-6, 6), st.integers(-3, 3), st.integers(0, 12), st.integers(0, 5)),
+)
+_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(_poly_text)
+_LAURENTS = st.one_of(
+    st.just("sqrt1p(eps)"),
+    _POLYS,
+    st.builds("({})/({})".format, _POLYS, _POLYS),
+    _RATIONALS,
+)
+
+
+def _text_for(kind):
+    if kind.choices:
+        return st.sampled_from(kind.choices)
+    return {cli._INT: _INTS, cli._EXACT: _EXACTS, cli._RATIONAL: _RATIONALS,
+            cli._LAURENT: _LAURENTS}[kind]
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(cli._COMMANDS))
+    argv, options = [cmd.group, cmd.name], []
+    for arg in cmd.args:
+        if arg.option and arg.default is not cli._REQUIRED and not draw(st.booleans()):
+            continue
+        if arg.kind is cli._FLAG:
+            options.append(arg.name)
+        elif arg.option:
+            options += [arg.name, draw(_text_for(arg.kind))]
+        else:
+            argv.append(draw(_text_for(arg.kind)))
+    return argv + options + ["--format", draw(st.sampled_from(["plain", "json"]))]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_argvs())
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    code, out, err = run_capture(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+    if out and argv[-1] == "json":
+        assert run_capture(json.loads(out)["argv"]) == (code, out, err), argv

@@ -24,6 +24,7 @@ from dioapprox.exactnum import (
     floor_of,
     format_exact,
     frac_of,
+    least_denominator,
     linear_relation_solve,
     parse_exact,
     quad,
@@ -207,6 +208,57 @@ def test_convergents_match_floor_expansion():
         assert list(convergents(x)) == _expansion_by_floors(x, 100)
     assert list(islice(convergents(SQRT2), 4)) == [(1, 1, 1), (2, 3, 2), (2, 7, 5), (2, 17, 12)]
     assert list(islice(convergents(PHI), 5)) == [(1, 1, 1), (1, 2, 1), (1, 3, 2), (1, 5, 3), (1, 8, 5)]
+
+
+# --- least denominator --------------------------------------------------
+
+def _least_denominator_by_scan(lo, lo_in, hi, hi_in, limit=10**4):
+    for n in range(1, limit):
+        j = floor_of(lo * n)
+        if not (lo_in and compare(lo * n, j) == 0):
+            j += 1
+        if compare(j, hi * n) < hi_in:
+            return n
+    raise AssertionError("no fraction below the scan limit")
+
+
+FLAGS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def test_least_denominator_rational_ends_under_each_flag():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert [least_denominator(third, a, half, b) for a, b in FLAGS] == [5, 3, 2, 2]
+    assert [least_denominator(Fraction(5, 8), a, Fraction(2, 3), b) for a, b in FLAGS] == [
+        11, 8, 3, 3]
+
+
+def test_least_denominator_integer_ends():
+    h = Fraction(3, 2)
+    assert [least_denominator(1, a, h, b) for a, b in FLAGS] == [3, 1, 2, 1]
+    assert [least_denominator(h, a, 2, b) for a, b in FLAGS] == [3, 2, 1, 1]
+    assert [least_denominator(Fraction(1), a, Fraction(2), b) for a, b in FLAGS] == [2, 1, 1, 1]
+
+
+def test_least_denominator_matches_scan():
+    rng = random.Random(17)
+    for _ in range(300):
+        lo, hi = sorted(Fraction(rng.randint(0, 60), rng.randint(1, 30)) for _ in range(2))
+        if lo == hi:
+            continue
+        for a, b in FLAGS:
+            assert least_denominator(lo, a, hi, b) == _least_denominator_by_scan(lo, a, hi, b)
+    irrationals = [SQRT2, PHI, sqrt_int(3), quad(1, 1, 3, 7), sqrt_int(1000003) / 1000]
+    for _ in range(200):
+        x, y = rng.sample(irrationals, 2)
+        lo, hi = x + rng.randint(0, 2), y + Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if compare(lo, hi) >= 0:
+            continue
+        for a, b in FLAGS:
+            assert least_denominator(lo, a, hi, b) == _least_denominator_by_scan(lo, a, hi, b)
+    assert least_denominator(SQRT2, False, sqrt_int(3), False) == 2
+    for x in (SQRT2, Fraction(3, 2)):
+        with pytest.raises(DomainError):
+            least_denominator(x, True, x, True)
 
 
 # --- radical signs ------------------------------------------------------

@@ -264,6 +264,9 @@ def test_floor_on_series_tail_rules():
     z = na.EpsSeries.make(-1, [1, 0, 0, 0], False)
     with pytest.raises(IndeterminateSignError):
         na.floor_ip(z)
+    # a non-integral constant fixes the floor whatever the unknown tail
+    h = na.EpsSeries.make(0, [Fraction(3, 2), 0, 0], False)
+    assert na.floor_ip(h) == na.IPElem(na.Poly([1]))
     # too little precision to even see the constant coefficient
     w = na.EpsSeries(-3, (Fraction(1),), False)
     with pytest.raises(PrecisionError):
@@ -404,9 +407,18 @@ def test_linf_matches_scan_on_sqrt1p_slopes():
     rng = random.Random(59)
     for _ in range(30):
         s, r = (Fraction(rng.randint(q, 2 * q - 1), q) for q in (rng.randint(1, 12), rng.randint(1, 12)))
-        a, b = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
-        if a == b:
-            continue  # rho - sigma has a truncated zero tail: floor_ip refuses m
+        _assert_linf_sqrt1p(s, rng.choice((-1, 0, 1)), r, rng.choice((-1, 0, 1)))
+    _assert_linf_sqrt1p(Fraction(1), 1, Fraction(3, 2), 1)
+    _assert_linf_sqrt1p(Fraction(7, 6), -1, Fraction(19, 11), -1)
+
+
+def _assert_linf_sqrt1p(s, a, r, b):
+    """With equal parts, rho - sigma = r - s plus a truncated zero tail:
+    floor_ip can settle m = floor(1/(r - s)) unless 1/(r - s) is an integer."""
+    if a == b and s < r and (1 / (r - s)).denominator == 1:
+        with pytest.raises(IndeterminateSignError):
+            na.linf_experiment(*_linf_case(s, a, r, b, "sqrt1p"))
+    else:
         _assert_linf_matches_scan(s, a, r, b, "sqrt1p")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dioapprox import oracle
 from dioapprox.errors import DomainError
-from support import PHI, SQRT2_M1, PHI_M1
+from support import PHI, SQRT2, SQRT2_M1, PHI_M1
 
 
 def test_farey_naive_small():
@@ -52,6 +52,17 @@ def test_guards_are_hard_errors():
         oracle.poly_gcd_naive([1] * 1001, [1])
     with pytest.raises(DomainError):
         oracle.linf_scan(1, 0, 2, 0, 100_001)
+    with pytest.raises(DomainError):  # floor(1/(big - small)) = 10^5
+        oracle.separation_by_cases(Fraction(3), Fraction(3 * 10**5 + 1, 10**5))
+
+
+def test_separation_by_cases_examples():
+    # both >= 2: m = floor(1/(3 - 5/2)) = 2 and x = floor(3 * 5/2)
+    assert oracle.separation_by_cases(Fraction(3), Fraction(5, 2)) == (7, "beta")
+    assert oracle.separation_by_cases(Fraction(3, 2), Fraction(3)) == (1, "alpha")
+    assert oracle.separation_by_cases(Fraction(3, 2), SQRT2) is None  # Claim 5.1: t = 9
+    with pytest.raises(DomainError):
+        oracle.separation_by_cases(PHI, PHI)
 
 
 def test_naive_series_and_gcd_examples():
