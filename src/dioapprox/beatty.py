@@ -14,8 +14,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
-from typing import Iterator, Optional
+from math import gcd, lcm
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import (
     DomainError,
@@ -26,16 +26,16 @@ from .errors import (
 )
 from .exactnum import (
     ExactReal,
-    RelationForm,
     ceil_of,
     compare,
     convergents,
+    decompose,
     ensure_exact,
+    ext_gcd,
     floor_of,
     frac_of,
     is_rational,
     least_denominator,
-    linear_relation_solve,
     sign_of,
 )
 
@@ -300,102 +300,135 @@ class Certificate:
     c: int
 
 
-_KIND_FORM = {
-    CertKind.DISJOINT: RelationForm.DISJOINT_UNIT,
-    CertKind.COVER: RelationForm.COVER_UNIT,
-    CertKind.SUBSET: RelationForm.SUBSET_UNIT,
-    CertKind.FACT_F_PRIME: RelationForm.SUBSET_UNIT,
-    CertKind.FACT_C: RelationForm.MIXED_SIGN_INT,
-    CertKind.FACT_D: RelationForm.POSITIVE_INT,
+def _unit(a: int, b: int, c: int) -> bool:
+    return a > 0 and b > 0 and c == 1
+
+
+class _Rule(NamedTuple):
+    """A kind's relation a*X + b*Y = c: X is 1 - 1/alpha when co_alpha is
+    set and 1/alpha otherwise (Y likewise for beta), the two slopes are
+    both rational or both irrational, and side holds of (a, b, c)."""
+
+    co_alpha: bool
+    co_beta: bool
+    rational: bool
+    side: Callable[[int, int, int], bool]
+
+
+_RULES = {
+    CertKind.DISJOINT: _Rule(False, False, False, _unit),
+    CertKind.COVER: _Rule(True, True, False, _unit),
+    CertKind.SUBSET: _Rule(False, True, False, _unit),
+    CertKind.PARTITION: _Rule(False, False, False, lambda a, b, c: a == b == c == 1),
+    CertKind.FACT_C: _Rule(False, False, False, lambda a, b, c: a * b < 0 and c != 0),
+    CertKind.FACT_D: _Rule(False, False, False,
+                           lambda a, b, c: a > 0 and b > 0 and c > 1 and gcd(a, b, c) == 1),
+    CertKind.FACT_F_PRIME: _Rule(False, True, True, _unit),
 }
 
-_NEED_IRRATIONAL = {
-    CertKind.DISJOINT,
-    CertKind.COVER,
-    CertKind.SUBSET,
-    CertKind.PARTITION,
-    CertKind.FACT_C,
-    CertKind.FACT_D,
-}
+
+def _slots(rule: _Rule, alpha: ExactReal, beta: ExactReal) -> tuple[ExactReal, ExactReal]:
+    x, y = 1 / alpha, 1 / beta
+    return (1 - x if rule.co_alpha else x), (1 - y if rule.co_beta else y)
 
 
 def _check_pairing(kind: CertKind, alpha: ExactReal, beta: ExactReal):
-    ra, rb = is_rational(alpha), is_rational(beta)
-    if ra != rb:
+    rational = is_rational(alpha)
+    if rational != is_rational(beta):
         raise UnsupportedPairingError(
             "mixed rational/irrational pairs have no exact certificate search"
         )
-    if kind in _NEED_IRRATIONAL and ra:
+    if rational != _RULES[kind].rational:
+        need = "require two irrational slopes" if rational else "are about rational slopes"
+        raise UnsupportedPairingError(f"{kind.value} certificates {need}")
+
+
+def _primitive_relation(x: ExactReal, y: ExactReal) -> tuple[int, int, int]:
+    """The integer relation A*x + B*y = C with C >= 0 and gcd(A, B, C) = 1
+    of two irrationals in one quadratic field; every other is a multiple.
+
+    For x = p + q*sqrt(d) and y = r + s*sqrt(d) the radical parts cancel,
+    a*q + b*s = 0, so (a, b) is a multiple of the coprime pair along
+    (s, -q), and the denominator of a*p + b*r scales it to integers.
+    """
+    p, q, d = decompose(x)
+    r, s, e = decompose(y)
+    if d != e:
         raise UnsupportedPairingError(
-            f"{kind.value} certificates require two irrational slopes"
+            f"cannot solve exactly across sqrt({d}) and sqrt({e})"
         )
-    if kind is CertKind.FACT_F_PRIME and not ra:
-        raise UnsupportedPairingError(
-            "fact_f_prime certificates are about rational slopes"
-        )
+    a, b = s.numerator * q.denominator, -q.numerator * s.denominator
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    c = a * p + b * r
+    j = c.denominator if c >= 0 else -c.denominator
+    return j * a, j * b, abs(c.numerator)
+
+
+def _int_range_for(slope: int, intercept: int, lo: int, hi: int):
+    """Integer t range with lo <= slope*t + intercept <= hi (slope != 0)."""
+    if slope > 0:
+        tmin = -((intercept - lo) // slope)          # ceil((lo - intercept)/slope)
+        tmax = (hi - intercept) // slope
+    else:
+        tmin = -((intercept - hi) // slope)
+        tmax = (lo - intercept) // slope
+    return tmin, tmax
+
+
+def _solve_unit_rational(x: Fraction, y: Fraction, bound: int):
+    """Integer a, b in [1, bound] with a*x + b*y = 1, the one with the
+    least b; None when none exist.  Slots of slopes above 1 lie in (0, 1),
+    so both scaled coefficients are positive."""
+    den = lcm(x.denominator, y.denominator)
+    A, B = int(x * den), int(y * den)
+    g, x0, y0 = ext_gcd(A, B)
+    if den % g:
+        return None
+    a0, b0 = x0 * (den // g), y0 * (den // g)
+    sa, sb = B // g, -(A // g)
+    ta_min, ta_max = _int_range_for(sa, a0, 1, bound)
+    tb_min, tb_max = _int_range_for(sb, b0, 1, bound)
+    tmin, tmax = max(ta_min, tb_min), min(ta_max, tb_max)
+    if tmin > tmax:
+        return None
+    return (a0 + sa * tmax, b0 + sb * tmax, 1)  # b falls as t grows
 
 
 def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
     """Search for the integer relation certifying `kind`, or None.
 
-    The defining relation of any returned certificate is re-verified
-    exactly before it is handed back.
+    Every integer relation of two irrational slots is a multiple of the
+    primitive one.  A unit kind needs its C = 1 and fact_d its gcd 1, and
+    fact_c holds for a multiple exactly when it holds for the primitive
+    relation, the least; so that relation is the only candidate.  The
+    defining relation of any returned certificate is re-verified exactly
+    before it is handed back.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
         raise DomainError("certificates are about slopes > 1")
     kind = CertKind(kind)
     _check_pairing(kind, alpha, beta)
-    if kind is CertKind.PARTITION:
-        total = 1 / alpha + 1 / beta
-        if compare(total, 1) != 0:
-            return None
-        cert = Certificate(kind, 1, 1, 1)
-    else:
-        solved = linear_relation_solve(alpha, beta, _KIND_FORM[kind], bound)
-        if solved is None:
-            return None
-        cert = Certificate(kind, *solved)
+    rule = _RULES[kind]
+    x, y = _slots(rule, alpha, beta)
+    found = _solve_unit_rational(x, y, bound) if rule.rational else _primitive_relation(x, y)
+    if found is None or not rule.side(*found) or max(map(abs, found)) > bound:
+        return None
+    cert = Certificate(kind, *found)
     if not verify_certificate(cert, alpha, beta):
         raise AssertionError(f"solver produced a non-verifying certificate {cert}")
     return cert
 
 
-def _relation_value(cert: Certificate, alpha: ExactReal, beta: ExactReal) -> ExactReal:
-    inv_a, inv_b = 1 / alpha, 1 / beta
-    k = cert.kind
-    if k in (CertKind.DISJOINT, CertKind.FACT_C, CertKind.FACT_D):
-        return cert.a * inv_a + cert.b * inv_b
-    if k is CertKind.COVER:
-        return cert.a * (1 - inv_a) + cert.b * (1 - inv_b)
-    if k in (CertKind.SUBSET, CertKind.FACT_F_PRIME):
-        return cert.a * inv_a + cert.b * (1 - inv_b)
-    if k is CertKind.PARTITION:
-        return inv_a + inv_b
-    raise DomainError(f"unknown certificate kind {k}")
-
-
 def verify_certificate(cert: Certificate, alpha, beta) -> bool:
     """Does the certificate's defining relation hold exactly, with its
-    sign/coprimality side conditions?"""
+    sign/coprimality side conditions?  Slopes from two quadratic fields
+    are compared exactly too, and never satisfy one."""
     alpha, beta = ensure_exact(alpha), ensure_exact(beta)
-    value = _relation_value(cert, alpha, beta)
-    k = cert.kind
-    if k is CertKind.FACT_C:
-        return (
-            cert.a * cert.b < 0
-            and cert.c != 0
-            and compare(value, cert.c) == 0
-        )
-    if k is CertKind.FACT_D:
-        return (
-            cert.a > 0
-            and cert.b > 0
-            and cert.c > 1
-            and gcd(gcd(cert.a, cert.b), cert.c) == 1
-            and compare(value, cert.c) == 0
-        )
-    return cert.a > 0 and cert.b > 0 and cert.c == 1 and compare(value, 1) == 0
+    rule = _RULES[cert.kind]
+    x, y = _slots(rule, alpha, beta)
+    return rule.side(cert.a, cert.b, cert.c) and compare(cert.a * x, cert.c - cert.b * y) == 0
 
 
 @dataclass(frozen=True)

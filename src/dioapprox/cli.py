@@ -21,7 +21,6 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 from . import approx, beatty, farey, nonarch, oracle
@@ -143,11 +142,27 @@ def _listing(terms: list) -> dict:
     return {"terms": terms, "count": str(len(terms))}
 
 
+def _farey_size(N: int, cap: int) -> int:
+    """|F_N| = 1 + phi(1) + ... + phi(N) by a totient sieve, or its first
+    partial sum past cap.  phi(k) >= sqrt(k/2), so the k in [n/2, n] add
+    at least n^1.5/4 and the sum passes cap by the n with n^3 > 16*cap^2."""
+    n = min(N, 1 << -(-(16 * cap * cap).bit_length() // 3))
+    phi = list(range(n + 1))
+    count = 1
+    for k in range(1, n + 1):
+        if phi[k] == k > 1:  # a prime: every smaller prime has left it alone
+            for m in range(k, n + 1, k):
+                phi[m] -= phi[m] // k
+        count += phi[k]  # final: every prime up to k has acted on it
+        if count > cap:
+            break
+    return count
+
+
 def _farey_list(N):
-    terms = [str(f) for f in islice(farey.sequence(N), LIST_LIMIT + 1)]
-    if len(terms) > LIST_LIMIT:
+    if _farey_size(N, LIST_LIMIT) > LIST_LIMIT:
         raise ResourceLimitError(f"F_{N} has more than LIST_LIMIT = {LIST_LIMIT} terms")
-    return _listing(terms)
+    return _listing([str(f) for f in farey.sequence(N)])
 
 
 def _farey(x: Fraction, order: int) -> farey.FareyFraction:

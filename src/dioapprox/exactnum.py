@@ -15,7 +15,6 @@ rationality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Union
@@ -25,13 +24,11 @@ from .errors import (
     MixedRadicalError,
     ParseError,
     SquarefreeError,
-    UnsupportedPairingError,
 )
 
 __all__ = [
     "ExactReal",
     "QuadIrr",
-    "RelationForm",
     "ceil_of",
     "compare",
     "convergents",
@@ -43,7 +40,6 @@ __all__ = [
     "frac_of",
     "is_rational",
     "least_denominator",
-    "linear_relation_solve",
     "parse_exact",
     "quad",
     "radical_sign",
@@ -79,33 +75,33 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def squarefree_split(d: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
+def squarefree_split(d: int) -> tuple[int, int]:
     """Write sqrt(d) = s*sqrt(m) with m squarefree; return (s, m).
 
-    Trial division only goes up to ``bound``; if the remaining factor is
-    too large to certify squarefree the construction is refused.
+    Trial division only goes up to SQUAREFREE_TRIAL_BOUND; if the remaining
+    factor is too large to certify squarefree the construction is refused.
     """
     if d <= 0:
         raise DomainError(f"radicand must be positive, got {d}")
     s = 1
     p = 2
-    while p * p <= d and p <= bound:
+    while p * p <= d and p <= SQUAREFREE_TRIAL_BOUND:
         sq = p * p
         while d % sq == 0:
             d //= sq
             s *= p
         p += 1 if p == 2 else 2
-    if d > bound * bound:
-        r = d  # squares are gone: strip the small primes, leaving ones above bound
-        for p in range(2, bound + 1):
+    if d > SQUAREFREE_TRIAL_BOUND**2:
+        r = d  # squares are gone: strip the small primes, leaving ones above the bound
+        for p in range(2, SQUAREFREE_TRIAL_BOUND + 1):
             if r % p == 0:
                 r //= p
         root = isqrt(r)
         if root * root == r:
             return s * root, d // r
-        if r >= bound**3:  # below it, r has at most two prime factors
+        if r >= SQUAREFREE_TRIAL_BOUND**3:  # below it, r has at most two prime factors
             raise SquarefreeError(
-                f"cannot certify squarefree part of {d} with trial bound {bound}"
+                f"cannot certify squarefree part of {d} with trial bound {SQUAREFREE_TRIAL_BOUND}"
             )
     return s, d
 
@@ -261,7 +257,7 @@ def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
     return QuadIrr(a, b, c, d)
 
 
-def quad(a: int, b: int, c: int, d: int, *, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> ExactReal:
+def quad(a: int, b: int, c: int, d: int) -> ExactReal:
     """Build (a + b*sqrt(d))/c exactly.
 
     The radicand has its square part extracted (``quad(0, 1, 1, 8)`` is
@@ -270,7 +266,7 @@ def quad(a: int, b: int, c: int, d: int, *, trial_bound: int = SQUAREFREE_TRIAL_
     """
     if b == 0:
         return Fraction(a, c)
-    s, m = squarefree_split(d, trial_bound)
+    s, m = squarefree_split(d)
     b = b * s
     if m == 1:
         return Fraction(a + b, c)
@@ -470,178 +466,6 @@ def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
         lo, hi = 1 / (hi - f), None if lo == f else 1 / (lo - f)
         lo_in, hi_in = hi_in, lo_in
         q, q_prev = q * f + q_prev, q
-
-
-# -- linear relation certificates --------------------------------------
-
-
-class RelationForm(Enum):
-    """Linear forms in 1/alpha and 1/beta whose integer solutions act as
-    set-relation certificates for floor sequences."""
-
-    DISJOINT_UNIT = "a/alpha + b/beta = 1; a, b >= 1"
-    COVER_UNIT = "a(1 - 1/alpha) + b(1 - 1/beta) = 1; a, b >= 1"
-    SUBSET_UNIT = "a/alpha + b(1 - 1/beta) = 1; a, b >= 1"
-    SUPSET_UNIT = "a(1 - 1/alpha) + b/beta = 1; a, b >= 1"
-    MIXED_SIGN_INT = "a/alpha + b/beta = c; a*b < 0, c != 0"
-    POSITIVE_INT = "a/alpha + b/beta = c; a, b, c >= 1, gcd(a,b,c) = 1, c > 1"
-
-
-_UNIT_FORMS = (
-    RelationForm.DISJOINT_UNIT,
-    RelationForm.COVER_UNIT,
-    RelationForm.SUBSET_UNIT,
-    RelationForm.SUPSET_UNIT,
-)
-
-
-def _slot_values(alpha: ExactReal, beta: ExactReal, form: RelationForm):
-    inv_a = 1 / alpha
-    inv_b = 1 / beta
-    if form in (RelationForm.DISJOINT_UNIT, RelationForm.MIXED_SIGN_INT,
-                RelationForm.POSITIVE_INT):
-        return inv_a, inv_b
-    if form is RelationForm.COVER_UNIT:
-        return 1 - inv_a, 1 - inv_b
-    if form is RelationForm.SUBSET_UNIT:
-        return inv_a, 1 - inv_b
-    if form is RelationForm.SUPSET_UNIT:
-        return 1 - inv_a, inv_b
-    raise DomainError(f"unknown relation form {form}")
-
-
-def _int_range_for(slope: int, intercept: int, lo: int, hi: int):
-    """Integer t range with lo <= slope*t + intercept <= hi (slope != 0)."""
-    if slope > 0:
-        tmin = -((intercept - lo) // slope)          # ceil((lo - intercept)/slope)
-        tmax = (hi - intercept) // slope
-    else:
-        tmin = -((intercept - hi) // slope)
-        tmax = (lo - intercept) // slope
-    return tmin, tmax
-
-
-def _solve_unit_rational(x: Fraction, y: Fraction, bound: int):
-    """Integer a, b >= 1 with a*x + b*y = 1, both at most bound.
-
-    Among the solutions the one with the smallest b (then smallest a)
-    is returned; None when none exist.
-    """
-    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    A = int(x * den)
-    B = int(y * den)
-    C = den
-    if A == 0 and B == 0:
-        return None
-    if A == 0:
-        if B == 0 or C % B or not (1 <= C // B <= bound):
-            return None
-        return (1, C // B, 1)
-    if B == 0:
-        if C % A or not (1 <= C // A <= bound):
-            return None
-        return (C // A, 1, 1)
-    g, x0, y0 = ext_gcd(A, B)
-    if C % g:
-        return None
-    a0 = x0 * (C // g)
-    b0 = y0 * (C // g)
-    sa, sb = B // g, -(A // g)
-    ta_min, ta_max = _int_range_for(sa, a0, 1, bound)
-    tb_min, tb_max = _int_range_for(sb, b0, 1, bound)
-    tmin, tmax = max(ta_min, tb_min), min(ta_max, tb_max)
-    if tmin > tmax:
-        return None
-    # smallest b: b is monotone in t, pick the endpoint that minimizes it
-    t = tmax if sb < 0 else tmin
-    return (a0 + sa * t, b0 + sb * t, 1)
-
-
-def _solve_unit_quad(p: Fraction, q: Fraction, r: Fraction, s: Fraction, bound: int):
-    """Integer a, b >= 1 with a(p + q*sqrt(d)) + b(r + s*sqrt(d)) = 1."""
-    det = p * s - r * q
-    if det == 0:
-        return None
-    a = s / det
-    b = -q / det
-    if a.denominator != 1 or b.denominator != 1:
-        return None
-    a, b = int(a), int(b)
-    if not (1 <= a <= bound and 1 <= b <= bound):
-        return None
-    return (a, b, 1)
-
-
-def _primitive_direction(q: Fraction, s: Fraction) -> tuple[int, int]:
-    """Smallest integer (a, b) != 0 with a*q + b*s = 0, a > 0."""
-    P = s.numerator * q.denominator
-    R = q.numerator * s.denominator
-    g = gcd(abs(P), abs(R))
-    a1, b1 = P // g, -(R // g)
-    if a1 < 0:
-        a1, b1 = -a1, -b1
-    return a1, b1
-
-
-def _solve_scaled_quad(p: Fraction, q: Fraction, r: Fraction, s: Fraction,
-                       form: RelationForm, bound: int):
-    """FACT-C / FACT-D style solves: radical parts cancel, c is free."""
-    a1, b1 = _primitive_direction(q, s)
-    c1 = a1 * p + b1 * r
-    if form is RelationForm.MIXED_SIGN_INT:
-        if a1 * b1 >= 0 or c1 == 0:
-            return None
-        j = c1.denominator
-        a, b, c = j * a1, j * b1, int(j * c1)
-        if c < 0:
-            a, b, c = -a, -b, -c
-        if max(abs(a), abs(b), abs(c)) > bound:
-            return None
-        return (a, b, c)
-    # POSITIVE_INT.  (a1, b1) is coprime, so at any multiple k of the
-    # smallest integral scaling gcd(a, b, c) = k: only k = 1 can qualify.
-    if b1 <= 0 or c1 <= 0:
-        return None
-    j = c1.denominator
-    a, b, c = j * a1, j * b1, c1.numerator
-    if c > 1 and max(a, b, c) <= bound:
-        return (a, b, c)
-    return None
-
-
-def linear_relation_solve(alpha, beta, form: RelationForm, bound: int = 10**6):
-    """Exact integer certificate (a, b, c) for the requested linear form,
-    or None when no such integers exist.
-
-    Supported pairings: both rational, or both quadratic irrationals over
-    the same radicand (other irrational pairings raise).  For mixed
-    rational/irrational input the radical part of the relation forces a
-    zero coefficient, so unit forms return None.
-    """
-    alpha, beta = ensure_exact(alpha), ensure_exact(beta)
-    if sign_of(alpha) <= 0 or sign_of(beta) <= 0:
-        raise DomainError("relation solving requires positive alpha, beta")
-    X, Y = _slot_values(alpha, beta, form)
-    p, q, d1 = decompose(X)
-    r, s, d2 = decompose(Y)
-    if q != 0 and s != 0 and d1 != d2:
-        raise UnsupportedPairingError(
-            f"cannot solve exactly across sqrt({d1}) and sqrt({d2})"
-        )
-    if form in _UNIT_FORMS:
-        if q == 0 and s == 0:
-            return _solve_unit_rational(p, r, bound)
-        if q == 0 or s == 0:
-            # mixed pairing: the radical equation forces a zero coefficient
-            return None
-        return _solve_unit_quad(p, q, r, s, bound)
-    if form in (RelationForm.MIXED_SIGN_INT, RelationForm.POSITIVE_INT):
-        if q == 0 or s == 0:
-            raise UnsupportedPairingError(
-                "integer-combination forms need two irrational inputs"
-            )
-        return _solve_scaled_quad(p, q, r, s, form, bound)
-    raise DomainError(f"unknown relation form {form}")
 
 
 # -- textual I/O --------------------------------------------------------

@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, NotFoundError, RationalInputError
-from .exactnum import ExactReal, convergents, ensure_exact, floor_of, is_rational
+from .exactnum import ExactReal, convergents, ensure_exact, ext_gcd, floor_of, is_rational
 
 __all__ = [
     "FareyBracket",
@@ -101,8 +101,6 @@ def successor(f: FareyFraction) -> FareyFraction:
     """
     if f.h == f.k:
         raise DomainError("1/1 has no successor")
-    from .exactnum import ext_gcd
-
     _, u, v = ext_gcd(f.k, f.h)
     x0, y0 = u, -v  # k*x0 - h*y0 = 1
     r = (f.order - y0) // f.k
@@ -113,8 +111,6 @@ def predecessor(f: FareyFraction) -> FareyFraction:
     """Immediate left neighbor: mirror construction with h*y - k*x = 1."""
     if f.h == 0:
         raise DomainError("0/1 has no predecessor")
-    from .exactnum import ext_gcd
-
     _, u, v = ext_gcd(f.h, f.k)
     y0, x0 = u, -v  # h*y0 - k*x0 = 1
     r = (f.order - y0) // f.k

@@ -32,6 +32,7 @@ from .errors import (
 from .exactnum import least_denominator
 
 __all__ = [
+    "COEFF_BITS_LIMIT",
     "DEFAULT_PRECISION",
     "DEGREE_LIMIT",
     "EpsSeries",
@@ -61,9 +62,11 @@ __all__ = [
 DEFAULT_PRECISION = 64
 # Input size guards: at these bounds the slowest operations measured
 # (series division at PRECISION_LIMIT; linf on two quotients of dense
-# degree-DEGREE_LIMIT polynomials with one-digit coefficients) take
-# about a second on a 2-core machine.
+# degree-DEGREE_LIMIT polynomials with 4-bit coefficients, whose
+# difference holds about COEFF_BITS_LIMIT bits) take about a second on a
+# 2-core machine.
 DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
+COEFF_BITS_LIMIT = 4096  # most numerator and denominator bits a RatFunc's coefficients may hold
 PRECISION_LIMIT = 600  # largest series precision that may be requested
 
 
@@ -261,6 +264,12 @@ class RatFunc(_FieldOps):
     def __init__(self, num: Poly, den: Poly = Poly([1])):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
+                   for c in num.coeffs + den.coeffs)
+        if bits > COEFF_BITS_LIMIT:
+            raise ResourceLimitError(
+                f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
+            )
         g = _poly_gcd(num, den)
         if not g.is_zero() and g.deg > 0:
             num = num.divmod(g)[0]

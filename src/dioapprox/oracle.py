@@ -20,6 +20,7 @@ __all__ = [
     "farey_walk",
     "linf_scan",
     "poly_gcd_naive",
+    "relation_naive",
     "separation_by_cases",
     "series_inverse_naive",
     "series_product_naive",
@@ -32,6 +33,7 @@ WALK_GUARD = 50_000
 LINF_GUARD = 100_000
 SERIES_GUARD = 1000
 SEPARATION_GUARD = 10_000
+RELATION_GUARD = 20
 
 
 def farey_naive(order: int) -> list[tuple[int, int]]:
@@ -183,6 +185,39 @@ def poly_gcd_naive(a: list, b: list) -> list[Fraction]:
                 break
         a, b = b, a
     return [c / a[-1] for c in a] if a else []
+
+
+def relation_naive(kind, alpha, beta, box: int):
+    """The least (a, b, c) with |a|, |b|, |c| <= box that certifies `kind`
+    for slopes alpha, beta, or None: least |b|, then least |a|, then the
+    largest c.  Each relation is written out as Bang states it, and every
+    (a, b) in the box is tried, with c the value when it is an integer.
+    """
+    if not 0 <= box <= RELATION_GUARD:
+        raise DomainError(f"relation_naive guard: need 0 <= box <= {RELATION_GUARD}")
+    u, v = 1 / ensure_exact(alpha), 1 / ensure_exact(beta)
+
+    def unit(a, b, c):
+        return a >= 1 and b >= 1 and c == 1
+
+    value, holds = {  # the left side of a*X + b*Y = c, and the condition on (a, b, c)
+        "partition": (lambda a, b: a * u + b * v, lambda a, b, c: a == b == c == 1),
+        "disjoint": (lambda a, b: a * u + b * v, unit),
+        "cover": (lambda a, b: a * (1 - u) + b * (1 - v), unit),
+        "subset": (lambda a, b: a * u + b * (1 - v), unit),
+        "fact_f_prime": (lambda a, b: a * u + b * (1 - v), unit),
+        "fact_c": (lambda a, b: a * u + b * v, lambda a, b, c: a * b < 0 and c != 0),
+        "fact_d": (lambda a, b: a * u + b * v,
+                   lambda a, b, c: a >= 1 and b >= 1 and c >= 2 and gcd(gcd(a, b), c) == 1),
+    }[getattr(kind, "value", kind)]
+    hits = []
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            x = value(a, b)
+            c = floor_of(x)
+            if abs(c) <= box and compare(x, c) == 0 and holds(a, b, c):
+                hits.append((a, b, c))
+    return min(hits, key=lambda h: (abs(h[1]), abs(h[0]), -h[2]), default=None)
 
 
 def _floor_inv_gap(big: ExactReal, small: ExactReal) -> int:

@@ -8,12 +8,13 @@ import pytest
 from dioapprox import beatty, oracle
 from dioapprox.errors import (
     DomainError,
+    InvalidCertificateError,
     RationalInputError,
     ResourceLimitError,
     UnsupportedPairingError,
 )
 from dioapprox.exactnum import compare, floor_of, frac_of, quad, sqrt_int
-from support import PHI, PHI_SQ, SQRT2, SQRT3
+from support import PHI, PHI_SQ, SQRT2, SQRT3, SQUAREFREE_POOL
 
 
 def test_term_examples():
@@ -433,6 +434,85 @@ def test_certificate_pairing_gates():
         beatty.certificate_search(beatty.CertKind.FACT_F_PRIME, SQRT2, 1 + SQRT2)
     with pytest.raises(UnsupportedPairingError):
         beatty.certificate_search(beatty.CertKind.DISJOINT, Fraction(3, 2), SQRT2)
+
+
+K = beatty.CertKind
+
+
+@pytest.mark.parametrize("kind, alpha, beta, bound, want", [
+    pytest.param(K.DISJOINT, 2 + SQRT2, SQRT2, 10**6, (1, 1, 1), id="disjoint_unit"),
+    pytest.param(K.FACT_C, SQRT2, 1 + SQRT2, 10**6, (2, -1, 1), id="mixed_sign"),
+    pytest.param(K.DISJOINT, PHI, PHI, 10**6, None, id="unsolvable_returns_none"),
+    pytest.param(K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), 10**6, (2, 1, 1), id="rational_route"),
+    pytest.param(K.DISJOINT, SQRT2, SQRT3, 10**6, UnsupportedPairingError,
+                 id="cross_radicand_rejected"),
+    pytest.param(K.FACT_D, quad(2, 1, 2, 2), SQRT2, 10**6, (1, 2, 2), id="positive_int_form"),
+    # 1/sqrt(2) + 1/(2 + sqrt(2)) = 1: the primitive relation has c = 1 and
+    # every multiple has gcd > 1, so no search runs up to the bound
+    pytest.param(K.FACT_D, SQRT2, 2 + SQRT2, 10**18, None, id="positive_int_unit_sum_is_none"),
+])
+def test_relation_search(kind, alpha, beta, bound, want):
+    if want is UnsupportedPairingError:
+        with pytest.raises(UnsupportedPairingError):
+            beatty.certificate_search(kind, alpha, beta, bound)
+        return
+    cert = beatty.certificate_search(kind, alpha, beta, bound)
+    assert (cert and (cert.a, cert.b, cert.c)) == want
+    if cert is not None:
+        assert beatty.verify_certificate(cert, alpha, beta)
+
+
+def test_partition_certificate_needs_unit_coefficients():
+    assert not beatty.verify_certificate(beatty.Certificate(K.PARTITION, 5, 7, 1), PHI, PHI_SQ)
+    assert beatty.verify_certificate(beatty.Certificate(K.PARTITION, 1, 1, 1), PHI, PHI_SQ)
+    # multiples of a relation that holds: only the side condition refuses them
+    assert not beatty.verify_certificate(beatty.Certificate(K.PARTITION, 2, 2, 2), PHI, PHI_SQ)
+    assert not beatty.verify_certificate(beatty.Certificate(K.DISJOINT, 2, 2, 2), PHI, PHI_SQ)
+    assert not beatty.verify_certificate(beatty.Certificate(K.FACT_D, 2, 4, 4), quad(2, 1, 2, 2), SQRT2)
+    assert beatty.verify_certificate(beatty.Certificate(K.FACT_C, -4, 2, -2), SQRT2, 1 + SQRT2)
+    with pytest.raises(InvalidCertificateError):
+        beatty.verify_implication(K.PARTITION, PHI, PHI_SQ,
+                                  beatty.Certificate(K.PARTITION, 5, 7, 1), 50)
+    assert beatty.certificate_search(K.PARTITION, PHI, PHI_SQ, bound=0) is None
+    with pytest.raises(UnsupportedPairingError):  # 1/sqrt(2) + 1/sqrt(3) across fields
+        beatty.certificate_search(K.PARTITION, SQRT2, SQRT3)
+    assert not beatty.verify_certificate(beatty.Certificate(K.PARTITION, 1, 1, 1), SQRT2, SQRT3)
+
+
+def _built_beta(kind, alpha):
+    """beta with kind's defining relation holding for (alpha, beta), for
+    1/alpha in (1/3, 1/2)."""
+    x = 1 / alpha
+    return 1 / {
+        "partition": 1 - x, "disjoint": (1 - x) / 2, "cover": 1 - x / 2, "subset": 2 * x,
+        "fact_f_prime": 2 * x, "fact_c": 3 * x - 1, "fact_d": 2 - 3 * x,
+    }[kind.value]
+
+
+def test_certificate_search_matches_relation_oracle():
+    """A certificate exactly when the oracle's box holds one, and then the
+    oracle's least.  Each kind meets pairs built with every kind's relation
+    (its own always has a hit) and an unrelated pair of one field; two
+    rationals for fact_f_prime."""
+    rng = random.Random(7)
+    box, hits = 8, []
+    for kind in K:
+        for source in (*K, None):
+            if kind is K.FACT_F_PRIME:
+                m = rng.randrange(2, 13)
+                alpha = Fraction(rng.randrange(2 * m + 1, 3 * m), m)
+                other = Fraction(rng.randrange(m + 1, 3 * m), m)
+            else:
+                d = rng.choice(SQUAREFREE_POOL)
+                alpha = 2 + frac_of(quad(rng.randrange(-5, 6), rng.randrange(1, 4), rng.randrange(1, 6), d))
+                other = 1 + rng.randrange(2) + frac_of(quad(rng.randrange(-5, 6), 1, rng.randrange(1, 6), d))
+            beta = other if source is None else _built_beta(source, alpha)
+            want = oracle.relation_naive(kind, alpha, beta, box)
+            cert = beatty.certificate_search(kind, alpha, beta, box)
+            assert (cert and (cert.a, cert.b, cert.c)) == want, (kind, source, alpha, beta)
+            assert want or source is not kind
+            hits.append(want is not None)
+    assert sum(hits) > len(K)  # some pairs built with another kind hit too
 
 
 def test_verify_implication_suite():

@@ -1,10 +1,11 @@
 import io
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioapprox import cli
+from dioapprox import cli, oracle
 
 
 def run_capture(argv):
@@ -76,6 +77,42 @@ def test_farey_list_limit_exit_code():
     code, out, err = run_capture(["farey", "list", "2000"])  # about 1.2e6 terms
     assert code == 3 and out == ""
     assert "LIST_LIMIT" in err and "Traceback" not in err
+
+
+def test_farey_list_refuses_before_building_terms(monkeypatch):
+    def no_terms(N):
+        raise AssertionError("farey.sequence called")
+
+    monkeypatch.setattr(cli.farey, "sequence", no_terms)
+    code, out, err = run_capture(["farey", "list", "100000000"])
+    assert code == 3 and out == ""
+    assert "LIST_LIMIT" in err and "Traceback" not in err
+
+
+def test_farey_size_is_the_totient_sum():
+    for N in range(1, 60):
+        assert cli._farey_size(N, 10**9) == len(oracle.farey_naive(N))
+    assert cli._farey_size(1813, cli.LIST_LIMIT) <= cli.LIST_LIMIT < cli._farey_size(1814, 10**9)
+    assert cli._farey_size(10**8, 10) == 11  # |F_1..F_5| = 2, 3, 5, 7, 11: it stops at F_5
+
+
+def test_coefficient_bits_limit_exit_code():
+    rng = random.Random(1)
+
+    def dense():  # degree 16, 300-digit coefficients
+        return " + ".join(f"{rng.randrange(10**299, 10**300)}*t^{i}" for i in range(17))
+
+    p, q = (f"({dense()})/({dense()})" for _ in range(2))
+    code, out, err = run_capture(["nonarch", "arith", p, "add", q])
+    assert code == 3 and out == ""
+    assert "COEFF_BITS_LIMIT" in err and "Traceback" not in err
+
+
+def test_partition_certificate_with_other_coefficients_is_refused():
+    code, out, err = run_capture(["beatty", "imply", "partition", "(1+1*sqrt(5))/2",
+                                  "(3+1*sqrt(5))/2", "5", "7", "1", "50"])
+    assert code == 2 and out == ""
+    assert "does not hold" in err and "Traceback" not in err
 
 
 def test_close_rational_pair_separates():

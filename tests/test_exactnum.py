@@ -11,11 +11,9 @@ from dioapprox.errors import (
     MixedRadicalError,
     ParseError,
     SquarefreeError,
-    UnsupportedPairingError,
 )
 from dioapprox.exactnum import (
     QuadIrr,
-    RelationForm,
     ceil_of,
     compare,
     convergents,
@@ -25,7 +23,6 @@ from dioapprox.exactnum import (
     format_exact,
     frac_of,
     least_denominator,
-    linear_relation_solve,
     parse_exact,
     quad,
     radical_sign,
@@ -344,54 +341,6 @@ def test_two_radical_squaring_on_large_radicands():
     inside, outside = (a, b) if res.container == "alpha" else (b, a)
     assert beatty.member(inside, res.witness) is not None
     assert beatty.member(outside, res.witness) is None
-
-
-# --- relation solving ---------------------------------------------------
-
-def test_relation_disjoint_unit():
-    assert linear_relation_solve(2 + SQRT2, SQRT2, RelationForm.DISJOINT_UNIT) == (1, 1, 1)
-
-
-def test_relation_mixed_sign():
-    got = linear_relation_solve(SQRT2, 1 + SQRT2, RelationForm.MIXED_SIGN_INT)
-    assert got == (2, -1, 1)
-
-
-def test_relation_unsolvable_returns_none():
-    assert linear_relation_solve(PHI, PHI, RelationForm.DISJOINT_UNIT) is None
-
-
-def test_relation_rational_route():
-    got = linear_relation_solve(Fraction(3), Fraction(3, 2), RelationForm.SUBSET_UNIT)
-    assert got == (2, 1, 1)
-    a, b, c = got
-    assert a * Fraction(1, 3) + b * (1 - Fraction(2, 3)) == c == 1
-
-
-def test_relation_mixed_pairing_none():
-    # one rational, one irrational: the radical part forces b = 0
-    assert linear_relation_solve(Fraction(5, 2), SQRT2, RelationForm.DISJOINT_UNIT) is None
-
-
-def test_relation_cross_radicand_rejected():
-    with pytest.raises(UnsupportedPairingError):
-        linear_relation_solve(SQRT2, sqrt_int(3), RelationForm.DISJOINT_UNIT)
-
-
-def test_relation_positive_int_form():
-    alpha = quad(2, 1, 2, 2)  # (2 + sqrt(2))/2
-    got = linear_relation_solve(alpha, SQRT2, RelationForm.POSITIVE_INT)
-    assert got == (1, 2, 2)
-    a, b, c = got
-    assert compare(a / alpha + b / SQRT2, c) == 0
-
-
-def test_relation_positive_int_unit_sum_is_none():
-    # 1/sqrt(2) + 1/(2 + sqrt(2)) = 1: the primitive relation has c = 1 and
-    # every multiple has gcd > 1, so the answer is None without a search up
-    # to the bound.
-    got = linear_relation_solve(SQRT2, 2 + SQRT2, RelationForm.POSITIVE_INT, bound=10**18)
-    assert got is None
 
 
 # --- parsing and formatting ---------------------------------------------

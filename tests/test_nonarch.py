@@ -467,6 +467,19 @@ def test_degree_and_precision_limits():
             call()
 
 
+def test_coefficient_bits_limit():
+    # 2^(L-4) has L - 3 bits, its denominator 1, and the denominator 1/1 two:
+    # L bits in all
+    top = 2 ** (na.COEFF_BITS_LIMIT - 4)
+    assert na.RatFunc(na.Poly([top])).num == na.Poly([top])
+    with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):
+        na.RatFunc(na.Poly([2 * top]))
+    near = 10 ** (na.COEFF_BITS_LIMIT // 8)  # parsed, a little under the limit
+    assert na.parse_laurent(f"({near}*t + 1)/(t + {near})").sign() == 1
+    with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):  # produced
+        na.mul(na.RatFunc(na.Poly([top // 2**20])), na.RatFunc(na.Poly([top // 2**20])))
+
+
 # --- parsing / formatting ---------------------------------------------------
 
 def test_parse_examples():

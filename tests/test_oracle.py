@@ -52,6 +52,8 @@ def test_guards_are_hard_errors():
         oracle.poly_gcd_naive([1] * 1001, [1])
     with pytest.raises(DomainError):
         oracle.linf_scan(1, 0, 2, 0, 100_001)
+    with pytest.raises(DomainError):
+        oracle.relation_naive("disjoint", PHI, PHI, oracle.RELATION_GUARD + 1)
     with pytest.raises(DomainError):  # floor(1/(big - small)) = 10^5
         oracle.separation_by_cases(Fraction(3), Fraction(3 * 10**5 + 1, 10**5))
 
