@@ -236,20 +236,14 @@ def large_denominator(alpha: ExactReal, q_floor: int) -> Approximation:
     )
 
 
-def segre(
-    alpha: ExactReal,
-    tau,
-    q_floor: int,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> Approximation:
+def segre(alpha: ExactReal, tau, q_floor: int) -> Approximation:
     """Asymmetric approximation: q > Q with
     -1/(sqrt(1+4t) q^2) < alpha - p/q < t/(sqrt(1+4t) q^2).
 
     The first candidate past Q that passes.  For t <= 2 + sqrt(5) the
     region lies within 1/q^2 of alpha, so Segre's theorem puts infinitely
     many solutions among the candidates; for larger t every convergent
-    below alpha passes.  ``max_rounds`` caps the candidates tried past Q.
+    below alpha passes.  DEFAULT_MAX_ROUNDS caps the candidates tried past Q.
     """
     alpha = _require_positive_irrational(alpha)
     tau = Fraction(tau)
@@ -260,25 +254,17 @@ def segre(
     return _first(
         alpha, q_floor, _candidates(alpha),
         lambda p, q: _segre_bound_holds(alpha, p, q, tau),
-        max_rounds, Bound.segre(tau, q_floor),
+        DEFAULT_MAX_ROUNDS, Bound.segre(tau, q_floor),
     )
 
 
-def hurwitz(
-    alpha: ExactReal, q_floor: int, *, max_rounds: int = DEFAULT_MAX_ROUNDS
-) -> Approximation:
+def hurwitz(alpha: ExactReal, q_floor: int) -> Approximation:
     """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2): tau = 1 case."""
-    inner = segre(alpha, 1, q_floor, max_rounds=max_rounds)
+    inner = segre(alpha, 1, q_floor)
     return _finish(alpha, inner.p, inner.q, Bound.hurwitz(q_floor))
 
 
-def one_sided(
-    alpha: ExactReal,
-    q_floor: int,
-    side: str,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> Approximation:
+def one_sided(alpha: ExactReal, q_floor: int, side: str) -> Approximation:
     """Approximation from one side only: tau = 0, mirrored for 'below'.
 
     'above': 0 < p/q - alpha < 1/q^2, from the first convergent past Q
@@ -298,7 +284,7 @@ def one_sided(
     inner = _first(
         target, q_floor, above,
         lambda p, q: _segre_bound_holds(target, p, q, Fraction(0)),
-        max_rounds, Bound.segre(0, q_floor),
+        DEFAULT_MAX_ROUNDS, Bound.segre(0, q_floor),
     )
     if side == ABOVE:
         return _finish(alpha, inner.p, inner.q, bound)

@@ -567,7 +567,8 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
 
     Scans n upward; the interval ((n+lo)^p, (n+hi)^p) is guaranteed to
     contain an integer once n exceeds the (p-1)-th root of t/p for the
-    mesh denominator t, so termination is certain.
+    mesh denominator t, so termination is certain; ResourceLimitError
+    when that bound is past DEFAULT_SCAN_LIMIT and no n up to it works.
     """
     if p < 2:
         raise DomainError("root degree must be >= 2")
@@ -576,12 +577,17 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
         raise DomainError("need 0 <= lo < hi < 1")
     t = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     n_stop = _int_nth_root(t // p + 1, p - 1) + 2
-    for n in range(1, n_stop + 1):
-        low_pow = (n + lo) ** p
-        high_pow = (n + hi) ** p
-        m = low_pow.numerator // low_pow.denominator + 1
-        if Fraction(m) > low_pow and Fraction(m) < high_pow:
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    bp, dp = b**p, d**p
+    for n in range(1, min(n_stop, DEFAULT_SCAN_LIMIT) + 1):
+        m = (n * b + a) ** p // bp + 1  # the least integer above (n + lo)^p
+        if m * dp < (n * d + c) ** p:
             return m, n
+    if n_stop > DEFAULT_SCAN_LIMIT:
+        raise ResourceLimitError(
+            f"no witness up to DEFAULT_SCAN_LIMIT = {DEFAULT_SCAN_LIMIT}; "
+            f"one is proven only below {n_stop}"
+        )
     raise AssertionError("no witness below the guaranteed-termination bound")
 
 

@@ -292,9 +292,10 @@ _NONARCH_OPS = {
 
 
 def _nonarch_beatty(alpha, n, precision):
-    if not isinstance(n, nonarch.RatFunc) or n.den != nonarch.Poly([1]):
+    if not isinstance(n, nonarch.RatFunc) or n.den.deg > 0:
         raise DomainError("the index must be a polynomial with integer constant")
-    return {"value": str(nonarch.beatty_nonarch(alpha, nonarch.IPElem(n.num)))}
+    index = nonarch.Poly(Fraction(c, n.den.lc()) for c in n.num.coeffs)
+    return {"value": str(nonarch.beatty_nonarch(alpha, nonarch.IPElem(index)))}
 
 
 def _nonarch_linf(sigma, rho, precision):

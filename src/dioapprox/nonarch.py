@@ -62,11 +62,11 @@ __all__ = [
 DEFAULT_PRECISION = 64
 # Input size guards: at these bounds the slowest operations measured
 # (series division at PRECISION_LIMIT; linf on two quotients of dense
-# degree-DEGREE_LIMIT polynomials with 4-bit coefficients, whose
+# degree-DEGREE_LIMIT polynomials with 7-bit coefficients, whose
 # difference holds about COEFF_BITS_LIMIT bits) take about a second on a
 # 2-core machine.
 DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
-COEFF_BITS_LIMIT = 4096  # most numerator and denominator bits a RatFunc's coefficients may hold
+COEFF_BITS_LIMIT = 4096  # most bits a RatFunc's integer coefficients may hold, plus one each
 PRECISION_LIMIT = 600  # largest series precision that may be requested
 
 
@@ -78,12 +78,13 @@ def _check_precision(prec: int) -> None:
 
 
 class Poly:
-    """Polynomial in t over the rationals; coefficients ascending."""
+    """Polynomial in t over the rationals; coefficients ascending, each an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -95,13 +96,13 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self) -> Fraction:
+    def lc(self) -> Union[int, Fraction]:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int) -> Union[int, Fraction]:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -117,35 +118,12 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Poly(out)
-
-    def scale(self, k) -> "Poly":
-        k = Fraction(k)
-        return Poly(c * k for c in self.coeffs)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlc = other.lc()
-        dd = other.deg
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlc
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return Poly(q), Poly(rem)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -160,51 +138,58 @@ class Poly:
         return _poly_str(self)
 
 
+def _rational(c) -> Union[int, Fraction]:
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _lc_sign(cs) -> int:  # of the last (leading) coefficient; 0 for none
+    return (cs[-1] > 0) - (cs[-1] < 0) if cs else 0
+
+
 def _primitive(cs: list[int]) -> list[int]:
     """Integer coefficients without their content, leading one positive."""
     g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
     return [c // g for c in cs]
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the primitive remainder sequence over the integers:
-    pseudo-division keeps the coefficients integral and dividing out the
-    content keeps them small, where Euclid over the rationals lets them
-    swell.  Scalar factors do not change a gcd, so a step may drop them."""
-    if a.is_zero() or b.is_zero():
-        g = b if a.is_zero() else a
-        return g if g.is_zero() else g.scale(1 / g.lc())
-    x, y = (_primitive(_over_lcm(p.coeffs)[0]) for p in (a, b))
+def _poly_gcd(x: list[int], y: list[int]) -> list[int]:
+    """Primitive gcd of two primitive integer polynomials, by the primitive
+    remainder sequence: pseudo-division keeps the coefficients integral
+    and dividing out the content keeps them small, where Euclid over the
+    rationals lets them swell.  Scalar factors do not change a gcd, so a
+    step may drop them."""
     if len(x) < len(y):
         x, y = y, x
     while len(y) > 1:
-        r = _pseudo_rem(x, y)
-        while r and not r[-1]:
-            r.pop()
+        r = _pdivmod(x, y)[1]
         if not r:
-            return Poly(Fraction(c, y[-1]) for c in y)
+            return y
         x, y = y, _primitive(r)
-    return Poly([1])
+    return [1] if y else x
 
 
-def _pseudo_rem(x: list[int], y: list[int]) -> list[int]:
-    """lc(y)^e * x mod y for some e >= 0, in integers.
+def _pdivmod(x, y: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s*x = q*y + r, deg r < deg y and s = lc(y)^e for
+    some e >= 0, all in integers; r has no trailing zeros.
 
     Only the len(y) coefficients in reach of the next step are kept
     scaled; each lower one is scaled once, as it comes into reach, and a
-    step whose leading coefficient is already zero scales nothing."""
+    step whose leading coefficient is already zero scales nothing.  Each
+    quotient coefficient is brought to the final s at the end."""
     ly, dy = y[-1], len(y) - 1
-    k = len(x) - 1 - dy
-    win, scale = x[k:], 1  # coefficients of t^k .. t^(k+dy)
-    while True:
+    k0 = len(x) - dy  # x[k0:] lie above the first step's window
+    win, scale, tops = list(x[max(k0, 0):]), 1, []
+    for k in range(k0 - 1, -1, -1):
+        win.insert(0, x[k] * scale)
         top = win.pop()
         if top:
             win = [ly * w - top * c for w, c in zip(win, y)]
             scale *= ly
-        if k == 0:
-            return win
-        k -= 1
-        win.insert(0, x[k] * scale)
+        tops.append((top, scale))
+    while win and not win[-1]:
+        win.pop()
+    return [top * (scale // at) for top, at in reversed(tops)], win, scale
 
 
 def _poly_str(p: Poly) -> str:
@@ -257,29 +242,32 @@ class _FieldOps:
 
 
 class RatFunc(_FieldOps):
-    """Reduced quotient of polynomials in t; the exact backend."""
+    """Quotient of polynomials in t; the exact backend.
+
+    Canonical: num and den have integer coefficients and no common
+    factor, content included, lc(den) > 0, and zero is 0/1."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = Poly([1])):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
-                   for c in num.coeffs + den.coeffs)
+        (n, dn), (d, dd) = _over_lcm(num.coeffs), _over_lcm(den.coeffs)
+        if dn != dd:
+            n, d = [c * dd for c in n], [c * dn for c in d]
+        bits = sum(c.bit_length() + 1 for c in n + d)  # the denominator 1 has one bit
         if bits > COEFF_BITS_LIMIT:
             raise ResourceLimitError(
                 f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
             )
-        g = _poly_gcd(num, den)
-        if not g.is_zero() and g.deg > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lc = den.lc()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        self.num = num
-        self.den = den
+        if not n:
+            d = [1]
+        elif len(g := _poly_gcd(_primitive(n), _primitive(d))) > 1:
+            # exact: g is primitive, so by Gauss's lemma q/s is integral
+            n, d = ([c // s for c in q] for q, _, s in (_pdivmod(n, g), _pdivmod(d, g)))
+        content = gcd(*n, *d) if d[-1] > 0 else -gcd(*n, *d)
+        self.num = Poly(c // content for c in n)
+        self.den = Poly(c // content for c in d)
 
     @classmethod
     def const(cls, q) -> "RatFunc":
@@ -306,10 +294,7 @@ class RatFunc(_FieldOps):
         return hash((self.num, self.den))
 
     def sign(self) -> int:
-        if self.num.is_zero():
-            return 0
-        lc = self.num.lc()  # den is monic
-        return 1 if lc > 0 else -1
+        return _lc_sign(self.num.coeffs)  # lc(den) > 0
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -413,8 +398,7 @@ def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
     gr = list(reversed(g.coeffs))
     lead = g.deg - f.deg
     if len(gr) == 1:  # monomial denominator: exact Laurent polynomial
-        cs = [c / gr[0] for c in fr]
-        return EpsSeries.make(lead, cs, True)
+        return EpsSeries.make(lead, [Fraction(c, gr[0]) for c in fr], True)
     width = prec - lead
     if width <= 0:
         raise PrecisionError(
@@ -596,10 +580,13 @@ def compare(x, y) -> int:
     return sign_of(sub(x, y))
 
 
-def _split_ratfunc(x: RatFunc) -> tuple[Poly, RatFunc]:
-    """x = polynomial part + proper (infinitesimal) remainder."""
-    q, r = x.num.divmod(x.den)
-    return q, RatFunc(r, x.den)
+def _split_ratfunc(x: RatFunc) -> tuple[Poly, int]:
+    """x = polynomial part + infinitesimal tail: the part and the tail's sign.
+
+    s*num = q*den + r with s > 0, so the part is q/s, and the tail
+    r/(s*den) has the sign of lc(r) because lc(den) > 0."""
+    q, r, s = _pdivmod(x.num.coeffs, x.den.coeffs)
+    return Poly(Fraction(c, s) for c in q), _lc_sign(r)
 
 
 def is_infinitesimal(x) -> bool:
@@ -633,9 +620,7 @@ def std_part(x) -> Fraction:
         raise DomainError("standard part of an infinite element")
     if isinstance(x, EpsSeries):
         return x.coeff(0)
-    x = _as_ratfunc(x)
-    q, _ = _split_ratfunc(x)
-    return q.coeff(0)
+    return Fraction(_split_ratfunc(_as_ratfunc(x))[0].coeff(0))
 
 
 class IPElem:
@@ -687,13 +672,13 @@ class IPElem:
         if isinstance(other, IPElem):
             return IPElem(self.poly * other.poly)
         if isinstance(other, int):
-            return IPElem(self.poly.scale(other))
+            return IPElem(self.poly * Poly([other]))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        return RatFunc(self.poly).sign()
+        return _lc_sign(self.poly.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -764,11 +749,12 @@ def floor_ip(x) -> IPElem:
     rf = _as_ratfunc(x)
     if rf is NotImplemented:
         raise DomainError("unsupported operand for floor")
-    q, tail = _split_ratfunc(rf)
-    result = _floor_from_parts(q, tail.sign())
-    # bracketing is cheap to confirm exactly on this backend
-    delta = sub(rf, result.to_laurent())
-    if delta.sign() < 0 or sub(delta, RatFunc.const(1)).sign() >= 0:
+    result = _floor_from_parts(*_split_ratfunc(rf))
+    # confirm 0 <= rf - result < 1 exactly: with result = p/m for integer
+    # p and m > 0, rf - result = gap/(m*den), and lc(m*den) > 0
+    p, m = _over_lcm(result.poly.coeffs)
+    gap = rf.num * Poly([m]) - Poly(p) * rf.den
+    if _lc_sign(gap.coeffs) < 0 or _lc_sign((gap - Poly([m]) * rf.den).coeffs) >= 0:
         raise AssertionError(f"floor bracketing failed for {rf}")
     return result
 
@@ -863,7 +849,7 @@ def _int_at(text: str, i: int, j: int) -> int:
 
 def _parse_poly(text: str, start: int, end: int) -> Poly:
     """Integer-coefficient polynomial in t: e.g. '3*t^2 - t + 1'."""
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     i = start
     first = True
     while True:
@@ -916,9 +902,9 @@ def _parse_poly(text: str, start: int, end: int) -> Poly:
                 coef = 1
         if coef is None:
             raise ParseError("expected a coefficient or 't'", text, i)
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+        coeffs[power] = coeffs.get(power, 0) + sign * coef
     deg = max(coeffs) if coeffs else 0
-    return Poly([coeffs.get(k, Fraction(0)) for k in range(deg + 1)])
+    return Poly([coeffs.get(k, 0) for k in range(deg + 1)])
 
 
 def _top_level_slash(text: str) -> Optional[int]:
@@ -1002,9 +988,8 @@ def format_laurent(x: LaurentElem) -> str:
         x = RatFunc(x.poly)
     if isinstance(x, RatFunc):
         num, den = x.num, x.den
-        if den.deg > 0 or num.deg > 0:
-            scale = lcm(*[c.denominator for c in num.coeffs + den.coeffs])
-            num, den = num.scale(scale), den.scale(scale)
+        if den.deg == 0 and num.deg <= 0:
+            return str(Fraction(num.coeff(0), den.lc()))
         if den == Poly([1]):
             return _poly_str(num)
         return f"({_poly_str(num)})/({_poly_str(den)})"

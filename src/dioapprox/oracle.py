@@ -20,6 +20,7 @@ __all__ = [
     "farey_walk",
     "linf_scan",
     "poly_gcd_naive",
+    "ratfunc_floor_naive",
     "relation_naive",
     "separation_by_cases",
     "series_inverse_naive",
@@ -163,16 +164,17 @@ def linf_scan(s, s_sign: int, r, r_sign: int, m: int):
     return None
 
 
+def _strip(p: list) -> list[Fraction]:
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
 def poly_gcd_naive(a: list, b: list) -> list[Fraction]:
     """Monic gcd of two coefficient lists (ascending powers) by Euclid
     over the rationals; [] when both are zero."""
-    def strip(p):
-        p = [Fraction(c) for c in p]
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(a), strip(b)
+    a, b = _strip(a), _strip(b)
     if max(len(a), len(b)) > SERIES_GUARD:
         raise DomainError(f"poly_gcd_naive guard: at most {SERIES_GUARD} coefficients")
     while b:
@@ -180,11 +182,36 @@ def poly_gcd_naive(a: list, b: list) -> list[Fraction]:
             factor, shift = a[-1] / b[-1], len(a) - len(b)
             for i, c in enumerate(b):
                 a[shift + i] -= factor * c
-            a = strip(a)
+            a = _strip(a)
             if not a:
                 break
         a, b = b, a
     return [c / a[-1] for c in a] if a else []
+
+
+def ratfunc_floor_naive(num: list, den: list) -> tuple[list[Fraction], list[Fraction]]:
+    """The floor of num/den in the Laurent model (t positively infinite)
+    and the polynomial part it comes from, by long division over the
+    rationals: num = part * den + rem.  The tail rem/den is
+    infinitesimal, so it lowers the floor below the part only when the
+    part's constant is an integer and the tail is negative.  Lists
+    ascend in powers of t, without trailing zeros."""
+    num, den = _strip(num), _strip(den)
+    if not den:
+        raise DomainError("ratfunc_floor_naive needs a nonzero denominator")
+    if max(len(num), len(den)) > SERIES_GUARD:
+        raise DomainError(f"ratfunc_floor_naive guard: at most {SERIES_GUARD} coefficients")
+    part = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    rem = list(num)
+    for shift in range(len(num) - len(den), -1, -1):
+        part[shift] = rem[shift + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[shift + i] -= part[shift] * c
+    rem = _strip(rem)
+    negative_tail = bool(rem) and (rem[-1] < 0) != (den[-1] < 0)
+    c0 = part[0]
+    base = c0.numerator // c0.denominator - (c0.denominator == 1 and negative_tail)
+    return _strip([base] + part[1:]), _strip(part)
 
 
 def relation_naive(kind, alpha, beta, box: int):

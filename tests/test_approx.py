@@ -163,11 +163,12 @@ def test_one_sided_rejects_bad_side():
         approx.one_sided(SQRT2, 1, "sideways")
 
 
-def test_segre_round_guard():
+def test_segre_round_guard(monkeypatch):
     from dioapprox.errors import ResourceLimitError
 
+    monkeypatch.setattr(approx, "DEFAULT_MAX_ROUNDS", 0)
     with pytest.raises(ResourceLimitError):
-        approx.segre(SQRT2, 0, 1, max_rounds=0)
+        approx.segre(SQRT2, 0, 1)
 
 
 # --- verify -------------------------------------------------------------

@@ -654,6 +654,14 @@ def test_pth_root_witness_examples():
     assert beatty.pth_root_dmo_witness(3, Fraction(1, 4), Fraction(1, 2)) == (2, 1)
 
 
+def test_pth_root_witness_scan_is_bounded(monkeypatch):
+    monkeypatch.setattr(beatty, "DEFAULT_SCAN_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError, match="DEFAULT_SCAN_LIMIT"):
+        beatty.pth_root_dmo_witness(2, 0, Fraction(1, 10**8))  # proven bound about 5*10^7
+    # a hit below the limit is still found
+    assert beatty.pth_root_dmo_witness(3, Fraction(1, 2), Fraction(5000001, 10**7))[1] == 647
+
+
 def test_pth_root_witness_verified_by_powers():
     rng = random.Random(37)
     for _ in range(60):

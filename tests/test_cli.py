@@ -73,6 +73,22 @@ def test_nonarch_size_limits_exit_code():
         assert limit in err and "Traceback" not in err
 
 
+def test_pthroot_scan_limit_exit_code():
+    code, out, err = run_capture(["beatty", "pthroot", "2", "0", "1/100000000"])
+    assert code == 3 and out == ""
+    assert "DEFAULT_SCAN_LIMIT" in err and "Traceback" not in err
+
+
+def test_floor_of_dense_quotient_with_30_digit_coefficients():
+    rng = random.Random(5)
+    num, den = ([rng.randrange(10**29, 10**30) for _ in range(17)] for _ in range(2))
+    text = "({})/({})".format(*(" + ".join(f"{c}*t^{i}" for i, c in enumerate(p)) for p in (num, den)))
+    code, out, err = run_capture(["nonarch", "floor", text])
+    floor, _ = oracle.ratfunc_floor_naive(num, den)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"floor: {floor[0] if floor else 0}"
+
+
 def test_farey_list_limit_exit_code():
     code, out, err = run_capture(["farey", "list", "2000"])  # about 1.2e6 terms
     assert code == 3 and out == ""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -77,16 +78,23 @@ def test_poly_gcd_matches_naive():
     def rand_poly(deg):
         return na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1)])
 
+    def monic_gcd(a, b):
+        """The integer gcd of the primitive parts, made monic."""
+        prim = [na._primitive(na._over_lcm(p.coeffs)[0]) if p.coeffs else [] for p in (a, b)]
+        g = na._poly_gcd(*prim)
+        assert all(type(c) is int for c in g) and (not g or g[-1] > 0)
+        return [Fraction(c, g[-1]) for c in g]
+
     for _ in range(400):
         a, b = rand_poly(rng.randint(-1, 6)), rand_poly(rng.randint(-1, 6))
         if rng.random() < 0.6:
             g = rand_poly(rng.randint(1, 3))
             a, b = a * g, b * g
         want = oracle.poly_gcd_naive(list(a.coeffs), list(b.coeffs))
-        assert list(na._poly_gcd(a, b).coeffs) == want
+        assert monic_gcd(a, b) == want
     # a low-degree non-monic divisor far below a sparse dividend
     big, low = na.Poly([1] + [0] * 499 + [1]), na.Poly([-1, 2])
-    assert list(na._poly_gcd(big, low).coeffs) == oracle.poly_gcd_naive(list(big.coeffs), list(low.coeffs))
+    assert monic_gcd(big, low) == oracle.poly_gcd_naive(list(big.coeffs), list(low.coeffs))
 
 
 def test_ratfunc_reduction_is_canonical():
@@ -94,6 +102,58 @@ def test_ratfunc_reduction_is_canonical():
     assert a == T
     b = rf((2, 2), (2,))       # (2t+2)/2 = t+1
     assert b == rf((1, 1))
+    assert na.RatFunc.const(Fraction(5, 4)).den == na.Poly([4])
+
+
+def _assert_canonical(x):
+    """Integer num and den without a common factor, content included,
+    lc(den) > 0, and zero as 0/1."""
+    num, den = x.num.coeffs, x.den.coeffs
+    assert all(type(c) is int for c in num + den)
+    assert den[-1] > 0
+    if not num:
+        assert den == (1,)
+        return
+    assert oracle.poly_gcd_naive(list(num), list(den)) == [1]
+    assert math.gcd(*num, *den) == 1
+
+
+def _assert_no_float(x):
+    cs = (x.num.coeffs + x.den.coeffs if isinstance(x, na.RatFunc)
+          else x.poly.coeffs if isinstance(x, na.IPElem) else x.coeffs)
+    assert all(type(c) in (int, Fraction) for c in cs)
+
+
+def test_canonical_form_after_parse_and_ops():
+    rng = random.Random(71)
+
+    def rand_rf():
+        cs = [rng.randint(-12, 12) for _ in range(rng.randint(0, 5))]
+        ds = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+        if not any(ds):
+            ds = [rng.randint(1, 5)]
+        if rng.random() < 0.5:  # rational coefficients
+            cs = [Fraction(c, rng.randint(1, 9)) for c in cs]
+            ds = [Fraction(d, rng.randint(1, 9)) for d in ds]
+        return rf(cs, ds)
+
+    ops = (na.add, na.sub, na.mul, na.div)
+    for _ in range(400):
+        x, y = rand_rf(), rand_rf()
+        for v in (x, y, na.parse_laurent(na.format_laurent(x))):
+            _assert_canonical(v)
+        for op in ops:
+            if op is na.div and y.is_zero():
+                continue
+            z = op(x, y)
+            _assert_canonical(z)
+            _assert_no_float(z)
+        _assert_no_float(na.floor_ip(x))
+        _assert_no_float(na.to_series(x, 8))
+        _assert_no_float(na.mul(x, na.sqrt1p_eps(8)))
+        if na.is_finite(x):
+            assert type(na.std_part(x)) is Fraction
+    _assert_canonical(na.sub(T, T))
 
 
 # --- the integer series kernel against the schoolbook loops ---------------
@@ -251,6 +311,53 @@ def test_floor_constant_term_is_integral():
             continue
         out = na.floor_ip(na.RatFunc(num, den))
         assert out.poly.coeff(0).denominator == 1
+
+
+def _assert_floor_matches_long_division(num, den):
+    x = na.RatFunc(na.Poly(num), na.Poly(den))
+    floor, part = oracle.ratfunc_floor_naive(num, den)
+    assert list(na.floor_ip(x).poly.coeffs) == floor
+    if len(part) <= 1:  # finite: the standard part is the part's constant
+        st = na.std_part(x)
+        assert type(st) is Fraction and st == (part[0] if part else 0)
+    else:
+        with pytest.raises(DomainError):
+            na.std_part(x)
+
+
+def test_floor_and_std_part_match_long_division():
+    rng = random.Random(73)
+    shapes = {-1: 0, 0: 0, 1: 0}
+    for _ in range(600):
+        rational = rng.random() < 0.5
+        dn, dd = rng.randint(0, 6), rng.randint(0, 6)
+
+        def coeffs(deg):
+            cs = [rng.randint(-20, 20) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, 20)]
+            return [Fraction(c, rng.randint(1, 12)) for c in cs] if rational else cs
+
+        _assert_floor_matches_long_division(coeffs(dn), coeffs(dd))
+        shapes[(dn > dd) - (dn < dd)] += 1
+    assert min(shapes.values()) > 60
+
+
+def test_floor_of_dense_quotients_with_large_coefficients():
+    # degree 16 over degree 16 with 30-digit coefficients: about 3.4k bits
+    # in, and a remainder over Fractions would hold about 9.5k
+    rng = random.Random(79)
+    for dn, dd in ((16, 16), (16, 16), (16, 15), (15, 16), (16, 8)):
+        num, den = ([rng.choice([-1, 1]) * rng.randrange(10**29, 10**30) for _ in range(d + 1)]
+                    for d in (dn, dd))
+        _assert_floor_matches_long_division(num, den)
+
+
+def test_floor_bracketing_recheck_catches_a_wrong_split(monkeypatch):
+    # 1 with a negative tail would floor to 0, and 1 - 0 < 1 fails
+    for x, split in ((ONE, (na.Poly([1]), -1)), (na.add(ONE, INV_T), (na.Poly([1]), -1)),
+                     (na.add(ONE, INV_T), (na.Poly([2]), 1))):
+        monkeypatch.setattr(na, "_split_ratfunc", lambda rf, split=split: split)
+        with pytest.raises(AssertionError, match="bracketing"):
+            na.floor_ip(x)
 
 
 def test_floor_on_series_tail_rules():

@@ -53,6 +53,8 @@ def test_guards_are_hard_errors():
     with pytest.raises(DomainError):
         oracle.linf_scan(1, 0, 2, 0, 100_001)
     with pytest.raises(DomainError):
+        oracle.ratfunc_floor_naive([1] * 1001, [1])
+    with pytest.raises(DomainError):
         oracle.relation_naive("disjoint", PHI, PHI, oracle.RELATION_GUARD + 1)
     with pytest.raises(DomainError):  # floor(1/(big - small)) = 10^5
         oracle.separation_by_cases(Fraction(3), Fraction(3 * 10**5 + 1, 10**5))
@@ -72,6 +74,14 @@ def test_naive_series_and_gcd_examples():
     assert oracle.series_inverse_naive([1, -1], 4) == [1, 1, 1, 1]
     assert oracle.poly_gcd_naive([-1, 0, 1], [2, 2]) == [1, 1]  # gcd(t^2 - 1, 2t + 2)
     assert oracle.poly_gcd_naive([0], []) == []
+    # t^2/(t + 1) = t - 1 + 1/(t + 1); (2t - 1)/2 = t - 1/2 exactly
+    assert oracle.ratfunc_floor_naive([0, 0, 1], [1, 1]) == ([-1, 1], [-1, 1])
+    assert oracle.ratfunc_floor_naive([-1, 2], [2]) == ([-1, 1], [Fraction(-1, 2), 1])
+    # 1 - 1/t lies below 1; the zero part of 1/(t + 1) has an empty list
+    assert oracle.ratfunc_floor_naive([-1, 1], [0, 1]) == ([], [1])
+    assert oracle.ratfunc_floor_naive([1], [1, 1]) == ([], [])
+    with pytest.raises(DomainError):
+        oracle.ratfunc_floor_naive([1], [0])
     # 5/4 and 3/2: floors agree at k = 1 and split at 2 (2 < 3)
     assert oracle.linf_scan(Fraction(5, 4), 0, Fraction(3, 2), 0, 4) == (1, 2, 1, 3)
 
