@@ -43,7 +43,7 @@ __all__ = [
 ABOVE = "above"
 BELOW = "below"
 
-#: Candidates past Q that segre, hurwitz and one_sided try before giving up.
+#: Candidates past Q that segre and hurwitz try before giving up.
 DEFAULT_MAX_ROUNDS = 64
 
 
@@ -268,24 +268,17 @@ def one_sided(alpha: ExactReal, q_floor: int, side: str) -> Approximation:
     """Approximation from one side only: tau = 0, mirrored for 'below'.
 
     'above': 0 < p/q - alpha < 1/q^2, from the first convergent past Q
-    that lies above alpha (odd index); each one is within 1/q^2.
-    'below' runs the same search on ceil(alpha) - alpha, then reflects
-    the result back.
+    that lies above alpha (odd index).  Every such convergent passes:
+    0 < p/q - alpha < 1/(q*q') < 1/q^2, with q' the next denominator.
+    'below' takes the same convergent of ceil(alpha) - alpha, then
+    reflects it back.
     """
     alpha = _require_positive_irrational(alpha)
     if side not in (ABOVE, BELOW):
         raise DomainError(f"side must be {ABOVE!r} or {BELOW!r}")
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    bound = Bound.one_sided(side, q_floor)
     top = floor_of(alpha) + 1
     target = alpha if side == ABOVE else top - alpha
-    above = ((p, q) for _, p, q in islice(convergents(target), 1, None, 2))
-    inner = _first(
-        target, q_floor, above,
-        lambda p, q: _segre_bound_holds(target, p, q, Fraction(0)),
-        DEFAULT_MAX_ROUNDS, Bound.segre(0, q_floor),
-    )
-    if side == ABOVE:
-        return _finish(alpha, inner.p, inner.q, bound)
-    return _finish(alpha, top * inner.q - inner.p, inner.q, bound)
+    p, q = next((p, q) for _, p, q in islice(convergents(target), 1, None, 2) if q > q_floor)
+    return _finish(alpha, p if side == ABOVE else top * q - p, q, Bound.one_sided(side, q_floor))

@@ -476,13 +476,16 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character that is not whitespace, moving up to it; ''
+        at the end."""
+        text, pos = self.text, self.pos
+        ch = text[pos:pos + 1]
+        while ch.isspace():
+            pos += 1
+            ch = text[pos:pos + 1]
+        self.pos = pos
+        return ch
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -490,32 +493,41 @@ class _Scanner:
             return True
         return False
 
+    def sign(self) -> int:
+        """Take a '+' (1) or a '-' (-1); 0 when neither comes next."""
+        ch = self.peek()
+        if ch == "+" or ch == "-":
+            self.pos += 1
+            return 1 if ch == "+" else -1
+        return 0
+
     def expect(self, ch: str):
         if not self.take(ch):
             raise ParseError(f"expected {ch!r}", self.text, self.pos)
 
     def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected digits", self.text, start)
+        self.peek()
+        text, start = self.text, self.pos
+        end = start
+        while text[end:end + 1].isdigit():
+            end += 1
+        if end == start:
+            raise ParseError("expected digits", text, start)
+        self.pos = end
         try:
-            return int(self.text[start:self.pos])
+            return int(text[start:end])
         except ValueError:  # longer than the interpreter's int/str digit limit
-            raise ParseError("too many digits", self.text, start) from None
+            raise ParseError("too many digits", text, start) from None
 
     def word(self, w: str) -> bool:
-        self.skip_ws()
+        self.peek()
         if self.text.startswith(w, self.pos):
             self.pos += len(w)
             return True
         return False
 
     def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.peek()
 
 
 def _parse_term(sc: _Scanner) -> ExactReal:
@@ -537,22 +549,15 @@ def _parse_term(sc: _Scanner) -> ExactReal:
 
 def _parse_sum(sc: _Scanner) -> tuple[ExactReal, bool]:
     """Parse a +/- chain of terms; also report whether it was one bare int."""
-    sign = 1
-    if sc.take("-"):
-        sign = -1
-    else:
-        sc.take("+")
+    sign = sc.sign() or 1
     first = _parse_term(sc)
     total: ExactReal = first * sign
     lone_int = isinstance(first, Fraction) and sign == 1
-    while True:
-        if sc.take("+"):
-            total = total + _parse_term(sc)
-        elif sc.take("-"):
-            total = total - _parse_term(sc)
-        else:
-            return total, lone_int
+    while sign := sc.sign():
+        term = _parse_term(sc)
+        total = total + term if sign > 0 else total - term
         lone_int = False
+    return total, lone_int
 
 
 def parse_exact(text: str) -> ExactReal:
@@ -561,11 +566,7 @@ def parse_exact(text: str) -> ExactReal:
     Whitespace-insensitive; errors carry the offending position.
     """
     sc = _Scanner(text)
-    outer_sign = 1
-    if sc.take("-"):
-        outer_sign = -1
-    else:
-        sc.take("+")
+    outer_sign = sc.sign() or 1
     if sc.take("("):
         value, _ = _parse_sum(sc)
         sc.expect(")")

@@ -29,7 +29,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .exactnum import least_denominator
+from .exactnum import _Scanner, least_denominator
 
 __all__ = [
     "COEFF_BITS_LIMIT",
@@ -192,25 +192,25 @@ def _pdivmod(x, y: list[int]) -> tuple[list[int], list[int], int]:
     return [top * (scale // at) for top, at in reversed(tops)], win, scale
 
 
-def _poly_str(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
+def _join_terms(var: str, terms) -> str:
+    """Signed terms as '3*t^2 - t + 1', from (exponent, coefficient) pairs
+    in print order; zero coefficients drop, and no term at all reads '0'."""
     parts = []
-    for i in range(p.deg, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            tpow = "t" if i == 1 else f"t^{i}"
-            body = tpow if mag == 1 else f"{mag}*{tpow}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    for i, c in terms:
+        if c:
+            mag = abs(c)
+            power = ("" if i == 0 else var if i == 1
+                     else f"{var}^{i}" if i > 0 else f"{var}^({i})")
+            body = f"{mag}*{power}" if power and mag != 1 else power or str(mag)
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _poly_str(p: Poly) -> str:
+    return _join_terms("t", ((i, p.coeffs[i]) for i in range(p.deg, -1, -1)))
 
 
 class _FieldOps:
@@ -491,7 +491,9 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
 
     Runs in integers: f and g over their common denominators, and the
     coefficients found so far as numerators over their running lcm,
-    rescaled only when that lcm grows.
+    rescaled only when that lcm grows.  ResourceLimitError once a
+    coefficient's numerator and denominator hold more than
+    COEFF_BITS_LIMIT bits.
     """
     f, df = _over_lcm(f[:width])
     g, dg = _over_lcm(g[:width])
@@ -508,6 +510,11 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
             top, bottom = -top, -bottom
         common = gcd(top, bottom)
         top, bottom = top // common, bottom // common
+        if (bits := top.bit_length() + bottom.bit_length()) > COEFF_BITS_LIMIT:
+            raise ResourceLimitError(
+                f"series coefficient {n} holds {bits} bits, past COEFF_BITS_LIMIT = "
+                f"{COEFF_BITS_LIMIT}"
+            )
         if nums_den % bottom:
             grown = lcm(nums_den, bottom)
             scale = grown // nums_den
@@ -577,7 +584,10 @@ def sign_of(x) -> int:
 
 
 def compare(x, y) -> int:
-    return sign_of(sub(x, y))
+    x, y = _coerce(x, y)
+    if isinstance(x, RatFunc):  # the sign of x - y, unreduced: both lc(den) > 0
+        return _lc_sign((x.num * y.den - y.num * x.den).coeffs)
+    return sub(x, y).sign()
 
 
 def _split_ratfunc(x: RatFunc) -> tuple[Poly, int]:
@@ -840,140 +850,72 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
 # -- textual syntax ------------------------------------------------------
 
 
-def _int_at(text: str, i: int, j: int) -> int:
-    try:
-        return int(text[i:j])
-    except ValueError:  # longer than the interpreter's int/str digit limit
-        raise ParseError("too many digits", text, i) from None
-
-
-def _parse_poly(text: str, start: int, end: int) -> Poly:
-    """Integer-coefficient polynomial in t: e.g. '3*t^2 - t + 1'."""
+def _parse_poly(sc: _Scanner) -> tuple[dict[int, int], int]:
+    """A signed sum of terms 'c', 'c*t^k', 'c t^k' and 't^k', each '^k'
+    optional, e.g. '3*t^2 - t + 1': its coefficients by power, and the
+    number of terms."""
     coeffs: dict[int, int] = {}
-    i = start
-    first = True
+    terms, sign = 0, sc.sign() or 1
     while True:
-        while i < end and text[i].isspace():
-            i += 1
-        if i >= end:
-            if first:
-                raise ParseError("empty polynomial", text, i)
-            break
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-            while i < end and text[i].isspace():
-                i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-'", text, i)
-        first = False
-        coef = None
-        j = i
-        while j < end and text[j].isdigit():
-            j += 1
-        if j > i:
-            coef = _int_at(text, i, j)
-            i = j
-            while i < end and text[i].isspace():
-                i += 1
-            if i < end and text[i] == "*":
-                i += 1
-                while i < end and text[i].isspace():
-                    i += 1
+        coef = 1 if sc.peek() == "t" else sc.uint()
         power = 0
-        if i < end and text[i] == "t":
-            i += 1
+        if sc.take("*"):
+            sc.expect("t")
             power = 1
-            if i < end and text[i] == "^":
-                i += 1
-                j = i
-                while j < end and text[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ParseError("expected exponent digits", text, i)
-                power = _int_at(text, i, j)
-                if power > DEGREE_LIMIT:
-                    raise ResourceLimitError(
-                        f"exponent {power} exceeds DEGREE_LIMIT = {DEGREE_LIMIT}"
-                    )
-                i = j
-            if coef is None:
-                coef = 1
-        if coef is None:
-            raise ParseError("expected a coefficient or 't'", text, i)
+        elif sc.take("t"):
+            power = 1
+        if power and sc.take("^"):
+            power = sc.uint()
         coeffs[power] = coeffs.get(power, 0) + sign * coef
-    deg = max(coeffs) if coeffs else 0
+        terms += 1
+        if not (sign := sc.sign()):
+            return coeffs, terms
+
+
+def _parse_side(sc: _Scanner) -> tuple[dict[int, int], int]:
+    """'( side )' or a polynomial; a parenthesized side counts as one term."""
+    depth = 0
+    while sc.take("("):
+        depth += 1
+    coeffs, terms = _parse_poly(sc)
+    for _ in range(depth):
+        sc.expect(")")
+    return coeffs, 1 if depth else terms
+
+
+def _poly_of(coeffs: dict[int, int]) -> Poly:
+    deg = max(coeffs)
+    if deg > DEGREE_LIMIT:
+        raise ResourceLimitError(f"exponent {deg} exceeds DEGREE_LIMIT = {DEGREE_LIMIT}")
     return Poly([coeffs.get(k, 0) for k in range(deg + 1)])
 
 
-def _top_level_slash(text: str) -> Optional[int]:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", text, i)
-        elif ch == "/" and depth == 0:
-            return i
-    if depth != 0:
-        raise ParseError("unbalanced '('", text, len(text))
-    return None
-
-
-def _strip_parens(text: str, start: int, end: int) -> tuple[int, int]:
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    if start < end and text[start] == "(" and text[end - 1] == ")":
-        depth = 0
-        for i in range(start, end):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0 and i != end - 1:
-                    return start, end  # parens do not wrap the whole span
-        return _strip_parens(text, start + 1, end - 1)
-    return start, end
-
-
-def _require_unambiguous_side(text: str, start: int, end: int, side: str):
-    """A quotient side with interior +/- must be parenthesized, otherwise
-    't - 1/t' would silently read as '(t-1)/t'."""
-    span = text[start:end].strip()
-    if span.startswith("("):
-        return
-    for i, ch in enumerate(span):
-        if ch in "+-" and i > 0:
-            raise ParseError(
-                f"ambiguous {side} of '/': parenthesize it", text, start
-            )
-
-
 def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
-    """Parse 'poly', '(poly)/(poly)' or the builtin 'sqrt1p(eps)'.
+    """Parse 'poly', 'side/side' or the builtin 'sqrt1p(eps)', where a side
+    is a polynomial or a parenthesized side; a side of '/' with several
+    terms must be parenthesized, so 't - 1/t' does not silently read as
+    '(t-1)/t'.  Whitespace is insignificant.
 
-    ResourceLimitError past DEGREE_LIMIT or PRECISION_LIMIT."""
+    ResourceLimitError past PRECISION_LIMIT, or past DEGREE_LIMIT once
+    the text has parsed; ParseError for malformed text."""
     _check_precision(prec)
-    stripped = text.strip()
-    if stripped == "sqrt1p(eps)":
+    if text.strip() == "sqrt1p(eps)":
         return sqrt1p_eps(prec)
-    cut = _top_level_slash(text)
-    if cut is None:
-        s, e = _strip_parens(text, 0, len(text))
-        return RatFunc(_parse_poly(text, s, e))
-    _require_unambiguous_side(text, 0, cut, "numerator")
-    _require_unambiguous_side(text, cut + 1, len(text), "denominator")
-    ns, ne = _strip_parens(text, 0, cut)
-    ds, de = _strip_parens(text, cut + 1, len(text))
-    num = _parse_poly(text, ns, ne)
-    den = _parse_poly(text, ds, de)
+    sc = _Scanner(text)
+    num, terms = _parse_side(sc)
+    den, at = {0: 1}, 0
+    if sc.take("/"):
+        if terms > 1:
+            raise ParseError("ambiguous numerator of '/': parenthesize it", text, 0)
+        at = sc.pos
+        den, terms = _parse_side(sc)
+        if terms > 1:
+            raise ParseError("ambiguous denominator of '/': parenthesize it", text, at)
+    if not sc.done():
+        raise ParseError("trailing input", text, sc.pos)
+    num, den = _poly_of(num), _poly_of(den)
     if den.is_zero():
-        raise ParseError("zero denominator", text, cut + 1)
+        raise ParseError("zero denominator", text, at)
     return RatFunc(num, den)
 
 
@@ -993,23 +935,5 @@ def format_laurent(x: LaurentElem) -> str:
         if den == Poly([1]):
             return _poly_str(num)
         return f"({_poly_str(num)})/({_poly_str(den)})"
-    parts = []
-    for idx, c in enumerate(x.coeffs):
-        i = x.lead + idx
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            epow = "eps" if i == 1 else (f"eps^{i}" if i > 1 else f"eps^({i})")
-            body = epow if mag == 1 else f"{mag}*{epow}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not parts:
-        parts.append("0")
-    if not x.exact:
-        parts.append(f"+ O(eps^{x.prec})")
-    return " ".join(parts)
+    terms = _join_terms("eps", enumerate(x.coeffs, x.lead))
+    return terms if x.exact else f"{terms} + O(eps^{x.prec})"

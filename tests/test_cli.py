@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +123,18 @@ def test_coefficient_bits_limit_exit_code():
     code, out, err = run_capture(["nonarch", "arith", p, "add", q])
     assert code == 3 and out == ""
     assert "COEFF_BITS_LIMIT" in err and "Traceback" not in err
+
+
+def test_series_of_a_dense_quotient_stops_at_the_coefficient_limit():
+    rng = random.Random(3)
+    num, den = ([rng.randrange(2**29, 2**30) for _ in range(65)] for _ in range(2))
+    text = "({})/({})".format(*(" + ".join(f"{c}*t^{i}" for i, c in enumerate(p)) for p in (num, den)))
+    start = time.perf_counter()
+    code, out, err = run_capture(["nonarch", "arith", text, "mul", "sqrt1p(eps)",
+                                  "--precision", "600"])
+    assert code == 3 and out == ""
+    assert "COEFF_BITS_LIMIT" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 5  # expanding all 600 terms takes several seconds
 
 
 def test_partition_certificate_with_other_coefficients_is_refused():
@@ -301,11 +314,22 @@ _EXACTS = st.one_of(
               st.integers(-6, 6), st.integers(-3, 3), st.integers(0, 12), st.integers(0, 5)),
 )
 _POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(_poly_text)
+_WS = st.sampled_from(["", " ", "  "])
+_SPACED_POLYS = st.lists(
+    st.builds("{}{}*{}t{}^{}{}".format, st.integers(0, 9), _WS, _WS, _WS, _WS, st.integers(0, 4)),
+    min_size=1, max_size=3).map(" - ".join)
+_SIDES = st.one_of(_POLYS, _SPACED_POLYS, st.builds("({}{}{})".format, _WS, _SPACED_POLYS, _WS))
+# a stray '*' or '^', an unbalanced parenthesis or a chained '/' between two sides
+_MALFORMED = st.builds("{}{}{}".format, _SIDES,
+                       st.sampled_from(["*", "^", "(", ")", ")/(", "/(t)/", "/ /"]), _SIDES)
 _LAURENTS = st.one_of(
     st.just("sqrt1p(eps)"),
     _POLYS,
     st.builds("({})/({})".format, _POLYS, _POLYS),
     _RATIONALS,
+    _SIDES,
+    st.builds("{}{}/{}{}".format, _SIDES, _WS, _WS, _SIDES),
+    _MALFORMED,
 )
 
 

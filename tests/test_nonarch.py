@@ -278,6 +278,27 @@ def test_order_transitivity_randomized():
             assert na.compare(x, z) <= 0
 
 
+def test_compare_matches_the_sign_of_the_difference():
+    rng = random.Random(13)
+
+    def rand_elem():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+        if kind == 2:
+            return na.IPElem(na.Poly(num + [rng.randint(1, 3)]))
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        return rf([Fraction(c, rng.randint(1, 4)) for c in num], den if any(den) else [1])
+
+    for _ in range(600):
+        x, y = rand_elem(), rand_elem()
+        assert na.compare(x, y) == na.sign_of(na.sub(x, y)), (x, y)
+        assert na.compare(x, x) == 0
+
+
 # --- floors ---------------------------------------------------------------
 
 def test_floor_examples():
@@ -566,6 +587,11 @@ def test_degree_and_precision_limits():
         na.parse_laurent(f"1/(t^{na.DEGREE_LIMIT + 1} + 1)")
     assert na.DEGREE_LIMIT >= 32 and na.PRECISION_LIMIT >= 512
     assert na.sqrt1p_eps(na.PRECISION_LIMIT).prec == na.PRECISION_LIMIT
+    # the inverse's coefficients (-1)^n C(2n, n)/4^n hold about 2.4k bits each
+    # at the limit, under COEFF_BITS_LIMIT
+    n = na.PRECISION_LIMIT - 1
+    inv = na.div(1, na.sqrt1p_eps(na.PRECISION_LIMIT))
+    assert inv.coeff(n) == Fraction((-1) ** n * math.comb(2 * n, n), 4 ** n)
     over = na.PRECISION_LIMIT + 1
     for call in (lambda: na.sqrt1p_eps(over), lambda: na.parse_laurent("t", over),
                  lambda: na.parse_laurent("sqrt1p(eps)", over),
@@ -598,23 +624,57 @@ def test_parse_examples():
     assert isinstance(s, na.EpsSeries) and s.coeff(2) == Fraction(-1, 8)
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        na.parse_laurent("t +")
-    with pytest.raises(ParseError):
-        na.parse_laurent("(t/(t+1)")
-    with pytest.raises(ParseError):
-        na.parse_laurent("t/0")
-    # would otherwise silently read as (t-1)/t
-    with pytest.raises(ParseError):
-        na.parse_laurent("t - 1/t")
-    assert na.parse_laurent("(t^2 - 1)/(t)") == rf((-1, 0, 1), (0, 1))
-    # past the interpreter's int/str digit limit
+_ACCEPTED_TEXTS = [
+    ("((t + 1))/(((t)))", rf((1, 1), (0, 1))),
+    ("-t/2", rf((0, -1), (2,))),
+    ("t/-2", rf((0, -1), (2,))),
+    ("3t", rf((0, 3))),
+    ("3 * t", rf((0, 3))),
+    ("3 t^2 - 0*t + 7", rf((7, 0, 3))),
+    ("+t", T),
+    ("t^0", ONE),
+    ("( t )/( 2 )", rf((0, 1), (2,))),
+    ("6/4", na.RatFunc.const(Fraction(3, 2))),
+    ("(t^2 - 1)/(t)", rf((-1, 0, 1), (0, 1))),
+    (" (t^2 - 1) / (t + 1) ", rf((-1, 1))),
+    ("t ^ 2", rf((0, 0, 1))),  # whitespace is insignificant everywhere
+    ("t^ 2", rf((0, 0, 1))),
+    ("(" * 3000 + "t" + ")" * 3000, T),  # deeper than the interpreter's recursion limit
+]
+
+_REFUSED_TEXTS = [
+    ("t - 1/t", ParseError),  # would otherwise read as (t-1)/t
+    ("t +", ParseError),
+    ("(t/(t+1)", ParseError),
+    ("t/t - 1", ParseError),
+    ("(t))", ParseError),
+    ("((t)", ParseError),
+    ("(t)/(t)/(t)", ParseError),
+    ("--t", ParseError),
+    ("t t", ParseError),
+    ("t^", ParseError),
+    ("3*", ParseError),  # a '*' must be followed by 't'
+    ("", ParseError),
+    ("()", ParseError),
+    ("t/0", ParseError),
+    ("t/(t - t)", ParseError),
+    ("t^65", ResourceLimitError),
+    ("1/(t^65 + 1)", ResourceLimitError),
+    ("t^65 +", ParseError),  # malformed text is refused as such before its degree
+    ("t^" + "9" * 5000, ParseError),  # past the interpreter's int/str digit limit
+]
+
+
+def test_laurent_text_language():
+    for text, value in _ACCEPTED_TEXTS:
+        assert na.parse_laurent(text) == value, text
+    for text, error in _REFUSED_TEXTS:
+        with pytest.raises(error):
+            na.parse_laurent(text)
+    # a coefficient past the digit limit is refused at its own position
     with pytest.raises(ParseError) as err:
         na.parse_laurent("t + " + "9" * 5000)
     assert err.value.pos == 4
-    with pytest.raises(ParseError):
-        na.parse_laurent("t^" + "9" * 5000)
 
 
 def test_format_round_trip():
