@@ -71,6 +71,7 @@ __all__ = [
 
 DEFAULT_SCAN_LIMIT = 100_000
 WINDOW_LIMIT = 10**6  # most members a window may hold
+POWER_BITS_LIMIT = 3_000  # most bits of a power pth_root_dmo_witness may take
 
 
 def _positive(alpha) -> ExactReal:
@@ -217,14 +218,14 @@ class ApDecompositionReport:
     ok: bool
     checked_to: int
     mismatch: Optional[int] = None
-    forbidden_hit: Optional[int] = None
 
 
 def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     """Decompose the floor sequence of p/q > 1 into q progressions mod p.
 
     The residues are floor(p*r/q) for r = 0..q-1; the union is verified
-    against the window and the residue p-1 must never occur.
+    against the window.  Residue p-1 never occurs: p*r/q <= p - p/q < p - 1
+    for reduced p/q > 1, so every residue is at most p-2.
     """
     if q < 1 or p < 1:
         raise DomainError("need positive integers p, q")
@@ -235,10 +236,8 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
     members = window(Fraction(p, q), bound).members
     predicted = sorted(chain.from_iterable(range(pr.residue, bound + 1, p) for pr in progs))
-    mismatch = None
-    if members != tuple(predicted):
-        mismatch = min(set(members).symmetric_difference(predicted))
-    return ApDecompositionReport(progs, mismatch is None, bound, mismatch, None)
+    mismatch = min(set(members).symmetric_difference(predicted), default=None)
+    return ApDecompositionReport(progs, mismatch is None, bound, mismatch)
 
 
 # -- separation ---------------------------------------------------------
@@ -365,17 +364,6 @@ def _primitive_relation(x: ExactReal, y: ExactReal) -> tuple[int, int, int]:
     return j * a, j * b, abs(c.numerator)
 
 
-def _int_range_for(slope: int, intercept: int, lo: int, hi: int):
-    """Integer t range with lo <= slope*t + intercept <= hi (slope != 0)."""
-    if slope > 0:
-        tmin = -((intercept - lo) // slope)          # ceil((lo - intercept)/slope)
-        tmax = (hi - intercept) // slope
-    else:
-        tmin = -((intercept - hi) // slope)
-        tmax = (lo - intercept) // slope
-    return tmin, tmax
-
-
 def _solve_unit_rational(x: Fraction, y: Fraction, bound: int):
     """Integer a, b in [1, bound] with a*x + b*y = 1, the one with the
     least b; None when none exist.  Slots of slopes above 1 lie in (0, 1),
@@ -386,13 +374,12 @@ def _solve_unit_rational(x: Fraction, y: Fraction, bound: int):
     if den % g:
         return None
     a0, b0 = x0 * (den // g), y0 * (den // g)
-    sa, sb = B // g, -(A // g)
-    ta_min, ta_max = _int_range_for(sa, a0, 1, bound)
-    tb_min, tb_max = _int_range_for(sb, b0, 1, bound)
-    tmin, tmax = max(ta_min, tb_min), min(ta_max, tb_max)
+    sa, sb = B // g, A // g  # a = a0 + sa*t and b = b0 - sb*t
+    tmin = max(-((a0 - 1) // sa), -((bound - b0) // sb))  # a >= 1 and b <= bound
+    tmax = min((bound - a0) // sa, (b0 - 1) // sb)  # a <= bound and b >= 1
     if tmin > tmax:
         return None
-    return (a0 + sa * tmax, b0 + sb * tmax, 1)  # b falls as t grows
+    return (a0 + sa * tmax, b0 - sb * tmax, 1)  # b falls as t grows
 
 
 def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
@@ -518,39 +505,51 @@ def common_elements(alpha, beta, start: int, count: int,
     return CommonScan(tuple(found), False, min(va, vb))
 
 
+def _first_in_windows(windows, limit: int) -> Optional[int]:
+    """Least n <= limit with lo < frac(n*slope) < hi for every (slope, lo,
+    hi), re-checked exactly, or None.  For irrational slopes and D the
+    common denominator of lo and hi, D*frac(n*slope) is never an integer,
+    so the test is lo*D <= floor(n*D*slope) mod D < hi*D, that floor read
+    off one convergent of D*slope (_exact_ratio)."""
+    tests = []
+    for slope, lo, hi in windows:
+        d = lcm(lo.denominator, hi.denominator)
+        tests.append((*_exact_ratio(slope * d, limit), d, int(lo * d), int(hi * d)))
+    for n in range(1, limit + 1):
+        if all(low <= n * p // q % d < high for p, q, d, low, high in tests):
+            for slope, lo, hi in windows:
+                f = frac_of(slope * n)
+                if compare(f, lo) <= 0 or compare(f, hi) >= 0:
+                    raise AssertionError(f"index {n} failed its fractional-part re-check")
+            return n
+    return None
+
+
 def dmo_window_search(alpha, lo, hi, limit: int) -> Optional[int]:
-    """Least n <= limit with lo < frac(n*alpha) < hi, comparisons exact."""
+    """Least n <= limit with lo < frac(n*alpha) < hi (_first_in_windows)."""
     alpha = _positive(alpha)
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise DomainError("need 0 <= lo < hi <= 1")
     if is_rational(alpha):
         raise RationalInputError("fractional-part searches need irrational alpha")
-    for n in range(1, limit + 1):
-        f = frac_of(alpha * n)
-        if compare(f, lo) > 0 and compare(f, hi) < 0:
-            return n
-    return None
+    return _first_in_windows([(alpha, lo, hi)], limit)
 
 
 def residue_search(alpha, modulus: int, residue: int, limit: int) -> Optional[int]:
-    """Least n <= limit with floor(n*m*alpha) = residue (mod m)."""
+    """Least n <= limit with floor(n*m*alpha) = residue (mod m): as that floor
+    mod m is floor(m*frac(n*alpha)), the window (residue/m, (residue+1)/m)."""
     alpha = _positive(alpha)
     if is_rational(alpha):
         raise RationalInputError("residue searches need irrational alpha")
     if not 0 <= residue < modulus:
         raise DomainError("need 0 <= residue < modulus")
-    p, q = _exact_ratio(alpha * modulus, limit)
-    hits = (n for n in range(1, limit + 1) if n * p // q % modulus == residue)
-    return next(hits, None)
+    return dmo_window_search(alpha, Fraction(residue, modulus),
+                             Fraction(residue + 1, modulus), limit)
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """Largest u >= 0 with u**n <= x."""
-    if x < 0:
-        raise DomainError("negative radicand")
-    if x == 0:
-        return 0
+    """Largest u >= 0 with u**n <= x, for x >= 1."""
     hi = 1 << (x.bit_length() // n + 1)
     lo = 0
     while hi - lo > 1:
@@ -568,16 +567,23 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
     Scans n upward; the interval ((n+lo)^p, (n+hi)^p) is guaranteed to
     contain an integer once n exceeds the (p-1)-th root of t/p for the
     mesh denominator t, so termination is certain; ResourceLimitError
-    when that bound is past DEFAULT_SCAN_LIMIT and no n up to it works.
+    when that bound is past DEFAULT_SCAN_LIMIT and no n up to it works, or
+    before any power when one could pass POWER_BITS_LIMIT bits.
     """
     if p < 2:
         raise DomainError("root degree must be >= 2")
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi < 1):
         raise DomainError("need 0 <= lo < hi < 1")
-    t = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-    n_stop = _int_nth_root(t // p + 1, p - 1) + 2
+    x = lcm(lo.denominator, hi.denominator) // p + 1
     (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    n_last = min((1 << x.bit_length() // (p - 1) + 1) + 2, DEFAULT_SCAN_LIMIT)  # >= the last n
+    bits = p * ((n_last + 1) * max(b, d)).bit_length()  # bounds (n*b + a)^p and (n*d + c)^p
+    if bits > POWER_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"powers of up to {bits} bits exceed POWER_BITS_LIMIT = {POWER_BITS_LIMIT}"
+        )
+    n_stop = _int_nth_root(x, p - 1) + 2
     bp, dp = b**p, d**p
     for n in range(1, min(n_stop, DEFAULT_SCAN_LIMIT) + 1):
         m = (n * b + a) ** p // bp + 1  # the least integer above (n + lo)^p
@@ -593,20 +599,14 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
 
 def kronecker_search(alpha, beta, rect, limit: int) -> Optional[int]:
     """Least n <= limit with frac(n*alpha) in (l1, r1) and frac(n*beta)
-    in (l2, r2)."""
+    in (l2, r2) (_first_in_windows)."""
     alpha, beta = _positive(alpha), _positive(beta)
     if is_rational(alpha) or is_rational(beta):
         raise RationalInputError("fractional-part searches need irrationals")
     l1, r1, l2, r2 = (Fraction(x) for x in rect)
     if not (0 <= l1 < r1 <= 1 and 0 <= l2 < r2 <= 1):
         raise DomainError("rectangle sides must satisfy 0 <= l < r <= 1")
-    for n in range(1, limit + 1):
-        fa = frac_of(alpha * n)
-        if compare(fa, l1) > 0 and compare(fa, r1) < 0:
-            fb = frac_of(beta * n)
-            if compare(fb, l2) > 0 and compare(fb, r2) < 0:
-                return n
-    return None
+    return _first_in_windows([(alpha, l1, r1), (beta, l2, r2)], limit)
 
 
 def agreement_radius(rho, m: int) -> Fraction:

@@ -502,7 +502,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except (ParseError, DomainError, NotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, PrecisionError, IndeterminateSignError) as exc:
+    except (ResourceLimitError, PrecisionError, IndeterminateSignError, ValueError) as exc:
+        if isinstance(exc, ValueError) and "integer string conversion" not in str(exc):
+            raise  # a resource failure only when str() met the interpreter's digit limit
         print(f"resource: {exc}", file=stderr)
         return EXIT_RESOURCE
     if fmt == "json":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul as _imul
 from typing import Iterable, Optional, Union
 
@@ -422,34 +422,23 @@ def _coerce(x, y) -> tuple[LaurentElem, LaurentElem]:
     return x, y
 
 
-_INF = None  # sentinel for "known to every order"
-
-
 def _prec_or_inf(s: EpsSeries):
-    return _INF if s.exact else s.prec
-
-
-def _min_prec(a, b):
-    if a is _INF:
-        return b
-    if b is _INF:
-        return a
-    return min(a, b)
+    return inf if s.exact else s.prec  # inf: known to every order
 
 
 def _series_add(x: EpsSeries, y: EpsSeries, negate: bool) -> EpsSeries:
-    prec = _min_prec(_prec_or_inf(x), _prec_or_inf(y))
+    prec = min(_prec_or_inf(x), _prec_or_inf(y))
     if x.is_exact_zero():
         return (-y) if negate else y
     if y.is_exact_zero():
         return x
     lo = min(x.lead, y.lead)
-    hi = prec if prec is not _INF else max(x.prec, y.prec)
+    hi = prec if prec != inf else max(x.prec, y.prec)
     out = []
     for i in range(lo, hi):
         c = x.coeff(i) + (-y.coeff(i) if negate else y.coeff(i))
         out.append(c)
-    return EpsSeries.make(lo, out, prec is _INF)
+    return EpsSeries.make(lo, out, prec == inf)
 
 
 def _over_lcm(coeffs) -> tuple[list[int], int]:
@@ -461,16 +450,8 @@ def _over_lcm(coeffs) -> tuple[list[int], int]:
 def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     if x.is_exact_zero() or y.is_exact_zero():
         return EpsSeries(0, (), True)
-    px, py = _prec_or_inf(x), _prec_or_inf(y)
-    if px is _INF and py is _INF:
-        prec = _INF
-        hi = x.prec + y.prec  # enough room for the full product
-    else:
-        prec = _min_prec(
-            _INF if px is _INF else px + y.lead,
-            _INF if py is _INF else py + x.lead,
-        )
-        hi = prec
+    prec = min(_prec_or_inf(x) + y.lead, _prec_or_inf(y) + x.lead)
+    hi = prec if prec != inf else x.prec + y.prec  # enough room for the full product
     lo = x.lead + y.lead
     width = hi - lo
     a, da = _over_lcm(x.coeffs[:width])
@@ -482,7 +463,7 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     for k in range(width):
         i0, i1 = max(0, k - nb + 1), min(k + 1, na)  # a[i] meets b[k - i]
         out.append(Fraction(sum(map(_imul, a[i0:i1], b[nb - 1 - k + i0:])), den))
-    return EpsSeries.make(lo, out, prec is _INF)
+    return EpsSeries.make(lo, out, prec == inf)
 
 
 def _series_quotient(f, g, width: int) -> list[Fraction]:

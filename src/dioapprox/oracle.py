@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Optional
 
 from .errors import DomainError
 from .exactnum import ExactReal, compare, ensure_exact, floor_of, is_rational
@@ -18,6 +19,7 @@ __all__ = [
     "dirichlet_naive",
     "farey_naive",
     "farey_walk",
+    "frac_scan",
     "linf_scan",
     "poly_gcd_naive",
     "ratfunc_floor_naive",
@@ -30,6 +32,7 @@ __all__ = [
 FAREY_GUARD = 1000
 DIRICHLET_GUARD = 1000
 BEATTY_GUARD = 100_000
+FRAC_GUARD = 100_000
 WALK_GUARD = 50_000
 LINF_GUARD = 100_000
 SERIES_GUARD = 1000
@@ -110,6 +113,19 @@ def beatty_naive(alpha: ExactReal, cap: int) -> set[int]:
             return members
         members.add(v)
         n += 1
+
+
+def frac_scan(windows, limit: int) -> Optional[int]:
+    """Least n in 1..limit with lo < frac(n*slope) < hi for every
+    (slope, lo, hi) in windows, or None: each fractional part is
+    n*slope - floor(n*slope), compared exactly at every index."""
+    if not 0 <= limit <= FRAC_GUARD:
+        raise DomainError(f"frac_scan guard: need 0 <= limit <= {FRAC_GUARD}")
+    for n in range(1, limit + 1):
+        fracs = ((s * n - floor_of(s * n), lo, hi) for s, lo, hi in windows)
+        if all(compare(f, lo) > 0 and compare(f, hi) < 0 for f, lo, hi in fracs):
+            return n
+    return None
 
 
 def series_product_naive(a: list, b: list, width: int) -> list[Fraction]:

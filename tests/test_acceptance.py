@@ -225,6 +225,7 @@ def test_c12_dmo_searches():
             alpha, Fraction(k, m), Fraction(k + 1, m), 400
         )
         assert via_residue == via_window
+        assert via_window == oracle.frac_scan([(alpha, Fraction(k, m), Fraction(k + 1, m))], 400)
         if via_residue is not None:
             assert floor_of(alpha * m * via_residue) % m == k
             f = frac_of(alpha * via_residue)

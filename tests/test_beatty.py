@@ -254,7 +254,7 @@ def test_checks_report_corrupted_windows(monkeypatch, which, edit):
             handed.clear()
             rep = beatty.ap_decomposition(p, q, 150)
             assert rep.mismatch == _per_k_ap(p, q, handed[0], 150) is not None
-            assert not rep.ok and rep.forbidden_hit is None
+            assert not rep.ok
 
 
 def test_ap_decomposition_examples():
@@ -646,6 +646,77 @@ def test_residue_and_window_searches_coincide():
             alpha, Fraction(k, m), Fraction(k + 1, m), 400
         )
         assert via_residue == via_window
+        assert via_window == oracle.frac_scan([(alpha, Fraction(k, m), Fraction(k + 1, m))], 400)
+
+
+# tiny slopes, a large radicand, and slopes of one field (sqrt(2)) and of others
+SEARCH_SLOPES = (SQRT2, PHI, 1 + SQRT2, quad(10**5, 1, 10**5, 2), quad(0, 1, 10**5, 2),
+                 quad(0, 1, 1000, 10**6 + 3), quad(3, 2, 7, 2))
+
+
+def _first_hit(search, limit):
+    """The search's answer at `limit`; a hit must also be found with the
+    limit at the hit, where it is the last index scanned, and not below."""
+    hit = search(limit)
+    if hit is not None:
+        assert search(hit) == hit and search(hit - 1) is None
+    return hit
+
+
+def test_dmo_window_search_matches_the_oracle():
+    rng = random.Random(41)
+    hits = 0
+    for alpha in SEARCH_SLOPES:
+        for width in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**4)):
+            for lo in (Fraction(0), 1 - width, width * rng.randrange(int(1 / width) - 1)):
+                limit = rng.choice((60, 900, 3000))
+                window = (alpha, lo, lo + width)
+                got = _first_hit(lambda n: beatty.dmo_window_search(*window, n), limit)
+                assert got == oracle.frac_scan([window], limit), (window, limit)
+                hits += got is not None
+    assert 20 <= hits < 84
+
+
+def test_residue_search_matches_the_oracle():
+    rng = random.Random(43)
+    for alpha in SEARCH_SLOPES:
+        for m in (2, 3, 10, 100, 10**4):
+            k = rng.choice((0, m - 1, rng.randrange(m)))
+            limit = rng.choice((50, 700, 3000))
+            got = _first_hit(lambda n: beatty.residue_search(alpha, m, k, n), limit)
+            assert got == oracle.frac_scan([(alpha, Fraction(k, m), Fraction(k + 1, m))], limit)
+            if got is not None:
+                assert floor_of(alpha * m * got) % m == k
+
+
+def test_kronecker_search_matches_the_oracle():
+    rng = random.Random(47)
+    pairs = [(SQRT2, 1 + SQRT2), (SQRT2, quad(3, 2, 7, 2)), (SQRT2, SQRT3),
+             (PHI, quad(0, 1, 1000, 10**6 + 3)), (quad(10**5, 1, 10**5, 2), SQRT3)]
+    hits = 0
+    for alpha, beta in pairs:
+        for _ in range(6):
+            w1, w2 = (Fraction(1, rng.choice((2, 5, 20, 100))) for _ in range(2))
+            l1, l2 = (w * rng.randrange(int(1 / w)) for w in (w1, w2))
+            rect = (l1, l1 + w1, l2, l2 + w2)
+            limit = rng.choice((40, 600, 2500))
+            got = _first_hit(lambda n: beatty.kronecker_search(alpha, beta, rect, n), limit)
+            windows = [(alpha, l1, l1 + w1), (beta, l2, l2 + w2)]
+            assert got == oracle.frac_scan(windows, limit), (alpha, beta, rect, limit)
+            hits += got is not None
+    assert 5 <= hits < 30
+    # equal fractional parts never meet two disjoint strips
+    for rect in ((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+                 (Fraction(9, 10), 1, 0, Fraction(1, 10))):
+        assert beatty.kronecker_search(SQRT2, 1 + SQRT2, rect, 2000) is None
+
+
+def test_fractional_part_hits_are_rechecked(monkeypatch):
+    # a wrong convergent makes the integer test pass at n = 2, where
+    # frac(2*sqrt(2)) = 0.83 lies outside (1/3, 1/2)
+    monkeypatch.setattr(beatty, "_exact_ratio", lambda alpha, n: (1, 1))
+    with pytest.raises(AssertionError, match="re-check"):
+        beatty.dmo_window_search(SQRT2, Fraction(1, 3), Fraction(1, 2), 10)
 
 
 def test_pth_root_witness_examples():
@@ -660,6 +731,19 @@ def test_pth_root_witness_scan_is_bounded(monkeypatch):
         beatty.pth_root_dmo_witness(2, 0, Fraction(1, 10**8))  # proven bound about 5*10^7
     # a hit below the limit is still found
     assert beatty.pth_root_dmo_witness(3, Fraction(1, 2), Fraction(5000001, 10**7))[1] == 647
+
+
+def test_pth_root_refuses_powers_past_the_bits_limit():
+    # the scan's bound for (1/3, 1/2) is n_last = 4, and 15 = (4 + 1)*3 has 4 bits
+    assert beatty.POWER_BITS_LIMIT == 750 * 4
+    m, n = beatty.pth_root_dmo_witness(750, Fraction(1, 3), Fraction(1, 2))
+    assert n == 1 and 4**750 < 3**750 * m and 2**750 * m < 3**750
+    assert len(str(m)) < 4300
+    for p, lo, hi in ((751, Fraction(1, 3), Fraction(1, 2)),
+                      (10**7, Fraction(1, 3), Fraction(1, 2)),
+                      (3, Fraction(1, 10**4000 + 1), Fraction(1, 10**4000))):
+        with pytest.raises(ResourceLimitError, match="POWER_BITS_LIMIT"):
+            beatty.pth_root_dmo_witness(p, lo, hi)
 
 
 def test_pth_root_witness_verified_by_powers():

@@ -80,6 +80,18 @@ def test_pthroot_scan_limit_exit_code():
     assert "DEFAULT_SCAN_LIMIT" in err and "Traceback" not in err
 
 
+def test_results_too_long_to_print_exit_code():
+    n = "9" * 4300  # the interpreter prints integers of at most 4300 digits
+    for argv in (["beatty", "term", "2", n], ["beatty", "term", "sqrt(2)", n],
+                 ["approx", "dirichlet", "10*sqrt(2)", n], ["farey", "phi", "1/2", n],
+                 ["beatty", "pthroot", "40000", "1/3", "1/2"],
+                 ["beatty", "pthroot", "10000000", "1/3", "1/2"]):
+        started = time.perf_counter()
+        code, out, err = run_capture(argv)
+        assert code == 3 and out == "" and err.startswith("resource: "), argv[:2]
+        assert "Traceback" not in err and time.perf_counter() - started < 5
+
+
 def test_floor_of_dense_quotient_with_30_digit_coefficients():
     rng = random.Random(5)
     num, den = ([rng.randrange(10**29, 10**30) for _ in range(17)] for _ in range(2))

@@ -37,6 +37,15 @@ def test_beatty_naive_examples():
     assert oracle.beatty_naive(Fraction(7, 3), 20) == {0, 2, 4, 7, 9, 11, 14, 16, 18}
 
 
+def test_frac_scan_examples():
+    assert oracle.frac_scan([(SQRT2, Fraction(9, 10), Fraction(19, 20))], 100) == 24
+    assert oracle.frac_scan([(SQRT2, Fraction(9, 10), Fraction(19, 20))], 23) is None
+    assert oracle.frac_scan([(PHI, 0, 1)], 0) is None
+    # frac(n*phi) and frac(n*(phi - 1)) are equal, so disjoint strips never meet
+    assert oracle.frac_scan([(PHI, 0, Fraction(1, 2)), (PHI_M1, Fraction(1, 2), 1)], 500) is None
+    assert oracle.frac_scan([(PHI, 0, Fraction(1, 2)), (SQRT2, Fraction(1, 2), 1)], 50) == 2
+
+
 def test_guards_are_hard_errors():
     with pytest.raises(DomainError):
         oracle.farey_naive(1001)
@@ -44,6 +53,8 @@ def test_guards_are_hard_errors():
         oracle.dirichlet_naive(PHI, 1001)
     with pytest.raises(DomainError):
         oracle.beatty_naive(PHI, 100_001)
+    with pytest.raises(DomainError):
+        oracle.frac_scan([(PHI, 0, 1)], oracle.FRAC_GUARD + 1)
     with pytest.raises(DomainError):
         oracle.series_product_naive([1], [1], 1001)
     with pytest.raises(DomainError):
