@@ -259,9 +259,16 @@ def segre(alpha: ExactReal, tau, q_floor: int) -> Approximation:
 
 
 def hurwitz(alpha: ExactReal, q_floor: int) -> Approximation:
-    """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2): tau = 1 case."""
-    inner = segre(alpha, 1, q_floor)
-    return _finish(alpha, inner.p, inner.q, Bound.hurwitz(q_floor))
+    """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2): the tau = 1 case
+    of segre, verified once against the Hurwitz bound."""
+    alpha = _require_positive_irrational(alpha)
+    if q_floor < 1:
+        raise DomainError(f"Q must be >= 1, got {q_floor}")
+    return _first(
+        alpha, q_floor, _candidates(alpha),
+        lambda p, q: _segre_bound_holds(alpha, p, q, Fraction(1)),
+        DEFAULT_MAX_ROUNDS, Bound.hurwitz(q_floor),
+    )
 
 
 def one_sided(alpha: ExactReal, q_floor: int, side: str) -> Approximation:

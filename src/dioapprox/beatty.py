@@ -33,7 +33,6 @@ from .exactnum import (
     ensure_exact,
     ext_gcd,
     floor_of,
-    frac_of,
     is_rational,
     least_denominator,
     sign_of,
@@ -434,6 +433,7 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
     """
     kind = CertKind(kind)
     alpha, beta = _positive(alpha), _positive(beta)
+    _check_pairing(kind, alpha, beta)
     if not verify_certificate(cert, alpha, beta):
         raise InvalidCertificateError(
             f"certificate {cert} does not hold for the given pair"
@@ -510,17 +510,16 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
     hi), re-checked exactly, or None.  For irrational slopes and D the
     common denominator of lo and hi, D*frac(n*slope) is never an integer,
     so the test is lo*D <= floor(n*D*slope) mod D < hi*D, that floor read
-    off one convergent of D*slope (_exact_ratio)."""
+    off one convergent of D*slope (_exact_ratio) and re-checked by floor_of."""
     tests = []
     for slope, lo, hi in windows:
         d = lcm(lo.denominator, hi.denominator)
-        tests.append((*_exact_ratio(slope * d, limit), d, int(lo * d), int(hi * d)))
+        sd = slope * d
+        tests.append((sd, *_exact_ratio(sd, limit), d, int(lo * d), int(hi * d)))
     for n in range(1, limit + 1):
-        if all(low <= n * p // q % d < high for p, q, d, low, high in tests):
-            for slope, lo, hi in windows:
-                f = frac_of(slope * n)
-                if compare(f, lo) <= 0 or compare(f, hi) >= 0:
-                    raise AssertionError(f"index {n} failed its fractional-part re-check")
+        if all(low <= n * p // q % d < high for _, p, q, d, low, high in tests):
+            if not all(low <= floor_of(sd * n) % d < high for sd, _, _, d, low, high in tests):
+                raise AssertionError(f"index {n} failed its fractional-part re-check")
             return n
     return None
 
@@ -544,8 +543,8 @@ def residue_search(alpha, modulus: int, residue: int, limit: int) -> Optional[in
         raise RationalInputError("residue searches need irrational alpha")
     if not 0 <= residue < modulus:
         raise DomainError("need 0 <= residue < modulus")
-    return dmo_window_search(alpha, Fraction(residue, modulus),
-                             Fraction(residue + 1, modulus), limit)
+    return _first_in_windows([(alpha, Fraction(residue, modulus),
+                               Fraction(residue + 1, modulus))], limit)
 
 
 def _int_nth_root(x: int, n: int) -> int:

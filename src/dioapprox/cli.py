@@ -10,6 +10,9 @@ canonical formatter, and ``parse(fmt(v)) == v`` holds for every kind.
 The argparse tree, the ``inputs`` echo and the canonical argv are all
 derived from the rows, so the replay promise holds by construction.
 
+A row's group names its module, imported at the handler's first lookup:
+a process loads only the module of the command it runs, ``--help`` none.
+
 Exit codes: 0 success, 1 contract violation found (e.g. a partition
 check FAILs), 2 usage or parse error, 3 resource limit reached.
 """
@@ -21,9 +24,9 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib import import_module
 from typing import Callable, NamedTuple, Optional
 
-from . import approx, beatty, farey, nonarch, oracle
 from .errors import (
     DomainError,
     IndeterminateSignError,
@@ -40,6 +43,20 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 LIST_LIMIT = 10**6  # most terms `farey list` prints
+
+
+class _Group:
+    """A group's module, imported at its first attribute lookup."""
+
+    def __init__(self, name: str):
+        self._module = f"{__package__}.{name}"
+
+    def __getattr__(self, attr: str):
+        return getattr(import_module(self._module), attr)
+
+
+approx, beatty, farey, nonarch, oracle = map(
+    _Group, ("approx", "beatty", "farey", "nonarch", "oracle"))
 
 
 def _fr(text: str) -> Fraction:
@@ -83,15 +100,17 @@ def _choice(*values: str) -> _Kind:
     return _Kind(str, choices=values)
 
 
-_SIDE = _choice(approx.ABOVE, approx.BELOW)
-_CERT_KIND = _choice(*(k.value for k in beatty.CertKind))
+# argparse needs choices before any module loads: a test pins these to
+# approx.ABOVE, approx.BELOW and beatty.CertKind
+_SIDE = _choice("above", "below")
+_CERT_KIND = _choice("disjoint", "cover", "subset", "partition", "fact_c", "fact_d", "fact_f_prime")
 _REQUIRED = object()
 
 
 class _Arg(NamedTuple):
     name: str  # "alpha" for a positional, "--limit" for an option
     kind: _Kind
-    default: object = _REQUIRED  # options only
+    default: object = _REQUIRED  # options only; a callable is read at dispatch
 
     @property
     def option(self) -> bool:
@@ -283,12 +302,7 @@ def _beatty_claim51(rho, beta):
     return result, EXIT_VIOLATION if rep.status == beatty.FAILS else EXIT_OK, None
 
 
-_NONARCH_OPS = {
-    "add": nonarch.add,
-    "sub": nonarch.sub,
-    "mul": nonarch.mul,
-    "div": nonarch.div,
-}
+_NONARCH_OPS = ("add", "sub", "mul", "div")  # functions of nonarch
 
 
 def _nonarch_beatty(alpha, n, precision):
@@ -319,7 +333,7 @@ _M = _Arg("M", _INT)
 _ALPHA = _Arg("alpha", _EXACT)
 _BETA = _Arg("beta", _EXACT)
 _LIMIT = _Arg("limit", _INT)
-_PRECISION = _Arg("--precision", _INT, nonarch.DEFAULT_PRECISION)
+_PRECISION = _Arg("--precision", _INT, lambda: nonarch.DEFAULT_PRECISION)
 
 _COMMANDS = (
     _Command("farey", "list", (_N,), _farey_list),
@@ -369,7 +383,7 @@ _COMMANDS = (
              _beatty_imply),
     _Command("beatty", "common",
              (_ALPHA, _BETA, _Arg("start", _INT), _Arg("count", _INT),
-              _Arg("--limit", _INT, beatty.DEFAULT_SCAN_LIMIT)),
+              _Arg("--limit", _INT, lambda: beatty.DEFAULT_SCAN_LIMIT)),
              _beatty_common),
     _Command("beatty", "dmo", (_ALPHA, _Arg("lo", _RATIONAL), _Arg("hi", _RATIONAL), _LIMIT),
              lambda alpha, lo, hi, limit: _search(beatty.dmo_window_search(alpha, lo, hi, limit), limit)),
@@ -391,7 +405,7 @@ _COMMANDS = (
              (_Arg("left", _LAURENT), _Arg("op", _choice(*_NONARCH_OPS)), _Arg("right", _LAURENT),
               _PRECISION),
              lambda left, op, right, precision: {
-                 "value": nonarch.format_laurent(_NONARCH_OPS[op](left, right))}),
+                 "value": nonarch.format_laurent(getattr(nonarch, op)(left, right))}),
     _Command("nonarch", "beatty", (_Arg("alpha", _LAURENT), _Arg("n", _LAURENT), _PRECISION),
              _nonarch_beatty),
     _Command("nonarch", "linf", (_Arg("sigma", _LAURENT), _Arg("rho", _LAURENT), _PRECISION),
@@ -437,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
+    for arg in cmd.args:  # before any parse: a Laurent parse reads ns.precision
+        if callable(getattr(ns, arg.dest)):
+            setattr(ns, arg.dest, getattr(ns, arg.dest)())
     values = {}
     for arg in cmd.args:
         value = getattr(ns, arg.dest)

@@ -205,20 +205,6 @@ class QuadIrr:
             return self.inverse().__mul__(Fraction(other))
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result: ExactReal = Fraction(1)
-        for _ in range(n):
-            result = result * self if isinstance(result, QuadIrr) else self * result
-        return result
-
-    def __abs__(self):
-        return self if sign_of(self) >= 0 else -self
-
-    def conjugate(self) -> "QuadIrr":
-        return QuadIrr(self.a, -self.b, self.c, self.d)
-
     # -- ordering ------------------------------------------------------
 
     def __lt__(self, other):

@@ -136,6 +136,23 @@ def test_hurwitz_examples():
     assert approx.verify(SQRT2, b)
 
 
+def test_hurwitz_is_segre_at_tau_one_verified_once(monkeypatch):
+    verified = []
+    real = approx.verify
+    monkeypatch.setattr(approx, "verify",
+                        lambda alpha, appr: verified.append(appr.bound.kind) or real(alpha, appr))
+    for alpha, q_floor in ((PHI, 10), (SQRT2, 1), (SQRT3, 10**6)):
+        verified.clear()
+        a = approx.hurwitz(alpha, q_floor)
+        assert verified == ["hurwitz"]
+        s = approx.segre(alpha, 1, q_floor)
+        assert (a.p, a.q) == (s.p, s.q)
+    with pytest.raises(DomainError, match="Q must be >= 1, got 0"):
+        approx.hurwitz(SQRT2, 0)
+    with pytest.raises(RationalInputError):
+        approx.hurwitz(Fraction(3, 2), 5)
+
+
 def test_hurwitz_classical_threshold_pair():
     passes = approx.verify(PHI, approx.Approximation(34, 21, approx.Bound.hurwitz(10), False))
     fails = approx.verify(PHI, approx.Approximation(21, 13, approx.Bound.hurwitz(10), False))

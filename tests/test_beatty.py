@@ -717,6 +717,8 @@ def test_fractional_part_hits_are_rechecked(monkeypatch):
     monkeypatch.setattr(beatty, "_exact_ratio", lambda alpha, n: (1, 1))
     with pytest.raises(AssertionError, match="re-check"):
         beatty.dmo_window_search(SQRT2, Fraction(1, 3), Fraction(1, 2), 10)
+    with pytest.raises(AssertionError, match="re-check"):
+        beatty.residue_search(SQRT2, 6, 2, 10)  # the same window, (2/6, 3/6)
 
 
 def test_pth_root_witness_examples():

@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioapprox import cli, oracle
+import dioapprox
+from dioapprox import approx, beatty, cli, farey, nonarch, oracle
 
 
 def run_capture(argv):
@@ -112,7 +116,7 @@ def test_farey_list_refuses_before_building_terms(monkeypatch):
     def no_terms(N):
         raise AssertionError("farey.sequence called")
 
-    monkeypatch.setattr(cli.farey, "sequence", no_terms)
+    monkeypatch.setattr(farey, "sequence", no_terms)
     code, out, err = run_capture(["farey", "list", "100000000"])
     assert code == 3 and out == ""
     assert "LIST_LIMIT" in err and "Traceback" not in err
@@ -154,6 +158,15 @@ def test_partition_certificate_with_other_coefficients_is_refused():
                                   "(3+1*sqrt(5))/2", "5", "7", "1", "50"])
     assert code == 2 and out == ""
     assert "does not hold" in err and "Traceback" not in err
+
+
+def test_implication_on_rational_slopes_is_refused():
+    # Beatty's theorem is about irrational slopes; `beatty cert` refuses these pairs too
+    for argv in (["beatty", "imply", "partition", "2", "2", "1", "1", "1", "5"],
+                 ["beatty", "imply", "disjoint", "3", "3", "1", "2", "1", "50"]):
+        code, out, err = run_capture(argv)
+        assert code == 2 and out == "", argv
+        assert "require two irrational slopes" in err and "Traceback" not in err
 
 
 def test_close_rational_pair_separates():
@@ -253,6 +266,36 @@ def test_every_numeric_in_json_is_a_string():
     ):
         _, out, _ = run_capture(argv)
         walk(json.loads(out))
+
+
+def test_literal_choices_match_their_modules():
+    assert cli._SIDE.choices == (approx.ABOVE, approx.BELOW)
+    assert cli._CERT_KIND.choices == tuple(k.value for k in beatty.CertKind)
+    assert all(callable(getattr(nonarch, op)) for op in cli._NONARCH_OPS)
+
+
+def _toolkit_modules_after(argv):
+    """The toolkit modules a fresh interpreter holds after cli.run(argv)."""
+    script = ("import io, sys\n"
+              "from dioapprox import cli\n"
+              f"cli.run({argv!r}, stdout=io.StringIO(), stderr=io.StringIO())\n"
+              "print(*sorted(sys.modules))")
+    src = os.path.dirname(os.path.dirname(dioapprox.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    toolkit = {f"dioapprox.{m}" for m in ("approx", "beatty", "farey", "nonarch", "oracle")}
+    return {m.split(".")[1] for m in toolkit.intersection(proc.stdout.split())}
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    for argv, loaded in ((["approx", "hurwitz", "sqrt(2)", "1000"], {"approx", "farey"}),
+                         (["farey", "succ", "2/6", "5"], {"farey"}),
+                         (["nonarch", "floor", "t"], {"nonarch"}),
+                         (["--help"], set()),
+                         (["beatty", "cert", "--help"], set()),
+                         (["farey", "list"], set())):  # a usage error
+        assert _toolkit_modules_after(argv) == loaded, argv
 
 
 # One sample argv per command-table row.
