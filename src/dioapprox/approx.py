@@ -7,11 +7,10 @@ that check on demand for any certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import farey
 from .errors import DomainError, RationalInputError, ResourceLimitError
@@ -47,8 +46,7 @@ BELOW = "below"
 DEFAULT_MAX_ROUNDS = 64
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """Which inequality an approximation certifies, with its parameters.
 
     kind          inequality                                   side condition
@@ -99,8 +97,7 @@ class Bound:
         return f"(-1/(sqrt({w})*{q * q}), {self.tau}/(sqrt({w})*{q * q}))"
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(NamedTuple):
     p: int
     q: int
     bound: Bound

@@ -9,7 +9,7 @@ explicit limits and exhaustion reports, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -113,15 +113,18 @@ def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
     return p, q
 
 
-@dataclass(frozen=True, eq=False)
 class BeattyWindow:
     """The members of a floor sequence that lie in [0, bound], with a
-    witness index for each member."""
+    witness index for each member.  Immutable; ratio is p/q with
+    floor(n*alpha) = n*p // q at every index used."""
 
-    alpha: ExactReal
-    bound: int
-    members: tuple[int, ...]
-    ratio: tuple[int, int]  # p/q: floor(n*alpha) = n*p // q at every index used
+    def __init__(self, alpha: ExactReal, bound: int, members: tuple[int, ...], ratio: tuple):
+        vars(self).update(alpha=alpha, bound=bound, members=members, ratio=ratio)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"BeattyWindow is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def witnesses(self) -> dict[int, int]:
@@ -158,8 +161,7 @@ def mu(alpha, h: int) -> int:
     return ceil_of((h + 1) / alpha) - 1
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     ok: bool
     checked_to: int
     first_shared: Optional[int] = None
@@ -194,25 +196,21 @@ def _first_uncovered(members_a, in_b: set, n_shared: int, bound: int) -> Optiona
     return min(set(range(1, bound + 1)).difference(members_a, in_b))
 
 
-@dataclass(frozen=True)
-class ArithProgression:
+class ArithProgression(namedtuple("ArithProgression", "modulus residue")):
     """m*t + k for t = 0, 1, 2, ...  with 0 <= k < m."""
 
-    modulus: int
-    residue: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1 or not 0 <= self.residue < self.modulus:
-            raise DomainError(
-                f"bad progression ({self.modulus}, {self.residue})"
-            )
+    def __new__(cls, modulus: int, residue: int):
+        if modulus < 1 or not 0 <= residue < modulus:
+            raise DomainError(f"bad progression ({modulus}, {residue})")
+        return super().__new__(cls, modulus, residue)
 
     def covers(self, x: int) -> bool:
         return x >= 0 and x % self.modulus == self.residue
 
 
-@dataclass(frozen=True)
-class ApDecompositionReport:
+class ApDecompositionReport(NamedTuple):
     progressions: tuple[ArithProgression, ...]
     ok: bool
     checked_to: int
@@ -245,12 +243,14 @@ FOUND = "found"
 UNSUPPORTED = "unsupported"  # no longer returned; perfbench's separation check reads the name
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    status: str
-    witness: Optional[int]
-    container: Optional[str]  # which input's sequence holds the witness
-    trace: dict = field(default_factory=dict)
+class SeparationResult(namedtuple("SeparationResult", "status witness container trace")):
+    """container names the input whose sequence holds the witness."""
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, witness: Optional[int], container: Optional[str],
+                trace: Optional[dict] = None):
+        return super().__new__(cls, status, witness, container, {} if trace is None else trace)
 
 
 def separation_witness(alpha, beta) -> SeparationResult:
@@ -290,8 +290,7 @@ class CertKind(str, Enum):
     FACT_F_PRIME = "fact_f_prime"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: CertKind
     a: int
     b: int
@@ -417,8 +416,7 @@ def verify_certificate(cert: Certificate, alpha, beta) -> bool:
     return rule.side(cert.a, cert.b, cert.c) and compare(cert.a * x, cert.c - cert.b * y) == 0
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(NamedTuple):
     ok: bool
     kind: CertKind
     checked_to: int
@@ -461,8 +459,7 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
 # -- intersection and density probes -----------------------------------
 
 
-@dataclass(frozen=True)
-class CommonScan:
+class CommonScan(NamedTuple):
     found: tuple[int, ...]
     exhausted: bool
     scanned_to: int
@@ -630,14 +627,13 @@ FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class Claim51Report:
-    status: str
-    m: Optional[int] = None
-    t: Optional[int] = None
-    k: Optional[int] = None
-    separator: Optional[int] = None
-    details: dict = field(default_factory=dict)
+class Claim51Report(namedtuple("Claim51Report", "status m t k separator details")):
+    __slots__ = ()
+
+    def __new__(cls, status: str, m: Optional[int] = None, t: Optional[int] = None,
+                k: Optional[int] = None, separator: Optional[int] = None,
+                details: Optional[dict] = None):
+        return super().__new__(cls, status, m, t, k, separator, {} if details is None else details)
 
 
 def claim51_check(rho, beta) -> Claim51Report:

@@ -12,6 +12,8 @@ derived from the rows, so the replay promise holds by construction.
 
 A row's group names its module, imported at the handler's first lookup:
 a process loads only the module of the command it runs, ``--help`` none.
+A process also builds command parsers for its own group's rows only,
+and imports ``json`` only to print a ``--format json`` envelope.
 
 Exit codes: 0 success, 1 contract violation found (e.g. a partition
 check FAILs), 2 usage or parse error, 3 resource limit reached.
@@ -20,7 +22,6 @@ check FAILs), 2 usage or parse error, 3 resource limit reached.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -423,7 +424,10 @@ _COMMANDS = (
 # -- the generic path -------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser tree; with ``group`` given, only that group's command rows
+    get a parser.  Every group's parser stays, so top-level help and
+    errors read the same either way."""
     top = argparse.ArgumentParser(
         prog="dioapprox",
         description="Exact Diophantine approximation toolkit",
@@ -436,6 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         if cmd.group not in subparsers:
             subparsers[cmd.group] = groups.add_parser(cmd.group).add_subparsers(
                 dest="cmd", required=True)
+        if group not in (None, cmd.group):
+            continue
         p = subparsers[cmd.group].add_parser(cmd.name, parents=[common])
         p.set_defaults(command=cmd)
         for arg in cmd.args:
@@ -507,7 +513,8 @@ def _render_plain(outcome: _Outcome, stream):
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in {c.group for c in _COMMANDS} else None)
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):  # usage, errors and --help
             args = parser.parse_args(argv)
@@ -532,6 +539,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             "result": outcome.result,
             "resource": outcome.resource,
         }
+        import json
+
         print(json.dumps(envelope), file=stdout)
     else:
         _render_plain(outcome, stdout)

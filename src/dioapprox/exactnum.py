@@ -14,7 +14,6 @@ rationality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Union
@@ -106,7 +105,9 @@ def squarefree_split(d: int) -> tuple[int, int]:
     return s, d
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # how QuadIrr.__init__ writes past its read-only guard
+
+
 class QuadIrr:
     """Quadratic irrational (a + b*sqrt(d)) / c in canonical form.
 
@@ -115,10 +116,29 @@ class QuadIrr:
     and Fraction in arithmetic and comparisons.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"QuadIrr is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadIrr:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __reduce__(self):  # pickle past the read-only guard
+        return QuadIrr, (self.a, self.b, self.c, self.d)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -5,7 +5,7 @@ search and exact bracketing by consecutive terms, from convergents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -172,21 +172,17 @@ def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:
     return farey_fraction(h, k, order)
 
 
-@dataclass(frozen=True)
-class FareyBracket:
+class FareyBracket(namedtuple("FareyBracket", "lo hi")):
     """Consecutive pair lo < hi of an order-N series enclosing a target."""
 
-    lo: FareyFraction
-    hi: FareyFraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo.order != self.hi.order:
+    def __new__(cls, lo: FareyFraction, hi: FareyFraction):
+        if lo.order != hi.order:
             raise DomainError("bracket endpoints from different orders")
-        if self.lo.k * self.hi.h - self.lo.h * self.hi.k != 1:
-            raise DomainError(
-                f"{self.lo}..{self.hi} are not neighbors in the order-"
-                f"{self.lo.order} series"
-            )
+        if lo.k * hi.h - lo.h * hi.k != 1:
+            raise DomainError(f"{lo}..{hi} are not neighbors in the order-{lo.order} series")
+        return super().__new__(cls, lo, hi)
 
 
 def bracket(alpha: ExactReal, order: int) -> FareyBracket:

@@ -16,11 +16,10 @@ cannot settle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import mul as _imul
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     DomainError,
@@ -282,8 +281,15 @@ class RatFunc(_FieldOps):
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """A pair already in canonical form, taken as it is."""
+        x = object.__new__(cls)
+        x.num, x.den = num, den
+        return x
+
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)  # negation keeps the form
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -775,8 +781,7 @@ def beatty_nonarch(alpha: LaurentElem, n: IPElem) -> IPElem:
     return floor_ip(mul(alpha, n.to_laurent()))
 
 
-@dataclass(frozen=True)
-class LinfReport:
+class LinfReport(NamedTuple):
     applicable: bool
     reason: Optional[str] = None
     m: Optional[int] = None

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import isqrt
@@ -44,7 +43,11 @@ def test_member_agrees_with_enumeration():
 
 
 def test_window_examples():
-    assert beatty.window(PHI, 12).members == (0, 1, 3, 4, 6, 8, 9, 11, 12)
+    win = beatty.window(PHI, 12)
+    assert win.members == (0, 1, 3, 4, 6, 8, 9, 11, 12)
+    assert win.witnesses[12] == 8 and win.witnesses is win.witnesses  # computed once
+    with pytest.raises(AttributeError):
+        win.members = ()
     assert beatty.window(PHI_SQ, 13).members == (0, 2, 5, 7, 10, 13)
     assert beatty.window(1, 5).members == (0, 1, 2, 3, 4, 5)
 
@@ -171,7 +174,7 @@ def _corrupting_window(monkeypatch, which, edit):
             if "drop" in edit:
                 del members[mid]
             members.sort()
-            win = dataclasses.replace(win, members=tuple(members))
+            win = beatty.BeattyWindow(win.alpha, win.bound, tuple(members), win.ratio)
         handed.append(win)
         return win
 
@@ -284,6 +287,9 @@ def test_ap_decomposition_distinct_residues_and_reduction():
 def test_ap_decomposition_rejects_slope_below_one():
     with pytest.raises(DomainError):
         beatty.ap_decomposition(2, 3, 10)
+    for modulus, residue in ((3, 5), (0, 0), (3, -1)):
+        with pytest.raises(DomainError):
+            beatty.ArithProgression(modulus, residue)
 
 
 # --- separation ----------------------------------------------------------
@@ -293,6 +299,16 @@ def test_separation_direct_case():
     assert res.status == beatty.FOUND
     assert res.witness == 2 and res.container == "beta"
     assert res.trace == {"method": "least-split", "n": 1}
+
+
+def test_report_dict_defaults_are_fresh():
+    one, two = (beatty.SeparationResult(beatty.FOUND, 1, "alpha") for _ in range(2))
+    one.trace["n"] = 1
+    assert two.trace == {} and one.trace is not two.trace
+    one, two = (beatty.Claim51Report(beatty.HOLDS) for _ in range(2))
+    assert one.details == {} and one.details is not two.details
+    assert repr(two) == ("Claim51Report(status='holds', m=None, t=None, k=None, "
+                         "separator=None, details={})")
 
 
 def test_separation_claim51_case_is_found():

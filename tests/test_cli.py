@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,28 +276,37 @@ def test_literal_choices_match_their_modules():
     assert all(callable(getattr(nonarch, op)) for op in cli._NONARCH_OPS)
 
 
-def _toolkit_modules_after(argv):
-    """The toolkit modules a fresh interpreter holds after cli.run(argv)."""
-    script = ("import io, sys\n"
-              "from dioapprox import cli\n"
-              f"cli.run({argv!r}, stdout=io.StringIO(), stderr=io.StringIO())\n"
-              "print(*sorted(sys.modules))")
+def _modules_after(argv=None):
+    """The modules a fresh interpreter holds after cli.run(argv), or with
+    no argv, after start-up alone."""
+    script = "import sys\n"
+    if argv is not None:
+        script += ("import io\n"
+                   "from dioapprox import cli\n"
+                   f"cli.run({argv!r}, stdout=io.StringIO(), stderr=io.StringIO())\n")
+    script += "print(*sorted(sys.modules))"
     src = os.path.dirname(os.path.dirname(dioapprox.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
-    toolkit = {f"dioapprox.{m}" for m in ("approx", "beatty", "farey", "nonarch", "oracle")}
-    return {m.split(".")[1] for m in toolkit.intersection(proc.stdout.split())}
+    return set(proc.stdout.split())
 
 
 def test_a_command_loads_only_the_modules_it_runs():
+    toolkit = {f"dioapprox.{m}" for m in ("approx", "beatty", "farey", "nonarch", "oracle")}
+    avoided = {"dataclasses", "inspect", "json"} - _modules_after()
     for argv, loaded in ((["approx", "hurwitz", "sqrt(2)", "1000"], {"approx", "farey"}),
                          (["farey", "succ", "2/6", "5"], {"farey"}),
+                         (["beatty", "mu", "sqrt(2)", "100"], {"beatty"}),
                          (["nonarch", "floor", "t"], {"nonarch"}),
+                         (["oracle", "farey", "5"], {"oracle"}),
                          (["--help"], set()),
                          (["beatty", "cert", "--help"], set()),
                          (["farey", "list"], set())):  # a usage error
-        assert _toolkit_modules_after(argv) == loaded, argv
+        modules = _modules_after(argv)
+        assert {m.split(".")[1] for m in toolkit & modules} == loaded, argv
+        assert not avoided & modules, argv
+    assert "json" in _modules_after(["farey", "succ", "2/6", "5", "--format", "json"])
 
 
 # One sample argv per command-table row.
@@ -351,6 +362,30 @@ def test_every_command_replays_its_json_argv():
         expected = {a.dest for a in rows[tuple(argv[:2])].args
                     if not a.option or a.dest in given or a.default is not None}
         assert set(env["inputs"]) == expected, argv
+
+
+def _full_parser_capture(argv):
+    """Exit code and output of the full parser tree on an argv it exits on."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return (2 if exc.value.code else 0), out.getvalue(), err.getvalue()
+
+
+def test_a_group_parser_reads_argv_as_the_full_tree_does():
+    for argv in REPLAY_SAMPLES:
+        for tail in ([], ["--format", "json"]):
+            assert (cli.build_parser(argv[0]).parse_args(argv + tail)
+                    == cli.build_parser().parse_args(argv + tail)), argv
+    groups = {c.group for c in cli._COMMANDS}
+    for group in groups:
+        assert cli.build_parser(group).format_help() == cli.build_parser().format_help()
+    exits = [["--help"], ["-h"], ["farey", "list"], ["bogus", "list", "5"], ["farey"],
+             ["farey", "bogus"], ["--", "farey", "list"], []]
+    exits += [[group, "--help"] for group in groups]
+    exits += [[c.group, c.name, "--help"] for c in cli._COMMANDS]
+    for argv in exits:
+        assert run_capture(argv) == _full_parser_capture(argv), argv
 
 
 # --- argv fuzzer over the command table -------------------------------------

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -140,6 +141,20 @@ def test_gcd_and_sign_normalization():
     assert (v.a, v.b, v.c) == (1, 1, 2)
     w = quad(1, 1, -2, 3)
     assert w.c == 2 and w.a == -1 and w.b == -1
+
+
+def test_quadirr_is_an_immutable_value():
+    v = quad(1, 1, 2, 5)
+    with pytest.raises(AttributeError):
+        v.a = 3
+    with pytest.raises(AttributeError):
+        del v.d
+    assert repr(v) == "QuadIrr(1, 1, 2, 5)" and (v.a, v.b, v.c, v.d) == (1, 1, 2, 5)
+    w = QuadIrr(1, 1, 1, 2)
+    assert w != (1, 1, 1, 2) and w != Fraction(1) and w != sqrt_int(3)
+    assert w == QuadIrr(1, 1, 1, 2) and hash(w) == hash(QuadIrr(1, 1, 1, 2))
+    assert len({w, 1 + SQRT2, SQRT2 + 1}) == 1
+    assert pickle.loads(pickle.dumps(v)) == v
 
 
 def test_squarefree_certification_bound():

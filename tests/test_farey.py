@@ -160,6 +160,12 @@ def test_bracket_rejects_rationals_and_bad_ranges():
         farey.bracket(Fraction(1, 2), 5)
     with pytest.raises(DomainError):
         farey.bracket(quad(1, 1, 1, 2), 5)  # 1 + sqrt(2) > 1
+    one_third = farey.farey_fraction(1, 3, 5)
+    with pytest.raises(DomainError):  # 2/5 lies between them
+        farey.FareyBracket(one_third, farey.farey_fraction(3, 5, 5))
+    with pytest.raises(DomainError):
+        farey.FareyBracket(farey.farey_fraction(1, 3, 3), farey.farey_fraction(1, 2, 4))
+    assert farey.FareyBracket(one_third, farey.farey_fraction(2, 5, 5)).hi.k == 5
 
 
 def test_bracket_is_consecutive_pair():

@@ -140,8 +140,9 @@ def test_canonical_form_after_parse_and_ops():
     ops = (na.add, na.sub, na.mul, na.div)
     for _ in range(400):
         x, y = rand_rf(), rand_rf()
-        for v in (x, y, na.parse_laurent(na.format_laurent(x))):
+        for v in (x, y, na.parse_laurent(na.format_laurent(x)), -x):
             _assert_canonical(v)
+        assert -x == na.RatFunc(-x.num, x.den)
         for op in ops:
             if op is na.div and y.is_zero():
                 continue
