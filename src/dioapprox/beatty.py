@@ -13,7 +13,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -113,13 +113,47 @@ def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
     return p, q
 
 
-class BeattyWindow:
-    """The members of a floor sequence that lie in [0, bound], with a
-    witness index for each member.  Immutable; ratio is p/q with
-    floor(n*alpha) = n*p // q at every index used."""
+def _word(p: int, q: int, n: int) -> bytes:
+    """The first n bytes of the indicator of {floor(j*p/q) : j >= 0}, for
+    coprime p >= q >= 1: byte k is 1 exactly when k is a term.
 
-    def __init__(self, alpha: ExactReal, bound: int, members: tuple[int, ...], ratio: tuple):
-        vars(self).update(alpha=alpha, bound=bound, members=members, ratio=ratio)
+    This is the standard word of p/q, built from its continued fraction
+    t0, t1, ... by U_-1 = 0, U_0 = 1 0^(t0-1), U_k = U_(k-1)^t_k U_(k-2)
+    for odd k and U_(k-2) U_(k-1)^t_k for even k >= 2; the last U is one
+    period, of length p (Lothaire, Algebraic Combinatorics on Words, ch. 2).
+    Every word is cut to n bytes, so a step repeats U_(k-1) at most
+    ceil(n/len) times, and once U_(k-2) is full length each further word
+    is U_(k-1) (odd k) or U_(k-2) (even k): O(n) copying, O(log p) steps.
+    """
+    t, (a, b) = p // q, (q, p % q)
+    prev, cur = b"\0", b"\1" + bytes(min(t - 1, n))
+    odd = True
+    while b and len(prev) < n:
+        t, (a, b) = a // b, (b, a % b)
+        body = cur * min(t, -(-n // len(cur)))
+        prev, cur = cur, (body + prev if odd else prev + body)[:n]
+        odd = not odd
+    if b:
+        return (cur if odd else prev)[:n]
+    return (cur * -(-n // len(cur)))[:n]
+
+
+def _lowest(x: int) -> Optional[int]:
+    """Index of the lowest nonzero byte of x >= 0, or None for x = 0."""
+    return ((x & -x).bit_length() - 1) >> 3 if x else None
+
+
+def _as_int(word: bytes) -> int:
+    return int.from_bytes(word, "little")  # byte k is bit 8k
+
+
+class BeattyWindow:
+    """The members of a floor sequence that lie in [0, bound], as a word:
+    byte k of `word` is 1 exactly when k is a member.  Immutable; ratio is
+    p/q with floor(n*alpha) = n*p // q at every index used."""
+
+    def __init__(self, alpha: ExactReal, bound: int, word: bytes, ratio: tuple):
+        vars(self).update(alpha=alpha, bound=bound, word=word, ratio=ratio)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"BeattyWindow is immutable: cannot change {name!r}")
@@ -127,18 +161,26 @@ class BeattyWindow:
     __delattr__ = __setattr__
 
     @cached_property
-    def witnesses(self) -> dict[int, int]:
-        """The least index of each member: ceil(k*q/p)."""
+    def members(self) -> tuple[int, ...]:
+        return tuple(compress(range(self.bound + 1), self.word))
+
+    def witness(self, k: int) -> int:
+        """The least index of member k: ceil(k*q/p)."""
         p, q = self.ratio
-        return {k: -(-k * q // p) for k in self.members}
+        return -(-k * q // p)
+
+    @cached_property
+    def witnesses(self) -> dict[int, int]:
+        """The least index of each member."""
+        return {k: self.witness(k) for k in self.members}
 
     def member_set(self) -> set[int]:
         return set(self.members)
 
 
 def window(alpha, bound: int) -> BeattyWindow:
-    """Complete membership set on [0, bound], read off one convergent;
-    ResourceLimitError past WINDOW_LIMIT members."""
+    """Complete membership word on [0, bound], read off one convergent
+    (_word); ResourceLimitError past WINDOW_LIMIT members."""
     alpha = _positive(alpha)
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
@@ -149,8 +191,8 @@ def window(alpha, bound: int) -> BeattyWindow:
         raise ResourceLimitError(
             f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}"
         )
-    members = tuple([n * p // q for n in range(size)]) if p >= q else tuple(range(size))
-    return BeattyWindow(alpha, bound, members, (p, q))
+    word = _word(p, q, bound + 1) if p >= q else b"\1" * (bound + 1)
+    return BeattyWindow(alpha, bound, word, (p, q))
 
 
 def mu(alpha, h: int) -> int:
@@ -179,21 +221,19 @@ def partition_check(alpha, beta, bound: int) -> PartitionReport:
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
         raise DomainError("partition checking needs alpha, beta > 1")
     wa, wb = window(alpha, bound), window(beta, bound)
-    in_b = wb.member_set()
-    shared = in_b.intersection(wa.members)
-    first_shared = min(shared - {0}, default=None)
-    first_uncovered = _first_uncovered(wa.members, in_b, len(shared), bound)
+    a, b = _as_int(wa.word), _as_int(wb.word)
+    first_shared = _lowest(a & b & ~1)
+    first_uncovered = _first_uncovered(a, b, bound)
     shared_witnesses = (None if first_shared is None
-                        else (wa.witnesses[first_shared], wb.witnesses[first_shared]))
+                        else (wa.witness(first_shared), wb.witness(first_shared)))
     ok = first_shared is None and first_uncovered is None
     return PartitionReport(ok, bound, first_shared, first_uncovered, shared_witnesses)
 
 
-def _first_uncovered(members_a, in_b: set, n_shared: int, bound: int) -> Optional[int]:
-    """Least k in [1, bound] in neither window, or None; n_shared = |A & B|."""
-    if len(members_a) + len(in_b) - n_shared > bound:  # |A | B| = bound + 1
-        return None
-    return min(set(range(1, bound + 1)).difference(members_a, in_b))
+def _first_uncovered(a: int, b: int, bound: int) -> Optional[int]:
+    """Least k in [1, bound] in neither of the words a and b, or None."""
+    k = (a | b).to_bytes(bound + 1, "little").find(0, 1)
+    return None if k < 0 else k
 
 
 class ArithProgression(namedtuple("ArithProgression", "modulus residue")):
@@ -231,9 +271,11 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     if p <= q:
         raise DomainError(f"need p/q > 1, got {p}/{q}")
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
-    members = window(Fraction(p, q), bound).members
-    predicted = sorted(chain.from_iterable(range(pr.residue, bound + 1, p) for pr in progs))
-    mismatch = min(set(members).symmetric_difference(predicted), default=None)
+    period = bytearray(p)
+    for pr in progs:
+        period[pr.residue] = 1
+    predicted = (period * (bound // p + 1))[:bound + 1]
+    mismatch = _lowest(_as_int(window(Fraction(p, q), bound).word) ^ _as_int(predicted))
     return ApDecompositionReport(progs, mismatch is None, bound, mismatch)
 
 
@@ -436,20 +478,19 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
         raise InvalidCertificateError(
             f"certificate {cert} does not hold for the given pair"
         )
-    members_a = window(alpha, bound).members
-    in_b = window(beta, bound).member_set()
-    shared = in_b.intersection(members_a)
-    first_shared = min(shared - {0}, default=None)
+    a, b = _as_int(window(alpha, bound).word), _as_int(window(beta, bound).word)
+    first_shared = _lowest(a & b & ~1)
     violation = None
     if kind in (CertKind.DISJOINT, CertKind.PARTITION) and first_shared is not None:
         violation = f"{first_shared} is in both sequences"
     if violation is None and kind in (CertKind.COVER, CertKind.PARTITION):
-        missing = _first_uncovered(members_a, in_b, len(shared), bound)
+        missing = _first_uncovered(a, b, bound)
         if missing is not None:
             violation = f"{missing} is in neither sequence"
     if violation is None and kind in (CertKind.SUBSET, CertKind.FACT_F_PRIME):
-        if len(shared) < len(members_a):
-            violation = f"{min(set(members_a) - in_b)} is in the first sequence only"
+        only_a = _lowest(a & ~b)
+        if only_a is not None:
+            violation = f"{only_a} is in the first sequence only"
     if violation is None and kind in (CertKind.FACT_C, CertKind.FACT_D):
         if first_shared is None:
             violation = f"no common element in [1, {bound}]"

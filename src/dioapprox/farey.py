@@ -180,7 +180,7 @@ class FareyBracket(namedtuple("FareyBracket", "lo hi")):
     def __new__(cls, lo: FareyFraction, hi: FareyFraction):
         if lo.order != hi.order:
             raise DomainError("bracket endpoints from different orders")
-        if lo.k * hi.h - lo.h * hi.k != 1:
+        if lo.k * hi.h - lo.h * hi.k != 1 or lo.k + hi.k <= lo.order:
             raise DomainError(f"{lo}..{hi} are not neighbors in the order-{lo.order} series")
         return super().__new__(cls, lo, hi)
 

@@ -556,6 +556,9 @@ def div(x, y) -> LaurentElem:
     if isinstance(x, RatFunc):
         if y.is_zero():
             raise ZeroDivisionError("division by zero")
+        if x.num.coeffs == x.den.coeffs == (1,):  # 1/y of a reduced y: swap, lc(den) > 0
+            return (RatFunc._canonical(y.den, y.num) if y.num.lc() > 0
+                    else RatFunc._canonical(-y.den, -y.num))
         return RatFunc(x.num * y.den, x.den * y.num)
     hint = None if x.exact else x.prec - x.lead
     return _series_mul(x, _series_inverse(y, prec_hint=hint))

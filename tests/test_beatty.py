@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -96,6 +96,38 @@ def test_window_matches_oracle_with_witnesses():
             assert n == 0 or floor_of(alpha * (n - 1)) < k
 
 
+def _floor_word(p, q, n):
+    """The first n bytes of the indicator of {j*p // q}, one j at a time."""
+    word, j = bytearray(n), 0
+    while j * p // q < n:
+        word[j * p // q] = 1
+        j += 1
+    return bytes(word)
+
+
+def test_word_matches_floor_reference():
+    rng = random.Random(61)
+    cases = [(1, 1, 50), (7, 1, 30), (7, 3, 1), (7, 3, 0), (8, 5, 100), (10**12, 1, 40)]
+    for _ in range(800):
+        q = rng.choice((rng.randrange(1, 40), rng.randrange(1, 10**6), rng.randrange(1, 10**12)))
+        p = q + rng.choice((rng.randrange(q + 5), rng.randrange(10**12)))
+        if gcd(p, q) == 1:  # a prefix, or several periods when p is small
+            cases.append((p, q, rng.randrange(4 * p + 3) if p < 2000 else rng.randrange(3000)))
+    cases += [(p, 10**12 + 39, 2000) for p in (10**12 + 40, 2 * 10**12 + 79, 3 * 10**12 + 1)]
+    for p, q, n in cases:
+        assert beatty._word(p, q, n) == _floor_word(p, q, n), (p, q, n)
+
+
+def test_window_on_a_huge_partial_quotient():
+    # sqrt(10^12 + 1)/10^6 = [1; 2*10^12, ...] and twice it [2; 10^12, ...]
+    for m in (1, 2):
+        alpha = quad(0, m, 10**6, 10**12 + 1)
+        win = beatty.window(alpha, 10**5)
+        assert len(win.word) == 10**5 + 1
+        assert win.members == tuple(range(0, 10**5 + 1, m))
+        assert set(beatty.window(alpha, 500).members) == oracle.beatty_naive(alpha, 500)
+
+
 def test_window_limit_guard():
     assert beatty.WINDOW_LIMIT == 10**6
     cert = beatty.Certificate(beatty.CertKind.COVER, 1, 1, 1)
@@ -167,14 +199,13 @@ def _corrupting_window(monkeypatch, which, edit):
     def fake(alpha, bound):
         win = real(alpha, bound)
         if len(handed) == which:
-            members = list(win.members)
-            mid = len(members) // 2
+            word = bytearray(win.word)
+            mid = win.members[len(win.members) // 2]
             if "add" in edit:
-                members.append(next(k for k in range(bound, 0, -1) if k not in members))
+                word[word.rindex(0, 1)] = 1
             if "drop" in edit:
-                del members[mid]
-            members.sort()
-            win = beatty.BeattyWindow(win.alpha, win.bound, tuple(members), win.ratio)
+                word[mid] = 0
+            win = beatty.BeattyWindow(win.alpha, win.bound, bytes(word), win.ratio)
         handed.append(win)
         return win
 
@@ -258,6 +289,39 @@ def test_checks_report_corrupted_windows(monkeypatch, which, edit):
             rep = beatty.ap_decomposition(p, q, 150)
             assert rep.mismatch == _per_k_ap(p, q, handed[0], 150) is not None
             assert not rep.ok
+
+
+def test_checks_match_per_k_scans_on_random_pairs():
+    """Uncorrupted windows: partition_check on random pairs, complementary
+    or not, and verify_implication of all seven kinds on pairs that satisfy
+    each kind's relation, against the per-k and set-difference scans."""
+    rng = random.Random(29)
+    for _ in range(40):
+        alpha = _random_slope(rng, 1.05, 4)
+        beta = alpha / (alpha - 1) if rng.random() < 0.4 else _random_slope(rng, 1.05, 4)
+        bound = rng.randrange(1, 500)
+        rep = beatty.partition_check(alpha, beta, bound)
+        wa, wb = beatty.window(alpha, bound), beatty.window(beta, bound)
+        first_shared, first_uncovered, shared_witnesses = _per_k_partition(wa, wb, bound)
+        assert (rep.first_shared, rep.first_uncovered) == (first_shared, first_uncovered)
+        assert rep.shared_witnesses == shared_witnesses
+        assert rep.ok == (first_shared is None and first_uncovered is None)
+    for source in K:
+        for _ in range(4):
+            if source is K.FACT_F_PRIME:
+                m = rng.randrange(2, 13)
+                alpha, kinds = Fraction(rng.randrange(2 * m + 1, 3 * m), m), (source,)
+            else:
+                d = rng.choice(SQUAREFREE_POOL)
+                alpha = 2 + frac_of(quad(rng.randrange(-5, 6), rng.randrange(1, 4), rng.randrange(1, 6), d))
+                kinds = tuple(k for k in K if k is not K.FACT_F_PRIME)
+            beta, bound = _built_beta(source, alpha), rng.randrange(1, 500)
+            cert = beatty.certificate_search(source, alpha, beta)
+            wa, wb = beatty.window(alpha, bound), beatty.window(beta, bound)
+            for kind in kinds:
+                rep = beatty.verify_implication(kind, alpha, beta, cert, bound)
+                assert rep.violation == _set_implication(kind, wa, wb, bound), (kind, source)
+                assert rep.ok == (rep.violation is None)
 
 
 def test_ap_decomposition_examples():

@@ -165,6 +165,8 @@ def test_bracket_rejects_rationals_and_bad_ranges():
         farey.FareyBracket(one_third, farey.farey_fraction(3, 5, 5))
     with pytest.raises(DomainError):
         farey.FareyBracket(farey.farey_fraction(1, 3, 3), farey.farey_fraction(1, 2, 4))
+    with pytest.raises(DomainError):  # unimodular, but 2/5 lies between them
+        farey.FareyBracket(one_third, farey.farey_fraction(1, 2, 5))
     assert farey.FareyBracket(one_third, farey.farey_fraction(2, 5, 5)).hi.k == 5
 
 

@@ -157,6 +157,30 @@ def test_canonical_form_after_parse_and_ops():
     _assert_canonical(na.sub(T, T))
 
 
+def test_inverse_of_reduced_ratfunc_swaps_without_a_gcd(monkeypatch):
+    """div(1, y) for a reduced y is y's pair swapped, signs fixed so that
+    lc(den) > 0: the full constructor's answer, with no gcd taken."""
+    rng = random.Random(83)
+    ys = [na.RatFunc.const(c) for c in (3, -3, Fraction(-2, 7))] + [rf((1, -2, -4), (3, 5))]
+    for _ in range(300):
+        cs = [rng.randint(-12, 12) for _ in range(rng.randint(1, 6))]
+        ds = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
+        if any(cs) and any(ds):
+            ys.append(rf(cs, ds))
+    wants = [na.RatFunc(y.den, y.num) for y in ys]
+    one = na.RatFunc.const(1)
+    assert any(y.num.lc() < 0 for y in ys) and any(y.num.deg == y.den.deg == 0 for y in ys)
+
+    def no_gcd(*_):
+        raise AssertionError("div(1, y) took a gcd")
+
+    monkeypatch.setattr(na, "_poly_gcd", no_gcd)
+    for y, want in zip(ys, wants):
+        inv = na.div(one, y)
+        assert inv == want
+        _assert_canonical(inv)
+
+
 # --- the integer series kernel against the schoolbook loops ---------------
 
 def _rand_series(rng, max_len):
