@@ -70,6 +70,7 @@ __all__ = [
 
 DEFAULT_SCAN_LIMIT = 100_000
 WINDOW_LIMIT = 10**6  # most members a window may hold
+WORD_LIMIT = 10**7  # most integers (bytes of its word) a window may span
 POWER_BITS_LIMIT = 3_000  # most bits of a power pth_root_dmo_witness may take
 
 
@@ -180,7 +181,8 @@ class BeattyWindow:
 
 def window(alpha, bound: int) -> BeattyWindow:
     """Complete membership word on [0, bound], read off one convergent
-    (_word); ResourceLimitError past WINDOW_LIMIT members."""
+    (_word); ResourceLimitError past WINDOW_LIMIT members or a word past
+    WORD_LIMIT bytes, both checked before anything is built."""
     alpha = _positive(alpha)
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
@@ -190,6 +192,10 @@ def window(alpha, bound: int) -> BeattyWindow:
     if size > WINDOW_LIMIT:
         raise ResourceLimitError(
             f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}"
+        )
+    if bound + 1 > WORD_LIMIT:
+        raise ResourceLimitError(
+            f"a window word of {bound + 1} bytes exceeds WORD_LIMIT = {WORD_LIMIT}"
         )
     word = _word(p, q, bound + 1) if p >= q else b"\1" * (bound + 1)
     return BeattyWindow(alpha, bound, word, (p, q))
@@ -271,11 +277,13 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     if p <= q:
         raise DomainError(f"need p/q > 1, got {p}/{q}")
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
-    period = bytearray(p)
+    word = window(Fraction(p, q), bound).word  # refuses an oversized window first
+    period = bytearray(min(p, bound + 1))
     for pr in progs:
-        period[pr.residue] = 1
+        if pr.residue <= bound:
+            period[pr.residue] = 1
     predicted = (period * (bound // p + 1))[:bound + 1]
-    mismatch = _lowest(_as_int(window(Fraction(p, q), bound).word) ^ _as_int(predicted))
+    mismatch = _lowest(_as_int(word) ^ _as_int(predicted))
     return ApDecompositionReport(progs, mismatch is None, bound, mismatch)
 
 

@@ -143,6 +143,38 @@ def test_window_limit_guard():
     assert len(beatty.window(SQRT2 / 10**4, 10**5).members) == 10**5 + 1
 
 
+def test_word_limit_guard():
+    """A window's word spans bound + 1 bytes whatever its member count, so a
+    sparse window past WORD_LIMIT is refused before any word is built, and
+    so is an oversized progression check, before its prediction is built."""
+    import tracemalloc
+
+    assert beatty.WORD_LIMIT == 10**7
+    cert = beatty.Certificate(beatty.CertKind.DISJOINT, 10**7, 10**7, 1)
+    for call, limit in (
+        (lambda: beatty.window(10**7, 10**12), "WORD_LIMIT"),  # 100,001 members
+        (lambda: beatty.partition_check(10**7, 10**7 + 1, 10**12), "WORD_LIMIT"),
+        (lambda: beatty.verify_implication(beatty.CertKind.DISJOINT, 10**7 * PHI,
+                                           10**7 * PHI_SQ, cert, 10**12), "WORD_LIMIT"),
+        (lambda: beatty.ap_decomposition(10**12, 1, 10**13), "WORD_LIMIT"),
+        (lambda: beatty.ap_decomposition(7, 3, 10**9), "WINDOW_LIMIT"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=limit):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+    win = beatty.window(10**7, 10**7 - 1)
+    assert len(win.word) == beatty.WORD_LIMIT and win.members == (0,)
+    # a huge modulus with a small bound needs a prediction of bound + 1 bytes only
+    assert beatty.ap_decomposition(10**12, 1, 10) == (
+        (beatty.ArithProgression(10**12, 0),), True, 10, None)
+    assert beatty.ap_decomposition(10**12 + 1, 2, 10).ok
+
+
 def test_window_small_slope_covers_everything():
     # slope at most 1 fills the whole window
     for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3), quad(0, 1, 2, 2)):

@@ -69,6 +69,10 @@ def test_window_limit_exit_code():
         code, out, err = run_capture(argv)
         assert code == 3 and out == ""
         assert "WINDOW_LIMIT" in err and "Traceback" not in err
+    # a sparse window: 100,001 members, but a word of 10^12 + 1 bytes
+    code, out, err = run_capture(["beatty", "window", "10000000", "1000000000000"])
+    assert code == 3 and out == ""
+    assert "WORD_LIMIT" in err and "Traceback" not in err
 
 
 def test_nonarch_size_limits_exit_code():
