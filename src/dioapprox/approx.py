@@ -42,7 +42,7 @@ __all__ = [
 ABOVE = "above"
 BELOW = "below"
 
-#: Candidates past Q that segre and hurwitz try before giving up.
+#: Candidates past Q that segre tries before giving up.
 DEFAULT_MAX_ROUNDS = 64
 
 
@@ -74,7 +74,10 @@ class Bound(NamedTuple):
 
     @classmethod
     def segre(cls, tau, q_floor: int) -> "Bound":
-        return cls("segre", q_floor, tau=Fraction(tau))
+        tau = Fraction(tau)
+        if tau < 0:
+            raise DomainError(f"tau must be >= 0, got {tau}")
+        return cls("segre", q_floor, tau=tau)
 
     @classmethod
     def hurwitz(cls, q_floor: int) -> "Bound":
@@ -95,6 +98,19 @@ class Bound(NamedTuple):
             return f"1/(sqrt(5)*{q * q})"
         w = 1 + 4 * self.tau
         return f"(-1/(sqrt({w})*{q * q}), {self.tau}/(sqrt({w})*{q * q}))"
+
+    def window(self) -> tuple:
+        """(lo, hi, w) of a bound that needs q > Q: it holds when
+        alpha - p/q lies strictly inside (-lo, hi)/(sqrt(w) q^2)."""
+        if self.kind == "square":
+            return 1, 1, 1
+        if self.kind == "hurwitz":
+            return 1, 1, 5
+        if self.kind == "segre":
+            return 1, self.tau, 1 + 4 * self.tau
+        if self.kind == "one_sided":
+            return (1, 0, 1) if self.side == ABOVE else (0, 1, 1)
+        raise DomainError(f"unknown bound kind {self.kind!r}")
 
 
 class Approximation(NamedTuple):
@@ -121,21 +137,6 @@ def _abs_diff(alpha: ExactReal, p: int, q: int) -> ExactReal:
     return diff if compare(diff, 0) >= 0 else -diff
 
 
-def _segre_bound_holds(alpha: ExactReal, p: int, q: int, tau: Fraction) -> bool:
-    """Exact check of -1/(sqrt(w) q^2) < alpha - p/q < tau/(sqrt(w) q^2),
-    with w = 1 + 4*tau, via two-radical sign determination."""
-    w = 1 + 4 * tau
-    wn, wd = w.numerator, w.denominator
-    u, v, d = decompose(alpha - Fraction(p, q))
-    # alpha - p/q + 1/(sqrt(w) q^2) > 0
-    lower = radical_sign(u, v, d, Fraction(1, q * q * wn), wn * wd)
-    if lower <= 0:
-        return False
-    # tau/(sqrt(w) q^2) - (alpha - p/q) > 0
-    upper = radical_sign(-u, -v, d, Fraction(tau, q * q * wn), wn * wd)
-    return upper > 0
-
-
 def verify(alpha: ExactReal, appr: Approximation) -> bool:
     """Re-check an approximation certificate from scratch, exactly."""
     alpha = ensure_exact(alpha)
@@ -148,20 +149,13 @@ def verify(alpha: ExactReal, appr: Approximation) -> bool:
         return compare(_abs_diff(alpha, p, q), Fraction(1, q * bound.q_limit)) <= 0
     if q <= bound.q_limit:
         return False
-    if bound.kind == "square":
-        return compare(_abs_diff(alpha, p, q), Fraction(1, q * q)) < 0
-    if bound.kind == "hurwitz":
-        u, v, d = decompose(alpha - Fraction(p, q))
-        mag_u, mag_v = (u, v) if radical_sign(u, v, d) >= 0 else (-u, -v)
-        return radical_sign(-mag_u, -mag_v, d, Fraction(1, 5 * q * q), 5) > 0
-    if bound.kind == "segre":
-        return _segre_bound_holds(alpha, p, q, bound.tau)
-    if bound.kind == "one_sided":
-        diff = (
-            Fraction(p, q) - alpha if bound.side == ABOVE else alpha - Fraction(p, q)
-        )
-        return compare(diff, 0) > 0 and compare(diff, Fraction(1, q * q)) < 0
-    raise DomainError(f"unknown bound kind {bound.kind!r}")
+    lo, hi, w = bound.window()
+    # 1/(sqrt(w) q^2) = s*sqrt(e), with w = wn/wd, s = 1/(q^2 wn) and e = wn*wd
+    wn, wd = w.numerator, w.denominator
+    s, e = Fraction(1, q * q * wn), wn * wd
+    u, v, d = decompose(alpha - Fraction(p, q))
+    # alpha - p/q + lo*s*sqrt(e) > 0, then hi*s*sqrt(e) - (alpha - p/q) > 0
+    return radical_sign(u, v, d, lo * s, e) > 0 and radical_sign(-u, -v, d, hi * s, e) > 0
 
 
 def _finish(alpha: ExactReal, p: int, q: int, bound: Bound) -> Approximation:
@@ -205,14 +199,15 @@ def _candidates(alpha: ExactReal) -> Iterator[tuple[int, int]]:
         p0, q0, p1, q1 = p1, q1, p, q
 
 
-def _first(alpha, q_floor, candidates, holds, budget, bound) -> Approximation:
-    """The first of ``candidates`` with q > Q that ``holds``, trying at most
-    ``budget`` of those, re-verified against ``bound``."""
-    for p, q in islice(((p, q) for p, q in candidates if q > q_floor), budget):
-        if holds(p, q):
-            return _finish(alpha, p, q, bound)
+def _first(alpha, candidates, budget, bound) -> Approximation:
+    """The first of ``candidates`` with q > Q that ``verify`` passes against
+    ``bound``, trying at most ``budget`` of those."""
+    for p, q in islice(((p, q) for p, q in candidates if q > bound.q_limit), budget):
+        appr = Approximation(p, q, bound, verified=True)
+        if verify(alpha, appr):
+            return appr
     raise ResourceLimitError(
-        f"no candidate passed the bound within {budget} candidates past Q = {q_floor}"
+        f"no candidate passed the bound within {budget} candidates past Q = {bound.q_limit}"
     )
 
 
@@ -226,11 +221,7 @@ def large_denominator(alpha: ExactReal, q_floor: int) -> Approximation:
     alpha = _require_positive_irrational(alpha)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(
-        alpha, q_floor, _candidates(alpha),
-        lambda p, q: compare(_abs_diff(alpha, p, q), Fraction(1, q * q)) < 0,
-        3, Bound.square(q_floor),
-    )
+    return _first(alpha, _candidates(alpha), 3, Bound.square(q_floor))
 
 
 def segre(alpha: ExactReal, tau, q_floor: int) -> Approximation:
@@ -243,46 +234,36 @@ def segre(alpha: ExactReal, tau, q_floor: int) -> Approximation:
     below alpha passes.  DEFAULT_MAX_ROUNDS caps the candidates tried past Q.
     """
     alpha = _require_positive_irrational(alpha)
-    tau = Fraction(tau)
-    if tau < 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+    bound = Bound.segre(tau, q_floor)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(
-        alpha, q_floor, _candidates(alpha),
-        lambda p, q: _segre_bound_holds(alpha, p, q, tau),
-        DEFAULT_MAX_ROUNDS, Bound.segre(tau, q_floor),
-    )
+    return _first(alpha, _candidates(alpha), DEFAULT_MAX_ROUNDS, bound)
 
 
 def hurwitz(alpha: ExactReal, q_floor: int) -> Approximation:
-    """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2): the tau = 1 case
-    of segre, verified once against the Hurwitz bound."""
+    """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2).
+
+    The first convergent past Q that passes.  Only convergents lie within
+    1/(2q^2) of alpha (Legendre; Hardy & Wright, Th. 184), and of any three
+    consecutive convergents one passes (Borel; Th. 195), so at most three
+    are tried.
+    """
     alpha = _require_positive_irrational(alpha)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(
-        alpha, q_floor, _candidates(alpha),
-        lambda p, q: _segre_bound_holds(alpha, p, q, Fraction(1)),
-        DEFAULT_MAX_ROUNDS, Bound.hurwitz(q_floor),
-    )
+    return _first(alpha, ((p, q) for _, p, q in convergents(alpha)), 3, Bound.hurwitz(q_floor))
 
 
 def one_sided(alpha: ExactReal, q_floor: int, side: str) -> Approximation:
-    """Approximation from one side only: tau = 0, mirrored for 'below'.
+    """Approximation from one side only: 0 < p/q - alpha < 1/q^2 ('above')
+    or 0 < alpha - p/q < 1/q^2 ('below').
 
-    'above': 0 < p/q - alpha < 1/q^2, from the first convergent past Q
-    that lies above alpha (odd index).  Every such convergent passes:
-    0 < p/q - alpha < 1/(q*q') < 1/q^2, with q' the next denominator.
-    'below' takes the same convergent of ceil(alpha) - alpha, then
-    reflects it back.
+    The first convergent past Q on the requested side.  Convergents
+    alternate sides, and each lies within 1/(q*q') <= 1/q^2 of alpha,
+    with q' the next denominator, so at most two are tried.
     """
     alpha = _require_positive_irrational(alpha)
-    if side not in (ABOVE, BELOW):
-        raise DomainError(f"side must be {ABOVE!r} or {BELOW!r}")
+    bound = Bound.one_sided(side, q_floor)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    top = floor_of(alpha) + 1
-    target = alpha if side == ABOVE else top - alpha
-    p, q = next((p, q) for _, p, q in islice(convergents(target), 1, None, 2) if q > q_floor)
-    return _finish(alpha, p if side == ABOVE else top * q - p, q, Bound.one_sided(side, q_floor))
+    return _first(alpha, ((p, q) for _, p, q in convergents(alpha)), 2, bound)

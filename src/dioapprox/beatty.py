@@ -534,6 +534,8 @@ def common_elements(alpha, beta, start: int, count: int,
     alpha, beta = _positive(alpha), _positive(beta)
     if count < 0 or start < 0:
         raise DomainError("need start >= 0 and count >= 0")
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     found = []
     gen_a, gen_b = _terms(alpha, limit), _terms(beta, limit)
     va, vb = next(gen_a), next(gen_b)
@@ -557,6 +559,8 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
     common denominator of lo and hi, D*frac(n*slope) is never an integer,
     so the test is lo*D <= floor(n*D*slope) mod D < hi*D, that floor read
     off one convergent of D*slope (_exact_ratio) and re-checked by floor_of."""
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     tests = []
     for slope, lo, hi in windows:
         d = lcm(lo.denominator, hi.denominator)

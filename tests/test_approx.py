@@ -86,6 +86,16 @@ def test_segre_tau_zero_is_upper_approximation():
     assert compare(diff, Fraction(1, a.q * a.q)) < 0
 
 
+def test_segre_rejects_negative_tau():
+    with pytest.raises(DomainError, match="tau must be >= 0, got -1/8$"):
+        approx.Bound.segre(Fraction(-1, 8), 1)
+    # segre checks alpha, then tau, then Q
+    with pytest.raises(RationalInputError):
+        approx.segre(Fraction(3, 2), -1, 0)
+    with pytest.raises(DomainError, match="tau must be >= 0, got -1$"):
+        approx.segre(SQRT2, -1, 0)
+
+
 def test_segre_rational_root_branch():
     # 1 + 4*tau = 9 for tau = 2: the radical collapses to the rational 3
     a = approx.segre(PHI, 2, 1)
@@ -100,32 +110,40 @@ def test_segre_rational_root_branch():
 
 
 def test_segre_bound_agrees_with_squared_comparison():
-    # independent route: square both sides after a sign analysis
+    # independent route for every bound past Q: square both sides of
+    # -lo/(sqrt(w) q^2) < alpha - p/q < hi/(sqrt(w) q^2) after a sign analysis
     import random
+    from math import gcd
 
     rng = random.Random(41)
-    for _ in range(120):
-        alpha = frac_of(quad(rng.randint(-9, 9), rng.choice([-2, -1, 1, 2]),
-                             rng.randint(1, 5), rng.choice((2, 3, 5, 6, 7))))
-        if alpha == 0:
-            continue
+    zero_diffs = 0
+    for _ in range(400):
         p, q = rng.randint(0, 6), rng.randint(1, 6)
-        tau = Fraction(rng.randint(0, 4), rng.randint(1, 3))
-        w = 1 + 4 * tau
-        delta = alpha - Fraction(p, q)
-        sign = compare(delta, 0)
-        dd = delta * delta
-        if sign >= 0:
-            expected = compare(dd * w * q**4, tau * tau) < 0
-        else:
-            expected = compare(dd * w * q**4, 1) < 0
-        got = approx.verify(
-            alpha, approx.Approximation(p, q, approx.Bound.segre(tau, 0), False)
-        ) if q > 0 else False
-        from math import gcd
         if gcd(p, q) != 1:
             continue
-        assert got == (expected and q > 0)
+        if rng.random() < 0.4:  # rational alpha, at or near p/q, often on an end
+            alpha = Fraction(p, q) + Fraction(rng.randint(-2, 2), rng.randint(1, 3) * q * q)
+        else:
+            alpha = frac_of(quad(rng.randint(-9, 9), rng.choice([-2, -1, 1, 2]),
+                                 rng.randint(1, 5), rng.choice((2, 3, 5, 6, 7))))
+        tau = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        rows = ((approx.Bound.square(0), 1, 1, 1),
+                (approx.Bound.hurwitz(0), 1, 1, 5),
+                (approx.Bound.segre(tau, 0), 1, tau, 1 + 4 * tau),
+                (approx.Bound.one_sided(approx.ABOVE, 0), 1, 0, 1),
+                (approx.Bound.one_sided(approx.BELOW, 0), 0, 1, 1))
+        delta = alpha - Fraction(p, q)
+        sign = compare(delta, 0)
+        zero_diffs += sign == 0
+        for bound, lo, hi, w in rows:
+            if sign == 0:
+                expected = lo > 0 and hi > 0
+            else:
+                end = hi if sign > 0 else lo
+                expected = compare(delta * delta * w * q**4, end * end) < 0
+            got = approx.verify(alpha, approx.Approximation(p, q, bound, False))
+            assert got == expected, (alpha, p, q, bound)
+    assert zero_diffs >= 10
 
 
 def test_hurwitz_examples():
@@ -136,17 +154,21 @@ def test_hurwitz_examples():
     assert approx.verify(SQRT2, b)
 
 
-def test_hurwitz_is_segre_at_tau_one_verified_once(monkeypatch):
+def test_hurwitz_is_segre_at_tau_one_within_three_convergents(monkeypatch):
     verified = []
     real = approx.verify
     monkeypatch.setattr(approx, "verify",
                         lambda alpha, appr: verified.append(appr.bound.kind) or real(alpha, appr))
-    for alpha, q_floor in ((PHI, 10), (SQRT2, 1), (SQRT3, 10**6)):
+    tries = []
+    # sqrt(2)/5 = [0; 3, 1, 1, 6, ...]: 1/3 and 1/4 fail, so Q = 1 needs all three tries
+    for alpha, q_floor in ((PHI, 10), (SQRT2, 1), (SQRT3, 10**6), (quad(0, 1, 5, 2), 1)):
         verified.clear()
         a = approx.hurwitz(alpha, q_floor)
-        assert verified == ["hurwitz"]
+        assert set(verified) == {"hurwitz"} and len(verified) <= 3
+        tries.append(len(verified))
         s = approx.segre(alpha, 1, q_floor)
         assert (a.p, a.q) == (s.p, s.q)
+    assert max(tries) == 3
     with pytest.raises(DomainError, match="Q must be >= 1, got 0"):
         approx.hurwitz(SQRT2, 0)
     with pytest.raises(RationalInputError):
@@ -176,8 +198,9 @@ def test_one_sided_contracts():
 
 
 def test_one_sided_rejects_bad_side():
-    with pytest.raises(DomainError):
-        approx.one_sided(SQRT2, 1, "sideways")
+    for q_floor in (1, 0):  # the side is checked before Q
+        with pytest.raises(DomainError, match="side must be"):
+            approx.one_sided(SQRT2, q_floor, "sideways")
 
 
 def test_segre_round_guard(monkeypatch):
@@ -238,7 +261,8 @@ def test_asymmetric_builders_clear_q_and_verify():
 def test_convergent_search_finds_the_least_denominator():
     # within 1/q^2 of alpha (large_denominator, and segre for tau <= 4 <
     # 2 + sqrt(5)) every solution is a candidate, so the first one past Q
-    # has the least q; a scan over every q confirms it
+    # has the least q; within 1/(2q^2) (hurwitz) every solution is a
+    # convergent (Legendre); a scan over every q confirms it
     def least(alpha, q_floor, bound):
         q = q_floor + 1
         while True:
@@ -252,6 +276,8 @@ def test_convergent_search_finds_the_least_denominator():
         for q_floor in (1, 2, 5, 17, 40):
             a = approx.large_denominator(alpha, q_floor)
             assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.square(q_floor))
+            a = approx.hurwitz(alpha, q_floor)
+            assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.hurwitz(q_floor))
             for tau in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4)):
                 a = approx.segre(alpha, tau, q_floor)
                 assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.segre(tau, q_floor))

@@ -681,6 +681,12 @@ def test_common_elements_examples():
     assert scan.found == () and scan.exhausted
     scan = beatty.common_elements(Fraction(3, 2), Fraction(5, 2), 0, 2)
     assert scan.found == (7, 10)
+    scan = beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3, limit=0)
+    assert scan.found == () and scan.exhausted
+    with pytest.raises(DomainError, match="limit must be >= 0, got -1"):
+        beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3, limit=-1)
+    with pytest.raises(DomainError, match="need start >= 0"):  # checked before the limit
+        beatty.common_elements(SQRT2, 1 + SQRT2, -1, 3, limit=-1)
 
 
 def test_common_elements_respects_start():
@@ -736,6 +742,18 @@ def test_dmo_window_search_exhaustion():
     assert beatty.dmo_window_search(SQRT2, Fraction(9, 10), Fraction(19, 20), 10) is None
     with pytest.raises(RationalInputError):
         beatty.dmo_window_search(Fraction(3, 2), Fraction(1, 3), Fraction(1, 2), 10)
+    searches = (lambda n: beatty.dmo_window_search(SQRT2, 0, 1, n),
+                lambda n: beatty.residue_search(SQRT2, 3, 1, n),
+                lambda n: beatty.kronecker_search(SQRT2, SQRT3, (0, 1, 0, 1), n))
+    for search in searches:
+        assert search(0) is None
+        with pytest.raises(DomainError, match="limit must be >= 0, got -1"):
+            search(-1)
+    # the other arguments are checked before the limit
+    with pytest.raises(RationalInputError):
+        beatty.dmo_window_search(Fraction(3, 2), 0, 1, -1)
+    with pytest.raises(DomainError, match="need 0 <= residue < modulus"):
+        beatty.residue_search(SQRT2, 3, 3, -1)
 
 
 def test_residue_search_examples():

@@ -1,4 +1,4 @@
-"""The benchmark harness runs a short beatty-scans pass and finds every
+"""The benchmark harness runs a short pass of a workload and finds every
 answer correct: its checks compare each op with the oracle."""
 
 import json
@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_beatty_scans_benchmark_runs_correct():
+@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs"])
+def test_benchmark_runs_correct(workload):
     proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "beatty-scans",
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -214,6 +214,29 @@ def test_verify_refuses_options_of_other_kinds():
     assert code == 0
 
 
+def test_verify_refuses_negative_tau():
+    base = ["approx", "verify", "sqrt(2)", "3", "2", "--kind", "segre", "--bound-q", "1"]
+    for spelling, shown in ((["--tau=-1/8"], "-1/8"), (["--tau=-1/4"], "-1/4"),
+                            (["--tau", "-1"], "-1")):
+        for tail in ([], ["--format", "json"]):
+            code, out, err = run_capture(base + spelling + tail)
+            assert (code, out, err) == (2, "", f"error: tau must be >= 0, got {shown}\n"), spelling
+
+
+def test_negative_search_limits_are_usage_errors():
+    searches = (["beatty", "dmo", "sqrt(2)", "0", "1"], ["beatty", "residue", "sqrt(2)", "3", "1"],
+                ["beatty", "kronecker", "sqrt(2)", "sqrt(3)", "0", "1", "0", "1"])
+    cases = [argv + [limit] for argv in searches for limit in ("-1", "0")]
+    cases += [["beatty", "common", "sqrt(2)", "1+sqrt(2)", "0", "1", "--limit", limit]
+              for limit in ("-1", "0")]
+    for argv in cases:
+        code, out, err = run_capture(argv)
+        if "-1" in argv:
+            assert (code, out, err) == (2, "", "error: limit must be >= 0, got -1\n"), argv
+        else:  # limit 0 runs out before the first index
+            assert code == 3 and "exhausted: True" in out and not err, argv
+
+
 def test_nonarch_commands():
     code, out, _ = run_capture(["nonarch", "floor", "(t^2)/(t+1)"])
     assert code == 0 and "t - 1" in out
