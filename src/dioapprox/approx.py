@@ -12,7 +12,6 @@ from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
-from . import farey
 from .errors import DomainError, RationalInputError, ResourceLimitError
 from .exactnum import (
     ExactReal,
@@ -20,7 +19,6 @@ from .exactnum import (
     convergents,
     decompose,
     ensure_exact,
-    floor_of,
     is_rational,
     radical_sign,
     sign_of,
@@ -170,19 +168,18 @@ def _finish(alpha: ExactReal, p: int, q: int, bound: Bound) -> Approximation:
 def dirichlet(alpha: ExactReal, q_cap: int) -> Approximation:
     """p/q with 1 <= q <= Q, gcd(p, q) = 1 and |alpha - p/q| <= 1/(q*Q).
 
-    The fractional part is bracketed by consecutive order-Q series terms;
-    whichever endpoint sits on alpha's side of their mediant satisfies
-    the bound, because the mediant's denominator exceeds Q.
+    The last convergent p_k/q_k with q_k <= Q: the next denominator
+    exceeds Q, so |alpha - p_k/q_k| < 1/(q_k q_(k+1)) < 1/(q_k Q)
+    (Hardy & Wright, ch. X).
     """
     alpha = _require_positive_irrational(alpha)
     if q_cap < 1:
         raise DomainError(f"Q must be >= 1, got {q_cap}")
-    whole = floor_of(alpha)
-    beta = alpha - whole
-    br = farey.bracket(beta, q_cap)
-    med = farey.mediant(br.lo, br.hi)
-    pick = br.lo if compare(beta, med.value) < 0 else br.hi
-    return _finish(alpha, pick.h + whole * pick.k, pick.k, Bound.dirichlet(q_cap))
+    for _, p, q in convergents(alpha):
+        if q > q_cap:
+            break
+        pick = p, q
+    return _finish(alpha, *pick, Bound.dirichlet(q_cap))
 
 
 def _candidates(alpha: ExactReal) -> Iterator[tuple[int, int]]:

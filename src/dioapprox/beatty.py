@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     DomainError,
@@ -268,7 +268,8 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
 
     The residues are floor(p*r/q) for r = 0..q-1; the union is verified
     against the window.  Residue p-1 never occurs: p*r/q <= p - p/q < p - 1
-    for reduced p/q > 1, so every residue is at most p-2.
+    for reduced p/q > 1, so every residue is at most p-2.  The q residues,
+    one period's members, are refused past WINDOW_LIMIT before any is built.
     """
     if q < 1 or p < 1:
         raise DomainError("need positive integers p, q")
@@ -276,8 +277,10 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
     p, q = p // g, q // g
     if p <= q:
         raise DomainError(f"need p/q > 1, got {p}/{q}")
+    if q > WINDOW_LIMIT:
+        raise ResourceLimitError(f"{q} progressions exceed WINDOW_LIMIT = {WINDOW_LIMIT}")
+    word = window(Fraction(p, q), bound).word  # refuses a bad or oversized window first
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
-    word = window(Fraction(p, q), bound).word  # refuses an oversized window first
     period = bytearray(min(p, bound + 1))
     for pr in progs:
         if pr.residue <= bound:
@@ -514,43 +517,38 @@ class CommonScan(NamedTuple):
     scanned_to: int
 
 
-def _terms(alpha: ExactReal, limit: int) -> Iterator[int]:
-    """Strictly increasing sequence values from index 1 to the first past
-    `limit`: all common_elements reads, as it steps past values <= limit only."""
-    last_index = mu(alpha, limit) + 1
-    p, q = _exact_ratio(alpha, last_index)
-    if p < q:  # a slope below 1 hits every integer from floor(alpha) = 0
-        return iter(range(limit + 2))
-    return (n * p // q for n in range(1, last_index + 1))
-
-
 def common_elements(alpha, beta, start: int, count: int,
                     *, limit: int = DEFAULT_SCAN_LIMIT) -> CommonScan:
-    """First `count` shared values above `start`, by synchronized scan.
-
-    Stops once candidate values pass `limit`; an unfilled result then
-    carries exhausted=True rather than failing silently.
+    """First `count` shared values above `start`: the set bytes of A & B for
+    the two words (_word), built at about 2*start + 256 bytes and doubled
+    while under (limit + 1)/2, then at limit + 1, so under 2*(limit + 1)
+    bytes per word in all.  An unfilled result at `limit` carries
+    exhausted=True; a limit + 1 past WORD_LIMIT is refused before any word.
+    scanned_to is the least term of either sequence above the last value
+    found, or at index 1 when count is 0.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if count < 0 or start < 0:
         raise DomainError("need start >= 0 and count >= 0")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    if count and limit + 1 > WORD_LIMIT:
+        raise ResourceLimitError(f"a scan word of {limit + 1} bytes exceeds WORD_LIMIT = {WORD_LIMIT}")
+    ratios = [_exact_ratio(x, mu(x, limit) + 1) for x in (alpha, beta)]
     found = []
-    gen_a, gen_b = _terms(alpha, limit), _terms(beta, limit)
-    va, vb = next(gen_a), next(gen_b)
+    n = min(2 * start + 256, limit + 1)
     while len(found) < count:
-        if va > limit and vb > limit:
-            return CommonScan(tuple(found), True, limit)
-        if va == vb:
-            if va > start:
-                found.append(va)
-            va, vb = next(gen_a), next(gen_b)
-        elif va < vb:
-            va = next(gen_a)
-        else:
-            vb = next(gen_b)
-    return CommonScan(tuple(found), False, min(va, vb))
+        a, b = (_as_int(_word(p, q, n) if p >= q else b"\1" * n) for p, q in ratios)
+        shared = (a & b).to_bytes(n, "little")
+        k = found[-1] if found else start
+        while len(found) < count and (k := shared.find(1, k + 1)) > 0:
+            found.append(k)
+        if len(found) < count:
+            if n == limit + 1:
+                return CommonScan(tuple(found), True, limit)
+            n = limit + 1 if 4 * n > limit + 1 else 2 * n
+    after = [(-(-(found[-1] + 1) * q // p) if found else 1) * p // q for p, q in ratios]
+    return CommonScan(tuple(found), False, min(after))
 
 
 def _first_in_windows(windows, limit: int) -> Optional[int]:

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
 from dioapprox import approx, oracle
 from dioapprox.errors import DomainError, RationalInputError
-from dioapprox.exactnum import compare, floor_of, frac_of, quad, radical_sign, sqrt_int
+from dioapprox.exactnum import compare, convergents, floor_of, frac_of, quad, radical_sign, sqrt_int
 from support import PHI, SQRT2, SQRT2_M1, SQRT3
 
 
@@ -35,6 +36,13 @@ def test_dirichlet_contract_and_oracle_membership():
             assert 1 <= a.q <= cap
             assert compare(abs_diff(alpha, a.p, a.q), Fraction(1, a.q * cap)) <= 0
             assert (a.p, a.q) in oracle.dirichlet_naive(alpha, cap)
+        # the answer is the last convergent with q <= Q, for Q up to 10^40
+        conv = [(p, q) for _, p, q in takewhile(lambda c: c[2] <= 10**41, convergents(alpha))]
+        caps = [10**k for k in range(41)] + [q + j for _, q in conv[1:] for j in (-1, 0, 1) if q + j]
+        for cap in caps:
+            a = approx.dirichlet(alpha, cap)
+            assert (a.p, a.q) == [c for c in conv if c[1] <= cap][-1], (alpha, cap)
+            assert compare(abs_diff(alpha, a.p, a.q), Fraction(1, a.q * cap)) <= 0
 
 
 def test_dirichlet_rejects_rationals():

@@ -146,7 +146,8 @@ def test_window_limit_guard():
 def test_word_limit_guard():
     """A window's word spans bound + 1 bytes whatever its member count, so a
     sparse window past WORD_LIMIT is refused before any word is built, and
-    so is an oversized progression check, before its prediction is built."""
+    so is an oversized progression check, before its prediction is built,
+    and a common-element scan whose words could pass WORD_LIMIT."""
     import tracemalloc
 
     assert beatty.WORD_LIMIT == 10**7
@@ -158,6 +159,11 @@ def test_word_limit_guard():
                                            10**7 * PHI_SQ, cert, 10**12), "WORD_LIMIT"),
         (lambda: beatty.ap_decomposition(10**12, 1, 10**13), "WORD_LIMIT"),
         (lambda: beatty.ap_decomposition(7, 3, 10**9), "WINDOW_LIMIT"),
+        # 10^7 progressions of one period, refused before any is built
+        (lambda: beatty.ap_decomposition(99999999999999999999, 10**7, 1000), "WINDOW_LIMIT"),
+        # 10^6 progressions are allowed, but the window is checked before they are built
+        (lambda: beatty.ap_decomposition(10**6 + 1, 10**6, 10**9), "WINDOW_LIMIT"),
+        (lambda: beatty.common_elements(PHI, PHI_SQ, 0, 1, limit=10**8), "WORD_LIMIT"),
     ):
         tracemalloc.start()
         try:
@@ -674,7 +680,7 @@ def test_rational_slopes_always_intersect_and_leave_gaps():
 
 # --- scans and density probes ---------------------------------------------
 
-def test_common_elements_examples():
+def test_common_elements_examples(monkeypatch):
     scan = beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3)
     assert scan.found == (2, 4, 7) and not scan.exhausted
     scan = beatty.common_elements(PHI, PHI_SQ, 0, 1, limit=3000)
@@ -687,6 +693,13 @@ def test_common_elements_examples():
         beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3, limit=-1)
     with pytest.raises(DomainError, match="need start >= 0"):  # checked before the limit
         beatty.common_elements(SQRT2, 1 + SQRT2, -1, 3, limit=-1)
+    # an empty scan builds each word in rounds of fewer than 2*(limit + 1) bytes in all
+    built = []
+    word = beatty._word
+    monkeypatch.setattr(beatty, "_word", lambda p, q, n: built.append(n) or word(p, q, n))
+    limit = beatty.DEFAULT_SCAN_LIMIT
+    assert beatty.common_elements(PHI, PHI_SQ, 0, 1) == ((), True, limit)
+    assert max(built) == limit + 1 and sum(built) <= 4 * (limit + 1)
 
 
 def test_common_elements_respects_start():
@@ -697,6 +710,8 @@ def test_common_elements_respects_start():
 def _naive_common(alpha, beta, start, count, limit):
     """(found, exhausted, scanned_to) recomputed from beatty_naive, for
     slopes below 3 (so the next member past limit is within 3 of it)."""
+    if count == 0:  # the terms at index 1
+        return (), False, min(floor_of(alpha), floor_of(beta))
     a, b = oracle.beatty_naive(alpha, limit + 3), oracle.beatty_naive(beta, limit + 3)
     shared = sorted(v for v in a & b if start < v <= limit)
     if len(shared) < count:
@@ -712,7 +727,12 @@ def test_common_elements_match_naive_scan():
              (Fraction(3, 2), Fraction(5, 2), 95, 3, 100), (Fraction(2, 3), SQRT2 / 2, 10, 40, 60),
              (SQRT2 / 10**4, PHI / 10**3, 0, 4, 5), (Fraction(7, 3), Fraction(7, 3), 5, 4, 30),
              # scanned_to is phi's term at index mu(phi, 11) + 1 = 8, a convergent denominator
-             (PHI, Fraction(13, 7), 0, 4, 11)]
+             (PHI, Fraction(13, 7), 0, 4, 11),
+             # starts past the first round's words, and empty requests
+             (SQRT2, 1 + SQRT2, 1000, 5, 3000), (SQRT2, SQRT3, 5000, 3, 8000),
+             (PHI, Fraction(13, 8), 1200, 30, 4000), (Fraction(5, 3), Fraction(7, 4), 2500, 2, 2600),
+             (SQRT2, 1 + SQRT2, 10, 0, 100), (Fraction(2, 3), SQRT2, 0, 0, 50),
+             (PHI, PHI_SQ, 3000, 0, 10), (SQRT2 / 2, PHI, 1000, 0, 2000)]
     for _ in range(30):
         alpha, beta = _random_slope(rng, 0.3, 3), _random_slope(rng, 1, 3)
         cases.append((alpha, beta, rng.randrange(50), rng.randrange(1, 25), rng.randrange(1, 400)))

@@ -11,7 +11,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs"])
+@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs", "nonarch-model"])
 def test_benchmark_runs_correct(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,

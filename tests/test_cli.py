@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -73,6 +74,17 @@ def test_window_limit_exit_code():
     code, out, err = run_capture(["beatty", "window", "10000000", "1000000000000"])
     assert code == 3 and out == ""
     assert "WORD_LIMIT" in err and "Traceback" not in err
+
+
+def test_scan_and_progression_limits_exit_code():
+    # 10^7 progressions, and an empty scan that used to run for about 45 s
+    for argv, limit in ((["beatty", "apdecomp", "99999999999999999999", "10000000", "1000"],
+                         "WINDOW_LIMIT"),
+                        (["beatty", "common", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "0", "1",
+                          "--limit", "100000000"], "WORD_LIMIT")):
+        code, out, err = run_capture(argv)
+        assert code == 3 and out == ""
+        assert limit in err and "Traceback" not in err
 
 
 def test_nonarch_size_limits_exit_code():
@@ -237,6 +249,27 @@ def test_negative_search_limits_are_usage_errors():
             assert code == 3 and "exhausted: True" in out and not err, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["approx", "large", "sqrt(2)", "0"], "Q must be >= 1, got 0"),
+    (["approx", "segre", "sqrt(2)", "1/2", "0"], "Q must be >= 1, got 0"),
+    (["approx", "onesided", "sqrt(2)", "0", "below"], "Q must be >= 1, got 0"),
+    (["farey", "succ", "sqrt(2)", "5"], "expected a rational number at position 0: 'sqrt(2)'"),
+    (["beatty", "member", "sqrt(2)", "-1"], "membership is about k >= 0, got -1"),
+    (["beatty", "window", "sqrt(2)", "-1"], "window bound must be >= 0, got -1"),
+    (["beatty", "mu", "sqrt(2)", "-1"], "mu needs h >= 0, got -1"),
+    (["beatty", "partition", "1/2", "3", "10"], "partition checking needs alpha, beta > 1"),
+    (["beatty", "residue", "3/2", "3", "1", "10"], "residue searches need irrational alpha"),
+    (["beatty", "pthroot", "1", "1/3", "1/2"], "root degree must be >= 2"),
+    (["beatty", "kronecker", "3/2", "sqrt(3)", "0", "1", "0", "1", "10"],
+     "fractional-part searches need irrationals"),
+    (["beatty", "kronecker", "sqrt(2)", "sqrt(3)", "1/2", "1/3", "0", "1", "10"],
+     "rectangle sides must satisfy 0 <= l < r <= 1"),
+    (["beatty", "radius", "3/2", "0"], "need m >= 1"),
+])
+def test_argument_checks_are_usage_errors(argv, message):
+    assert run_capture(argv) == (2, "", f"error: {message}\n")
+
+
 def test_nonarch_commands():
     code, out, _ = run_capture(["nonarch", "floor", "(t^2)/(t+1)"])
     assert code == 0 and "t - 1" in out
@@ -322,7 +355,7 @@ def _modules_after(argv=None):
 def test_a_command_loads_only_the_modules_it_runs():
     toolkit = {f"dioapprox.{m}" for m in ("approx", "beatty", "farey", "nonarch", "oracle")}
     avoided = {"dataclasses", "inspect", "json"} - _modules_after()
-    for argv, loaded in ((["approx", "hurwitz", "sqrt(2)", "1000"], {"approx", "farey"}),
+    for argv, loaded in ((["approx", "hurwitz", "sqrt(2)", "1000"], {"approx"}),
                          (["farey", "succ", "2/6", "5"], {"farey"}),
                          (["beatty", "mu", "sqrt(2)", "100"], {"beatty"}),
                          (["nonarch", "floor", "t"], {"nonarch"}),
@@ -334,6 +367,23 @@ def test_a_command_loads_only_the_modules_it_runs():
         assert {m.split(".")[1] for m in toolkit & modules} == loaded, argv
         assert not avoided & modules, argv
     assert "json" in _modules_after(["farey", "succ", "2/6", "5", "--format", "json"])
+
+
+def test_toolkit_modules_import_only_the_kernel():
+    """Each toolkit module imports, from the package, only errors and exactnum."""
+    src = os.path.dirname(dioapprox.__file__)
+    for name in ("approx", "beatty", "farey", "nonarch", "oracle"):
+        with open(os.path.join(src, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                used |= {a.name for a in node.names} if node.module is None else {node.module}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dioapprox"):
+                used.add(node.module)
+            elif isinstance(node, ast.Import):
+                used |= {a.name for a in node.names if a.name.startswith("dioapprox")}
+        assert used <= {"errors", "exactnum"}, (name, used)
 
 
 # One sample argv per command-table row.
