@@ -247,6 +247,7 @@ class QuadIrr:
 
 
 ExactReal = Union[Fraction, QuadIrr]
+_EXACT = (int, Fraction, QuadIrr)  # what the kernel takes as is; ensure_exact coerces the rest
 
 
 def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
@@ -309,8 +310,9 @@ def decompose(x) -> tuple[Fraction, Fraction, int]:
 # -- exact sign determination -----------------------------------------
 
 
-def _sign_one(u: Fraction, v: Fraction, d: int) -> int:
-    """Sign of u + v*sqrt(d) for any positive integer d."""
+def _sign_one(u, v, d: int) -> int:
+    """Sign of u + v*sqrt(d) for any positive integer d; u and v are
+    ints or Fractions."""
     if v == 0:
         return _sgn(u)
     if u == 0:
@@ -324,9 +326,9 @@ def _sign_one(u: Fraction, v: Fraction, d: int) -> int:
     return su * _sgn(t)
 
 
-def _sign_two(u: Fraction, v: Fraction, d: int, w: Fraction, e: int) -> int:
+def _sign_two(u, v, d: int, w, e: int) -> int:
     """Sign of u + v*sqrt(d) + w*sqrt(e), both radicals live (d != e, both
-    >= 2, not necessarily squarefree).
+    >= 2, not necessarily squarefree); u, v and w are ints or Fractions.
 
     Isolate the radical pair, square once to compare against the
     rational part, and resolve the remaining single radical exactly.
@@ -380,16 +382,37 @@ def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
 
 
 def compare(x, y) -> int:
-    """Total order on exact reals: -1, 0 or +1.  Works across radicands."""
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return _sgn(Fraction(x) - Fraction(y))
-    u1, v1, d1 = decompose(ensure_exact(x))
-    u2, v2, d2 = decompose(ensure_exact(y))
-    return radical_sign(u1 - u2, v1, d1, -v2, d2)
+    """Total order on exact reals: -1, 0 or +1.  Works across radicands.
+
+    Decided on the values' own integers, with no Fraction built: both
+    sides go over c1*c2 > 0 (a rational n/m has b = 0, c = m), leaving
+    the integer row (a1*c2 - a2*c1) + b1*c2*sqrt(d1) - b2*c1*sqrt(d2).
+    Canonical radicands are squarefree, so d1 = d2 exactly when the two
+    values share a field, and the row is then one radical; _sign_two
+    decides any other pair.
+    """
+    if not isinstance(x, _EXACT):
+        x = ensure_exact(x)
+    if not isinstance(y, _EXACT):
+        y = ensure_exact(y)
+    if isinstance(x, QuadIrr):
+        if isinstance(y, QuadIrr):
+            u = x.a * y.c - y.a * x.c
+            if x.d == y.d:
+                return _sign_one(u, x.b * y.c - y.b * x.c, x.d)
+            return _sign_two(u, x.b * y.c, x.d, -y.b * x.c, y.d)
+        return _sign_one(x.a * y.denominator - y.numerator * x.c, x.b * y.denominator, x.d)
+    if isinstance(y, QuadIrr):
+        return -_sign_one(y.a * x.denominator - x.numerator * y.c, y.b * x.denominator, y.d)
+    return _sgn(x.numerator * y.denominator - y.numerator * x.denominator)
 
 
 def sign_of(x) -> int:
-    return compare(x, 0)
+    if not isinstance(x, _EXACT):
+        x = ensure_exact(x)
+    if isinstance(x, QuadIrr):
+        return _sign_one(x.a, x.b, x.d)  # c > 0
+    return _sgn(x)
 
 
 def floor_of(x) -> int:
@@ -398,6 +421,8 @@ def floor_of(x) -> int:
         return x
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
+    if not isinstance(x, QuadIrr):
+        return floor_of(ensure_exact(x))
     t = x.b * x.b * x.d
     r = isqrt(t)
     # b*sqrt(d) is irrational (d squarefree >= 2), so r*r < t strictly.
@@ -406,9 +431,10 @@ def floor_of(x) -> int:
 
 
 def ceil_of(x) -> int:
+    if not isinstance(x, _EXACT):
+        x = ensure_exact(x)
     if isinstance(x, QuadIrr):
         return floor_of(x) + 1
-    x = Fraction(x)
     return -((-x.numerator) // x.denominator)
 
 

@@ -17,7 +17,7 @@ cannot settle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import mul as _imul
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -428,23 +428,19 @@ def _coerce(x, y) -> tuple[LaurentElem, LaurentElem]:
     return x, y
 
 
-def _prec_or_inf(s: EpsSeries):
-    return inf if s.exact else s.prec  # inf: known to every order
-
-
 def _series_add(x: EpsSeries, y: EpsSeries, negate: bool) -> EpsSeries:
-    prec = min(_prec_or_inf(x), _prec_or_inf(y))
     if x.is_exact_zero():
         return (-y) if negate else y
     if y.is_exact_zero():
         return x
+    exact = x.exact and y.exact  # then every order is known, and both windows fit
+    hi = max(x.prec, y.prec) if exact else min(s.prec for s in (x, y) if not s.exact)
     lo = min(x.lead, y.lead)
-    hi = prec if prec != inf else max(x.prec, y.prec)
     out = []
     for i in range(lo, hi):
         c = x.coeff(i) + (-y.coeff(i) if negate else y.coeff(i))
         out.append(c)
-    return EpsSeries.make(lo, out, prec == inf)
+    return EpsSeries.make(lo, out, exact)
 
 
 def _over_lcm(coeffs) -> tuple[list[int], int]:
@@ -456,8 +452,11 @@ def _over_lcm(coeffs) -> tuple[list[int], int]:
 def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     if x.is_exact_zero() or y.is_exact_zero():
         return EpsSeries(0, (), True)
-    prec = min(_prec_or_inf(x) + y.lead, _prec_or_inf(y) + x.lead)
-    hi = prec if prec != inf else x.prec + y.prec  # enough room for the full product
+    exact = x.exact and y.exact
+    if exact:
+        hi = x.prec + y.prec  # enough room for the full product
+    else:  # an inexact factor is unknown from its prec on, shifted by the other's lead
+        hi = min(s.prec + t.lead for s, t in ((x, y), (y, x)) if not s.exact)
     lo = x.lead + y.lead
     width = hi - lo
     a, da = _over_lcm(x.coeffs[:width])
@@ -469,7 +468,7 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     for k in range(width):
         i0, i1 = max(0, k - nb + 1), min(k + 1, na)  # a[i] meets b[k - i]
         out.append(Fraction(sum(map(_imul, a[i0:i1], b[nb - 1 - k + i0:])), den))
-    return EpsSeries.make(lo, out, prec == inf)
+    return EpsSeries.make(lo, out, exact)
 
 
 def _series_quotient(f, g, width: int) -> list[Fraction]:

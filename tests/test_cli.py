@@ -386,6 +386,23 @@ def test_toolkit_modules_import_only_the_kernel():
         assert used <= {"errors", "exactnum"}, (name, used)
 
 
+def test_no_module_uses_floating_point():
+    """No module has a float literal, names float, or imports or reads inf or nan."""
+    src = os.path.dirname(dioapprox.__file__)
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            found = (
+                isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Attribute) and node.attr in ("inf", "nan")
+                or isinstance(node, ast.ImportFrom)
+                and {a.name for a in node.names} & {"inf", "nan"}
+            )
+            assert not found, (name, node.lineno)
+
+
 # One sample argv per command-table row.
 REPLAY_SAMPLES = [
     ["farey", "list", "5"],

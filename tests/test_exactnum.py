@@ -1,12 +1,13 @@
 import pickle
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioapprox import approx, beatty
+from dioapprox import approx, beatty, exactnum
 from dioapprox.errors import (
     DomainError,
     MixedRadicalError,
@@ -18,6 +19,7 @@ from dioapprox.exactnum import (
     ceil_of,
     compare,
     convergents,
+    decompose,
     ensure_exact,
     ext_gcd,
     floor_of,
@@ -97,6 +99,25 @@ def test_floor_bracketing_randomized():
         assert compare(n, x) <= 0 < compare(n + 1, x)
 
 
+WIDE_PRIMES = (1000003, 1000033, 10000019, 33333331, 99999989)
+
+
+def _random_wide(rng, d=None):
+    """An int or Fraction with parts up to 10^40, or a QuadIrr with c up to
+    10^30 whose radicand is d, or else drawn from the pools."""
+    kind = rng.randrange(3) if d is None else 2
+    if kind == 0:
+        return rng.randint(-10**40, 10**40)
+    if kind == 1:
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+    b = rng.choice((-1, 1)) * rng.randint(1, 10**20)
+    d = d or rng.choice(SQUAREFREE_POOL + WIDE_PRIMES)
+    a = rng.randint(-10**30, 10**30)
+    if rng.random() < 0.3:  # a + b*sqrt(d) near 0, where only the squaring decides
+        a = (-1 if b > 0 else 1) * isqrt(b * b * d) + rng.randint(-2, 2)
+    return quad(a, b, rng.randint(1, 10**30), d)
+
+
 def test_compare_total_order_randomized():
     rng = random.Random(11)
     values = [_random_exact(rng) for _ in range(60)]
@@ -108,6 +129,30 @@ def test_compare_total_order_randomized():
     for x, y, z in trips:
         if compare(x, y) <= 0 and compare(y, z) <= 0:
             assert compare(x, z) <= 0
+    # Wide values against the rational row u + v*sqrt(d) - w*sqrt(e) that
+    # radical_sign decides, and the interval oracle wherever it decides.
+    # About one pair in six shares a field; one in ten differs by a tiny
+    # rational or not at all.
+    decided = signed = 0
+    for _ in range(5000):
+        x = _random_wide(rng)
+        shared = isinstance(x, QuadIrr) and rng.random() < 0.5
+        y = _random_wide(rng, x.d if shared else None)
+        if rng.random() < 0.1:
+            y = x + Fraction(rng.choice((-1, 0, 1)), 10 ** rng.randint(1, 80))
+        (u1, v1, d1), (u2, v2, d2) = decompose(x), decompose(y)
+        order = compare(x, y)
+        assert order == radical_sign(u1 - u2, v1, d1, -v2, d2) == -compare(y, x)
+        expected = interval_sign(u1 - u2, v1, d1, -v2, d2)
+        if expected is not None:
+            decided += 1
+            assert order == expected
+        expected = interval_sign(u1, v1, d1)
+        if expected is not None:
+            signed += 1
+            assert sign_of(x) == expected
+        assert sign_of(x) == compare(x, 0)
+    assert decided > 4500 and signed > 4900
 
 
 @settings(max_examples=150)
@@ -121,6 +166,51 @@ def test_floor_bracketing_property(a, b, c, d):
     x = quad(a, b, c, d)
     n = floor_of(x)
     assert compare(n, x) <= 0 < compare(n + 1, x)
+
+
+def _compare_first(x):
+    return compare(x, 1)
+
+
+def _compare_second(x):
+    return compare(1, x)
+
+
+@pytest.mark.parametrize("entry", [_compare_first, _compare_second, sign_of, floor_of,
+                                   ceil_of, frac_of])
+def test_kernel_entries_parse_strings_and_refuse_floats(entry):
+    assert entry("sqrt(2)") == entry(sqrt_int(2))
+    with pytest.raises(DomainError):
+        entry(1.5)
+
+
+def test_compare_and_sign_of_build_no_fraction(monkeypatch):
+    """Orders and signs come from the values' own integers: no Fraction is
+    built and radical_sign is never asked."""
+    counts = {"Fraction": 0, "radical_sign": 0}
+    real_radical_sign = exactnum.radical_sign
+
+    class CountingType(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            counts["Fraction"] += 1
+            return Fraction(*args)
+
+    def counting_radical_sign(*args):
+        counts["radical_sign"] += 1
+        return real_radical_sign(*args)
+
+    values = [-3, 0, 2, Fraction(-7, 3), Fraction(3, 2), SQRT2, -SQRT2, 1 + SQRT2,
+              PHI, sqrt_int(3), sqrt_int(1000003) / 1000]
+    expected = [[compare(x, y) for y in values] for x in values]
+    signs = [sign_of(x) for x in values]
+    monkeypatch.setattr(exactnum, "Fraction", CountingType("Fraction", (), {}))
+    monkeypatch.setattr(exactnum, "radical_sign", counting_radical_sign)
+    assert [[compare(x, y) for y in values] for x in values] == expected
+    assert [sign_of(x) for x in values] == signs == [-1, 0, 1, -1, 1, 1, -1, 1, 1, 1, 1]
+    assert counts == {"Fraction": 0, "radical_sign": 0}
 
 
 # --- quadratic irrational canonical form -------------------------------
