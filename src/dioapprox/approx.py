@@ -15,6 +15,8 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import DomainError, RationalInputError, ResourceLimitError
 from .exactnum import (
     ExactReal,
+    _sign_one,
+    _walk,
     compare,
     convergents,
     decompose,
@@ -182,27 +184,49 @@ def dirichlet(alpha: ExactReal, q_cap: int) -> Approximation:
     return _finish(alpha, *pick, Bound.dirichlet(q_cap))
 
 
-def _candidates(alpha: ExactReal) -> Iterator[tuple[int, int]]:
-    """Each convergent of alpha and the intermediate fractions next to
-    it, (p_{k-1} + p_k)/(q_{k-1} + q_k) and (p_{k+1} - p_k)/(q_{k+1} - q_k),
-    in increasing q.  By Fatou-Grace every p/q with |alpha - p/q| < 1/q^2
-    is among them."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    for a, p, q in convergents(alpha):
-        for t in sorted({1, a - 1}):
-            if 1 <= t < a:
-                yield p0 + t * p1, q0 + t * q1
-        yield p, q
+def _candidates(alpha: ExactReal, bound: Bound,
+                intermediates: bool) -> Iterator[tuple[int, int, bool]]:
+    """Each candidate p/q past Q, in increasing q, with whether it lies
+    inside ``bound``'s window, decided without a Fraction.
+
+    At step k the candidates are r = (p_(k-2) + t*p_(k-1))/m with
+    m = q_(k-2) + t*q_(k-1): the convergent (t = a_k) and, with
+    ``intermediates``, the intermediate fractions t = 1 and t = a_k - 1.
+    From the complete quotient alpha_k,
+    m^2 (alpha - r) = (-1)^k (alpha_k - t) m / (alpha_k q_(k-1) + q_(k-2))
+    exactly (Hardy & Wright, ch. X), which is never 0 and lies on the side
+    k's parity gives.  So the window needs one end c, hi for even k and
+    lo for odd k: c^2 (alpha_k q_(k-1) + q_(k-2))^2 > w m^2 (alpha_k - t)^2.
+    With alpha_k = (P + sqrt(D))/Q, c = cn/cd and w = wn/wd, times
+    Q^2 cd^2 wd that is cn^2 wd (X1 + q_(k-1) sqrt(D))^2 >
+    wn cd^2 m^2 (X2 + sqrt(D))^2, where X1 = P q_(k-1) + Q q_(k-2) and
+    X2 = P - t Q: one sign on integers (c = 0 never passes).
+    """
+    lo, hi, w = bound.window()
+    wn, wd = w.numerator, w.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0  # p_(k-2), q_(k-2), p_(k-1), q_(k-1)
+    for k, (a, p, q, P, Q, D) in enumerate(_walk(alpha)):
+        if q > bound.q_limit:  # the convergent, the last of step k's candidates, is past Q
+            c = lo if k & 1 else hi
+            cn, cd = c.numerator, c.denominator
+            L, X1 = cn * cn * wd, P * q1 + Q * q0
+            L0, L1 = L * (X1 * X1 + q1 * q1 * D), L * X1 * q1
+            ts = (a,) if not intermediates or a < 2 else (1, a) if a == 2 else (1, a - 1, a)
+            for t in ts:
+                m = q0 + t * q1
+                if m > bound.q_limit:
+                    R, X2 = wn * cd * cd * m * m, P - t * Q
+                    inside = _sign_one(L0 - R * (X2 * X2 + D), 2 * (L1 - R * X2), D) > 0
+                    yield p0 + t * p1, m, inside
         p0, q0, p1, q1 = p1, q1, p, q
 
 
-def _first(alpha, candidates, budget, bound) -> Approximation:
-    """The first of ``candidates`` with q > Q that ``verify`` passes against
-    ``bound``, trying at most ``budget`` of those."""
-    for p, q in islice(((p, q) for p, q in candidates if q > bound.q_limit), budget):
-        appr = Approximation(p, q, bound, verified=True)
-        if verify(alpha, appr):
-            return appr
+def _first(alpha: ExactReal, bound: Bound, budget: int, intermediates: bool) -> Approximation:
+    """The first of at most ``budget`` candidates past Q that lies inside
+    ``bound``'s window, re-checked once by ``verify``."""
+    for p, q, inside in islice(_candidates(alpha, bound, intermediates), budget):
+        if inside:
+            return _finish(alpha, p, q, bound)
     raise ResourceLimitError(
         f"no candidate passed the bound within {budget} candidates past Q = {bound.q_limit}"
     )
@@ -211,56 +235,62 @@ def _first(alpha, candidates, budget, bound) -> Approximation:
 def large_denominator(alpha: ExactReal, q_floor: int) -> Approximation:
     """p/q with q > Q and |alpha - p/q| < 1/q^2, all checked exactly.
 
-    The first candidate past Q that passes.  Every convergent does, and
-    at most two intermediate fractions precede the next one, so at most
-    three are tried.
+    The first candidate past Q that passes the window test on the
+    complete quotient (see _candidates), and verify re-checks only that
+    one.  Every convergent passes, and at most two intermediate fractions
+    precede the next one, so at most three are tried.
     """
     alpha = _require_positive_irrational(alpha)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(alpha, _candidates(alpha), 3, Bound.square(q_floor))
+    return _first(alpha, Bound.square(q_floor), 3, True)
 
 
 def segre(alpha: ExactReal, tau, q_floor: int) -> Approximation:
     """Asymmetric approximation: q > Q with
     -1/(sqrt(1+4t) q^2) < alpha - p/q < t/(sqrt(1+4t) q^2).
 
-    The first candidate past Q that passes.  For t <= 2 + sqrt(5) the
-    region lies within 1/q^2 of alpha, so Segre's theorem puts infinitely
-    many solutions among the candidates; for larger t every convergent
-    below alpha passes.  DEFAULT_MAX_ROUNDS caps the candidates tried past Q.
+    The first candidate past Q that passes the window test on the
+    complete quotient (see _candidates), and verify re-checks only that
+    one.  For t <= 2 + sqrt(5) the region lies within 1/q^2 of alpha, so
+    Segre's theorem puts infinitely many solutions among the candidates;
+    for larger t every convergent below alpha passes.  DEFAULT_MAX_ROUNDS
+    caps the candidates tried past Q.
     """
     alpha = _require_positive_irrational(alpha)
     bound = Bound.segre(tau, q_floor)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(alpha, _candidates(alpha), DEFAULT_MAX_ROUNDS, bound)
+    return _first(alpha, bound, DEFAULT_MAX_ROUNDS, True)
 
 
 def hurwitz(alpha: ExactReal, q_floor: int) -> Approximation:
     """p/q with q > Q and |alpha - p/q| < 1/(sqrt(5) q^2).
 
-    The first convergent past Q that passes.  Only convergents lie within
-    1/(2q^2) of alpha (Legendre; Hardy & Wright, Th. 184), and of any three
-    consecutive convergents one passes (Borel; Th. 195), so at most three
-    are tried.
+    The first convergent past Q that passes the window test on the
+    complete quotient (see _candidates), and verify re-checks only that
+    one.  Only convergents lie within 1/(2q^2) of alpha (Legendre; Hardy &
+    Wright, Th. 184), and of any three consecutive convergents one passes
+    (Borel; Th. 195), so at most three are tried.
     """
     alpha = _require_positive_irrational(alpha)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(alpha, ((p, q) for _, p, q in convergents(alpha)), 3, Bound.hurwitz(q_floor))
+    return _first(alpha, Bound.hurwitz(q_floor), 3, False)
 
 
 def one_sided(alpha: ExactReal, q_floor: int, side: str) -> Approximation:
     """Approximation from one side only: 0 < p/q - alpha < 1/q^2 ('above')
     or 0 < alpha - p/q < 1/q^2 ('below').
 
-    The first convergent past Q on the requested side.  Convergents
-    alternate sides, and each lies within 1/(q*q') <= 1/q^2 of alpha,
-    with q' the next denominator, so at most two are tried.
+    The first convergent past Q on the requested side, by the window
+    test on the complete quotient (see _candidates); verify re-checks only
+    that one.  Convergents alternate sides, and each lies within
+    1/(q*q') <= 1/q^2 of alpha, with q' the next denominator, so at most
+    two are tried.
     """
     alpha = _require_positive_irrational(alpha)
     bound = Bound.one_sided(side, q_floor)
     if q_floor < 1:
         raise DomainError(f"Q must be >= 1, got {q_floor}")
-    return _first(alpha, ((p, q) for _, p, q in convergents(alpha)), 2, bound)
+    return _first(alpha, bound, 2, False)

@@ -142,8 +142,11 @@ class QuadIrr:
 
     # -- arithmetic ----------------------------------------------------
 
+    # An int or Fraction operand n/m enters by its own numerator and
+    # denominator (an int has m = 1), with no Fraction built.
+
     def __add__(self, other):
-        if isinstance(other, QuadIrr):
+        if other.__class__ is QuadIrr:
             if other.d != self.d:
                 raise MixedRadicalError(
                     f"cannot add sqrt({self.d}) and sqrt({other.d}) values exactly"
@@ -154,14 +157,9 @@ class QuadIrr:
                 self.c * other.c,
                 self.d,
             )
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return _norm(
-                self.a * other.denominator + other.numerator * self.c,
-                self.b * other.denominator,
-                self.c * other.denominator,
-                self.d,
-            )
+        if isinstance(other, _RATIONAL):
+            n, m = other.numerator, other.denominator
+            return _norm(self.a * m + n * self.c, self.b * m, self.c * m, self.d)
         return NotImplemented
 
     __radd__ = __add__
@@ -170,17 +168,21 @@ class QuadIrr:
         return QuadIrr(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadIrr)):
+        if other.__class__ is QuadIrr:
             return self.__add__(-other)
+        if isinstance(other, _RATIONAL):
+            n, m = other.numerator, other.denominator
+            return _norm(self.a * m - n * self.c, self.b * m, self.c * m, self.d)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self).__add__(Fraction(other))
+        if isinstance(other, _RATIONAL):
+            n, m = other.numerator, other.denominator
+            return _norm(n * self.c - self.a * m, -self.b * m, self.c * m, self.d)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, QuadIrr):
+        if other.__class__ is QuadIrr:
             if other.d != self.d:
                 raise MixedRadicalError(
                     f"cannot multiply sqrt({self.d}) and sqrt({other.d}) values exactly"
@@ -191,14 +193,9 @@ class QuadIrr:
                 self.c * other.c,
                 self.d,
             )
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return _norm(
-                self.a * other.numerator,
-                self.b * other.numerator,
-                self.c * other.denominator,
-                self.d,
-            )
+        if isinstance(other, _RATIONAL):
+            n = other.numerator
+            return _norm(self.a * n, self.b * n, self.c * other.denominator, self.d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,17 +209,21 @@ class QuadIrr:
         )
 
     def __truediv__(self, other):
-        if isinstance(other, QuadIrr):
+        if other.__class__ is QuadIrr:
             return self.__mul__(other.inverse())
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if isinstance(other, _RATIONAL):
+            n, m = other.numerator, other.denominator
+            if n == 0:
                 raise ZeroDivisionError("division by zero")
-            return self.__mul__(1 / Fraction(other))
+            return _norm(self.a * m, self.b * m, self.c * n, self.d)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse().__mul__(Fraction(other))
+        # n/m over (a + b*sqrt(d))/c is n*c*(a - b*sqrt(d)) / (m*(a^2 - b^2*d))
+        if isinstance(other, _RATIONAL):
+            n, m = other.numerator, other.denominator
+            return _norm(n * self.c * self.a, -n * self.c * self.b,
+                         m * (self.a * self.a - self.b * self.b * self.d), self.d)
         return NotImplemented
 
     # -- ordering ------------------------------------------------------
@@ -247,7 +248,10 @@ class QuadIrr:
 
 
 ExactReal = Union[Fraction, QuadIrr]
-_EXACT = (int, Fraction, QuadIrr)  # what the kernel takes as is; ensure_exact coerces the rest
+_RATIONAL = (int, Fraction)
+# What the kernel takes as is; ensure_exact coerces the rest.  QuadIrr comes
+# first: only an exact type match skips Fraction's ABC instance check.
+_EXACT = (QuadIrr, int, Fraction)
 
 
 def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
@@ -287,9 +291,9 @@ def sqrt_int(d: int) -> ExactReal:
 
 def ensure_exact(x) -> ExactReal:
     """Coerce int / Fraction / QuadIrr / str into an ExactReal."""
-    if isinstance(x, QuadIrr):
+    if x.__class__ is QuadIrr or x.__class__ is Fraction:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONAL):
         return Fraction(x)
     if isinstance(x, str):
         return parse_exact(x)
@@ -297,7 +301,7 @@ def ensure_exact(x) -> ExactReal:
 
 
 def is_rational(x: ExactReal) -> bool:
-    return not isinstance(x, QuadIrr)
+    return x.__class__ is not QuadIrr
 
 
 def decompose(x) -> tuple[Fraction, Fraction, int]:
@@ -395,14 +399,14 @@ def compare(x, y) -> int:
         x = ensure_exact(x)
     if not isinstance(y, _EXACT):
         y = ensure_exact(y)
-    if isinstance(x, QuadIrr):
-        if isinstance(y, QuadIrr):
+    if x.__class__ is QuadIrr:
+        if y.__class__ is QuadIrr:
             u = x.a * y.c - y.a * x.c
             if x.d == y.d:
                 return _sign_one(u, x.b * y.c - y.b * x.c, x.d)
             return _sign_two(u, x.b * y.c, x.d, -y.b * x.c, y.d)
         return _sign_one(x.a * y.denominator - y.numerator * x.c, x.b * y.denominator, x.d)
-    if isinstance(y, QuadIrr):
+    if y.__class__ is QuadIrr:
         return -_sign_one(y.a * x.denominator - x.numerator * y.c, y.b * x.denominator, y.d)
     return _sgn(x.numerator * y.denominator - y.numerator * x.denominator)
 
@@ -410,18 +414,18 @@ def compare(x, y) -> int:
 def sign_of(x) -> int:
     if not isinstance(x, _EXACT):
         x = ensure_exact(x)
-    if isinstance(x, QuadIrr):
+    if x.__class__ is QuadIrr:
         return _sign_one(x.a, x.b, x.d)  # c > 0
-    return _sgn(x)
+    return _sgn(x.numerator)
 
 
 def floor_of(x) -> int:
     """Exact floor: the unique integer n with n <= x < n + 1."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if not isinstance(x, QuadIrr):
+    if x.__class__ is not QuadIrr:
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator // x.denominator
         return floor_of(ensure_exact(x))
     t = x.b * x.b * x.d
     r = isqrt(t)
@@ -433,7 +437,7 @@ def floor_of(x) -> int:
 def ceil_of(x) -> int:
     if not isinstance(x, _EXACT):
         x = ensure_exact(x)
-    if isinstance(x, QuadIrr):
+    if x.__class__ is QuadIrr:
         return floor_of(x) + 1
     return -((-x.numerator) // x.denominator)
 
@@ -444,18 +448,20 @@ def frac_of(x) -> ExactReal:
     return x - floor_of(x)
 
 
-def convergents(x) -> Iterator[tuple[int, int, int]]:
-    """Partial quotients and convergents of x: yields (a_k, p_k, q_k) for
-    k = 0, 1, ..., with p_k/q_k = [a_0; a_1, ..., a_k].
+def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The continued-fraction walk of x: yields (a_k, p_k, q_k, P, Q, D)
+    for k = 0, 1, ..., where x_k = (P + sqrt(D))/Q is the k-th complete
+    quotient (x = [a_0; ..., a_(k-1), x_k]), a_k = floor(x_k) and
+    p_k/q_k = [a_0; a_1, ..., a_k].
 
-    A rational runs Euclid and stops at its last quotient; a quadratic
-    irrational never stops.  It is rewritten as (P + sqrt(D))/Q with
-    Q | D - P^2, and the complete quotients follow the integer PQa
+    A rational runs Euclid, has D = 0 and stops at its last quotient; a
+    quadratic irrational never stops.  It is rewritten as (P + sqrt(D))/Q
+    with Q | D - P^2, and the complete quotients follow the integer PQa
     recurrence P' = a*Q - P, Q' = (D - P'^2)/Q, with isqrt(D) taken once.
     """
     x = ensure_exact(x)
     p0, q0, p1, q1 = 0, 1, 1, 0  # p_{k-2}, q_{k-2}, p_{k-1}, q_{k-1}
-    if isinstance(x, QuadIrr):
+    if x.__class__ is QuadIrr:
         a, c = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
         D, P, Q = x.b * x.b * x.d * c * c, a * abs(c), c * abs(c)
         r = isqrt(D)
@@ -463,15 +469,23 @@ def convergents(x) -> Iterator[tuple[int, int, int]]:
             # sqrt(D) is irrational, so floor((P + sqrt(D))/Q) = floor((P + r + [Q < 0])/Q)
             quo = (P + r + (Q < 0)) // Q
             p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-            yield quo, p1, q1
+            yield quo, p1, q1, P, Q, D
             P = quo * Q - P
             Q = (D - P * P) // Q
     num, den = x.numerator, x.denominator
     while den:
         quo, rem = divmod(num, den)
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-        yield quo, p1, q1
+        yield quo, p1, q1, num, den, 0
         num, den = den, rem
+
+
+def convergents(x) -> Iterator[tuple[int, int, int]]:
+    """Partial quotients and convergents of x: yields (a_k, p_k, q_k) for
+    k = 0, 1, ..., with p_k/q_k = [a_0; a_1, ..., a_k].  A rational's
+    stop at its last quotient; see _walk."""
+    for a, p, q, _, _, _ in _walk(x):
+        yield a, p, q
 
 
 def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:

@@ -62,3 +62,37 @@ def interval_sign(u, v=0, d=1, w=0, e=1, max_prec: int = 256):
             return -1
         prec *= 2
     return None
+
+
+def fatou_grace_candidates(alpha):
+    """Each convergent of alpha and the intermediate fractions next to
+    it, (p_{k-1} + p_k)/(q_{k-1} + q_k) and (p_{k+1} - p_k)/(q_{k+1} - q_k),
+    in increasing q.  By Fatou-Grace every p/q with |alpha - p/q| < 1/q^2
+    is among them."""
+    from dioapprox.exactnum import convergents
+
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    for a, p, q in convergents(alpha):
+        for t in sorted({1, a - 1}):
+            if 1 <= t < a:
+                yield p0 + t * p1, q0 + t * q1
+        yield p, q
+        p0, q0, p1, q1 = p1, q1, p, q
+
+
+def first_verified(alpha, candidates, budget, bound):
+    """Reference builder: the first of ``candidates`` with q > Q that
+    ``approx.verify`` passes against ``bound``, trying at most ``budget``
+    of those, each through a full ``verify``."""
+    from itertools import islice
+
+    from dioapprox import approx
+    from dioapprox.errors import ResourceLimitError
+
+    for p, q in islice(((p, q) for p, q in candidates if q > bound.q_limit), budget):
+        appr = approx.Approximation(p, q, bound, verified=True)
+        if approx.verify(alpha, appr):
+            return appr
+    raise ResourceLimitError(
+        f"no candidate passed the bound within {budget} candidates past Q = {bound.q_limit}"
+    )

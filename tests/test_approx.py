@@ -167,16 +167,19 @@ def test_hurwitz_is_segre_at_tau_one_within_three_convergents(monkeypatch):
     real = approx.verify
     monkeypatch.setattr(approx, "verify",
                         lambda alpha, appr: verified.append(appr.bound.kind) or real(alpha, appr))
-    tries = []
-    # sqrt(2)/5 = [0; 3, 1, 1, 6, ...]: 1/3 and 1/4 fail, so Q = 1 needs all three tries
+    places = []
+    # sqrt(2)/5 = [0; 3, 1, 1, 6, ...]: 1/3 and 1/4 fail, so Q = 1 needs the third convergent
     for alpha, q_floor in ((PHI, 10), (SQRT2, 1), (SQRT3, 10**6), (quad(0, 1, 5, 2), 1)):
         verified.clear()
         a = approx.hurwitz(alpha, q_floor)
-        assert set(verified) == {"hurwitz"} and len(verified) <= 3
-        tries.append(len(verified))
+        assert verified == ["hurwitz"]  # one verify per answer, whatever it took to find
+        past = [(p, q) for _, p, q in takewhile(lambda c: c[2] <= a.q, convergents(alpha))
+                if q > q_floor]
+        assert (a.p, a.q) == past[-1] and len(past) <= 3  # Borel
+        places.append(len(past))
         s = approx.segre(alpha, 1, q_floor)
         assert (a.p, a.q) == (s.p, s.q)
-    assert max(tries) == 3
+    assert places[-1] == 3
     with pytest.raises(DomainError, match="Q must be >= 1, got 0"):
         approx.hurwitz(SQRT2, 0)
     with pytest.raises(RationalInputError):
@@ -289,3 +292,69 @@ def test_convergent_search_finds_the_least_denominator():
             for tau in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4)):
                 a = approx.segre(alpha, tau, q_floor)
                 assert (a.p, a.q) == least(alpha, q_floor, approx.Bound.segre(tau, q_floor))
+
+
+def test_builders_match_the_verify_per_candidate_loop(monkeypatch):
+    # each builder against the reference loop that runs verify on every
+    # candidate past Q: the same (p, q), or the same ResourceLimitError,
+    # with exactly one verify call per answer
+    import random
+    from math import isqrt
+
+    from dioapprox.errors import ResourceLimitError
+    from dioapprox.exactnum import is_rational, sign_of
+    from support import fatou_grace_candidates, first_verified
+
+    calls = []
+    real = approx.verify
+    monkeypatch.setattr(approx, "verify", lambda alpha, appr: calls.append(1) or real(alpha, appr))
+
+    def outcome(build):
+        calls.clear()
+        try:
+            a = build()
+        except ResourceLimitError as exc:
+            return str(exc), len(calls)
+        return (a.p, a.q, a.bound), len(calls)
+
+    def check(alpha, q_floor, tau, rounds):
+        B, conv = approx.Bound, lambda: ((p, q) for _, p, q in convergents(alpha))
+        monkeypatch.setattr(approx, "DEFAULT_MAX_ROUNDS", rounds)
+        pairs = [
+            (lambda: approx.large_denominator(alpha, q_floor),
+             lambda: first_verified(alpha, fatou_grace_candidates(alpha), 3, B.square(q_floor))),
+            (lambda: approx.segre(alpha, tau, q_floor),
+             lambda: first_verified(alpha, fatou_grace_candidates(alpha), rounds,
+                                    B.segre(tau, q_floor))),
+            (lambda: approx.hurwitz(alpha, q_floor),
+             lambda: first_verified(alpha, conv(), 3, B.hurwitz(q_floor))),
+        ] + [(lambda s=side: approx.one_sided(alpha, q_floor, s),
+              lambda s=side: first_verified(alpha, conv(), 2, B.one_sided(s, q_floor)))
+             for side in (approx.ABOVE, approx.BELOW)]
+        results = []
+        for build, reference in pairs:
+            (got, verified), (expected, tried) = outcome(build), outcome(reference)
+            assert got == expected, (alpha, q_floor, tau, rounds)
+            assert verified == (0 if isinstance(got, str) else 1)
+            results.append((got, tried))
+        return results
+
+    # (34 - 9*sqrt(5))/2 at Q = 1, tau = 0: the loop verifies six candidates
+    assert check(quad(34, -9, 2, 5), 1, Fraction(0), 64)[1][1] == 6
+
+    rng = random.Random(20)
+    negative_b = limits = 0
+    while negative_b < 150:
+        d = rng.choice((rng.randint(2, 99), rng.randint(2, 10**4), rng.randint(2, 10**8)))
+        b, c = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)
+        a = rng.randint(-30, 30) if b > 0 else isqrt(b * b * d) + rng.randint(1, 30)
+        alpha = quad(a, b, c, d)
+        if is_rational(alpha) or sign_of(alpha) <= 0:
+            continue
+        negative_b += b < 0
+        q_floor = rng.choice((1, rng.randint(1, 1000), 10 ** rng.randint(1, 60),
+                              rng.randint(1, 10**60)))
+        tau = rng.choice(tuple(map(Fraction, (0, "1/3", 1, 2, "9/2", 7))))
+        rounds = rng.choice((64, 64, 0, 1, 2, 3))
+        limits += sum(isinstance(got, str) for got, _ in check(alpha, q_floor, tau, rounds))
+    assert limits >= 10

@@ -1,7 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +271,74 @@ def test_arithmetic_identities():
     assert frac_of(SQRT2) == SQRT2_M1
 
 
+def test_rational_operands_match_the_fraction_route(monkeypatch):
+    """QuadIrr op int/Fraction, both orders, against u + v*sqrt(d) worked in
+    Fractions; an irrational result builds no Fraction on the way."""
+    rng = random.Random(19)
+
+    def rational():
+        size = rng.choice((3, 40))
+        n = rng.choice((0, rng.randint(-10**size, 10**size)))
+        if rng.random() < 0.4:
+            return n
+        return Fraction(n, rng.randint(1, 10**size))
+
+    def fraction_route(op, x, r):
+        u, v, d = decompose(x)
+        r = Fraction(r)
+        if op == "add":
+            return u + r, v
+        if op == "sub":
+            return u - r, v
+        if op == "rsub":
+            return r - u, -v
+        if op == "mul":
+            return u * r, v * r
+        if op == "div":
+            return u / r, v / r
+        norm = u * u - v * v * d
+        return r * u / norm, -r * v / norm
+
+    ops = {"add": lambda x, r: x + r, "radd": lambda x, r: r + x, "sub": lambda x, r: x - r,
+           "rsub": lambda x, r: r - x, "mul": lambda x, r: x * r, "rmul": lambda x, r: r * x,
+           "div": lambda x, r: x / r, "rdiv": lambda x, r: r / x}
+    cases = []
+    for _ in range(3000):
+        size = rng.choice((3, 40))
+        x = quad(rng.randint(-10**size, 10**size), rng.choice((-1, 1)) * rng.randint(1, 10**size),
+                 rng.randint(1, 10**size), rng.choice(SQUAREFREE_POOL))
+        cases.append((rng.choice(sorted(ops)), x, rational()))
+    cases += [(op, PHI, r) for op in ops for r in (0, Fraction(0), -1, Fraction(-3, 7))]
+    for op, x, r in cases:
+        if op == "div" and r == 0:
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                x / r
+            continue
+        got = ops[op](x, r)
+        u, v = fraction_route(op.replace("radd", "add").replace("rmul", "mul"), x, r)
+        if v == 0:
+            assert type(got) is Fraction and got == u, (op, x, r)
+        else:
+            assert type(got) is QuadIrr and decompose(got) == (u, v, x.d), (op, x, r)
+            assert got.c > 0 and gcd(gcd(got.a, got.b), got.c) == 1
+
+    built = []
+
+    class CountingType(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(exactnum, "Fraction", CountingType("Fraction", (), {}))
+    for op in ops:
+        for r in (3, -2, Fraction(-7, 3), Fraction(10**40 + 1, 3)):
+            ops[op](SQRT2_M1, r)
+    assert built == []
+
+
 def test_mixed_radicands_rejected():
     with pytest.raises(MixedRadicalError):
         SQRT2 * sqrt_int(3)
@@ -310,6 +378,24 @@ def test_convergents_match_floor_expansion():
         assert list(convergents(x)) == _expansion_by_floors(x, 100)
     assert list(islice(convergents(SQRT2), 4)) == [(1, 1, 1), (2, 3, 2), (2, 7, 5), (2, 17, 12)]
     assert list(islice(convergents(PHI), 5)) == [(1, 1, 1), (1, 2, 1), (1, 3, 2), (1, 5, 3), (1, 8, 5)]
+
+
+def test_walk_yields_the_complete_quotients():
+    # x = [a_0; ..., a_(k-1), x_k] with x_k = (P + sqrt(D))/Q, D = 0 for a rational
+    from itertools import islice
+
+    rng = random.Random(23)
+    xs = [quad(rng.randint(-40, 40), rng.choice([-3, -1, 1, 2]), rng.randint(1, 30),
+               rng.choice(SQUAREFREE_POOL)) for _ in range(60)]
+    for x in xs + [Fraction(355, 113), Fraction(-7, 3), Fraction(5)]:
+        xk = x
+        steps = list(islice(exactnum._walk(x), 10))
+        assert [step[:3] for step in steps] == list(islice(convergents(x), 10))
+        for a, _, _, P, Q, D in steps:
+            assert a == floor_of(xk) and xk == (Fraction(P, Q) if D == 0 else quad(P, 1, Q, D))
+            if xk == a:
+                break
+            xk = 1 / (xk - a)
 
 
 # --- least denominator --------------------------------------------------
