@@ -15,11 +15,11 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import DomainError, RationalInputError, ResourceLimitError
 from .exactnum import (
     ExactReal,
+    _row,
     _sign_one,
     _walk,
     compare,
     convergents,
-    decompose,
     ensure_exact,
     is_rational,
     radical_sign,
@@ -132,28 +132,25 @@ def _require_positive_irrational(alpha: ExactReal) -> ExactReal:
     return alpha
 
 
-def _abs_diff(alpha: ExactReal, p: int, q: int) -> ExactReal:
-    diff = alpha - Fraction(p, q)
-    return diff if compare(diff, 0) >= 0 else -diff
-
-
 def verify(alpha: ExactReal, appr: Approximation) -> bool:
     """Re-check an approximation certificate from scratch, exactly."""
     alpha = ensure_exact(alpha)
     p, q, bound = appr.p, appr.q, appr.bound
     if q < 1 or gcd(p, q) != 1:
         return False
-    if bound.kind == "dirichlet":
-        if q > bound.q_limit:
-            return False
-        return compare(_abs_diff(alpha, p, q), Fraction(1, q * bound.q_limit)) <= 0
+    if bound.kind == "dirichlet":  # alpha within 1/(q*Q) of p/q: in [p*Q - 1, p*Q + 1]/(q*Q)
+        Q = bound.q_limit
+        return (q <= Q and compare(alpha, Fraction(p * Q - 1, q * Q)) >= 0
+                and compare(alpha, Fraction(p * Q + 1, q * Q)) <= 0)
     if q <= bound.q_limit:
         return False
     lo, hi, w = bound.window()
     # 1/(sqrt(w) q^2) = s*sqrt(e), with w = wn/wd, s = 1/(q^2 wn) and e = wn*wd
     wn, wd = w.numerator, w.denominator
     s, e = Fraction(1, q * q * wn), wn * wd
-    u, v, d = decompose(alpha - Fraction(p, q))
+    # alpha - p/q = u + v*sqrt(d) for alpha's row (a, b, c, d)
+    a, b, c, d = _row(alpha)
+    u, v = Fraction(a * q - p * c, c * q), Fraction(b, c)
     # alpha - p/q + lo*s*sqrt(e) > 0, then hi*s*sqrt(e) - (alpha - p/q) > 0
     return radical_sign(u, v, d, lo * s, e) > 0 and radical_sign(-u, -v, d, hi * s, e) > 0
 

@@ -13,8 +13,8 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd, lcm
+import re
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -26,10 +26,10 @@ from .errors import (
 )
 from .exactnum import (
     ExactReal,
+    _row,
     ceil_of,
     compare,
     convergents,
-    decompose,
     ensure_exact,
     ext_gcd,
     floor_of,
@@ -100,8 +100,15 @@ def member(alpha, k: int) -> Optional[int]:
         raise DomainError(f"membership is about k >= 0, got {k}")
     if k == 0:
         return 0
-    n = ceil_of(k / alpha)
+    n = _ceil_over(k, alpha)
     return n if compare(alpha * n, k + 1) < 0 else None
+
+
+def _ceil_over(m: int, alpha: ExactReal) -> int:
+    """ceil(m/alpha); a rational alpha is read by numerator and denominator."""
+    if is_rational(alpha):
+        return -(-m * alpha.denominator // alpha.numerator)
+    return ceil_of(m / alpha)
 
 
 def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
@@ -163,7 +170,9 @@ class BeattyWindow:
 
     @cached_property
     def members(self) -> tuple[int, ...]:
-        return tuple(compress(range(self.bound + 1), self.word))
+        """The set bytes of the word, one regex match per member: a sparse
+        word's zero runs are skipped in C, not walked byte by byte."""
+        return tuple(map(re.Match.start, re.finditer(b"\1", self.word)))
 
     def witness(self, k: int) -> int:
         """The least index of member k: ceil(k*q/p)."""
@@ -206,7 +215,7 @@ def mu(alpha, h: int) -> int:
     alpha = _positive(alpha)
     if h < 0:
         raise DomainError(f"mu needs h >= 0, got {h}")
-    return ceil_of((h + 1) / alpha) - 1
+    return _ceil_over(h + 1, alpha) - 1
 
 
 class PartitionReport(NamedTuple):
@@ -377,9 +386,15 @@ _RULES = {
 }
 
 
-def _slots(rule: _Rule, alpha: ExactReal, beta: ExactReal) -> tuple[ExactReal, ExactReal]:
-    x, y = 1 / alpha, 1 / beta
-    return (1 - x if rule.co_alpha else x), (1 - y if rule.co_beta else y)
+def _slots(rule: _Rule, alpha: ExactReal, beta: ExactReal) -> tuple[tuple, tuple]:
+    """The kind's X and Y as rows (a, b, c, d), meaning (a + b*sqrt(d))/c
+    with c != 0: for a slope s = (a + b*sqrt(d))/c of norm n = a^2 - b^2*d,
+    1/s = (c*a - c*b*sqrt(d))/n and 1 - 1/s = (n - c*a + c*b*sqrt(d))/n."""
+    def slot(slope, co):
+        a, b, c, d = _row(slope)
+        n = a * a - b * b * d  # not 0: the slope is positive
+        return (n - c * a, c * b, n, d) if co else (c * a, -c * b, n, d)
+    return slot(alpha, rule.co_alpha), slot(beta, rule.co_beta)
 
 
 def _check_pairing(kind: CertKind, alpha: ExactReal, beta: ExactReal):
@@ -393,34 +408,35 @@ def _check_pairing(kind: CertKind, alpha: ExactReal, beta: ExactReal):
         raise UnsupportedPairingError(f"{kind.value} certificates {need}")
 
 
-def _primitive_relation(x: ExactReal, y: ExactReal) -> tuple[int, int, int]:
+def _primitive_relation(x: tuple, y: tuple) -> Optional[tuple[int, int, int]]:
     """The integer relation A*x + B*y = C with C >= 0 and gcd(A, B, C) = 1
-    of two irrationals in one quadratic field; every other is a multiple.
+    of two irrational rows (_slots); every other is a multiple.  None
+    across two fields: for squarefree d != e, 1, sqrt(d) and sqrt(e) are
+    independent over the rationals, so only A = B = C = 0 relates them.
 
-    For x = p + q*sqrt(d) and y = r + s*sqrt(d) the radical parts cancel,
-    a*q + b*s = 0, so (a, b) is a multiple of the coprime pair along
-    (s, -q), and the denominator of a*p + b*r scales it to integers.
+    In one field the radical parts cancel, A*b1/c1 + B*b2/c2 = 0, so (A, B)
+    is a multiple of the coprime pair along (b2*c1, -b1*c2), and the
+    reduced denominator of A*a1/c1 + B*a2/c2 scales it to integers.
     """
-    p, q, d = decompose(x)
-    r, s, e = decompose(y)
-    if d != e:
-        raise UnsupportedPairingError(
-            f"cannot solve exactly across sqrt({d}) and sqrt({e})"
-        )
-    a, b = s.numerator * q.denominator, -q.numerator * s.denominator
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    c = a * p + b * r
-    j = c.denominator if c >= 0 else -c.denominator
-    return j * a, j * b, abs(c.numerator)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
+    if d1 != d2:
+        return None
+    g = gcd(b2 * c1, b1 * c2)
+    A, B = b2 * c1 // g, -b1 * c2 // g
+    num, den = A * a1 * c2 + B * a2 * c1, c1 * c2  # C = num/den
+    g = gcd(num, den)
+    j = den // g if num >= 0 else -den // g
+    return j * A, j * B, abs(num) // g
 
 
-def _solve_unit_rational(x: Fraction, y: Fraction, bound: int):
-    """Integer a, b in [1, bound] with a*x + b*y = 1, the one with the
-    least b; None when none exist.  Slots of slopes above 1 lie in (0, 1),
-    so both scaled coefficients are positive."""
-    den = lcm(x.denominator, y.denominator)
-    A, B = int(x * den), int(y * den)
+def _solve_unit_rational(x: tuple, y: tuple, bound: int):
+    """Integer a, b in [1, bound] with a*x + b*y = 1 for two rational rows
+    (_slots, positive denominators), the one with the least b; None when
+    none exist.  Slots of slopes above 1 lie in (0, 1), so both scaled
+    coefficients are positive."""
+    (nx, _, mx, _), (ny, _, my, _) = x, y
+    den = lcm(mx, my)
+    A, B = nx * (den // mx), ny * (den // my)
     g, x0, y0 = ext_gcd(A, B)
     if den % g:
         return None
@@ -441,7 +457,8 @@ def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
     fact_c holds for a multiple exactly when it holds for the primitive
     relation, the least; so that relation is the only candidate.  The
     defining relation of any returned certificate is re-verified exactly
-    before it is handed back.
+    before it is handed back.  Two irrational slopes from different
+    fields have no relation, so no certificate.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
@@ -461,12 +478,17 @@ def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
 
 def verify_certificate(cert: Certificate, alpha, beta) -> bool:
     """Does the certificate's defining relation hold exactly, with its
-    sign/coprimality side conditions?  Slopes from two quadratic fields
-    are compared exactly too, and never satisfy one."""
-    alpha, beta = ensure_exact(alpha), ensure_exact(beta)
+    sign/coprimality side conditions?  Over c1*c2, a*X + b*Y - c is the
+    row (a*a1*c2 + b*a2*c1 - c*c1*c2) + a*b1*c2*sqrt(d1) + b*b2*c1*sqrt(d2),
+    zero when its rational part is and its radical parts cancel in one
+    field or vanish one by one across two."""
+    alpha, beta = _positive(alpha), _positive(beta)
     rule = _RULES[cert.kind]
-    x, y = _slots(rule, alpha, beta)
-    return rule.side(cert.a, cert.b, cert.c) and compare(cert.a * x, cert.c - cert.b * y) == 0
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = _slots(rule, alpha, beta)
+    a, b, c = cert.a, cert.b, cert.c
+    v, w = a * b1 * c2, b * b2 * c1
+    return (rule.side(a, b, c) and a * a1 * c2 + b * a2 * c1 == c * c1 * c2
+            and (v + w == 0 if d1 == d2 else v == w == 0))
 
 
 class ImplicationReport(NamedTuple):
@@ -572,11 +594,17 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
     return None
 
 
+def _unit_interval(lo: Fraction, hi: Fraction) -> bool:
+    """0 <= lo < hi <= 1, on numerators and denominators."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return 0 <= a and a * d < c * b and c <= d
+
+
 def dmo_window_search(alpha, lo, hi, limit: int) -> Optional[int]:
     """Least n <= limit with lo < frac(n*alpha) < hi (_first_in_windows)."""
     alpha = _positive(alpha)
     lo, hi = Fraction(lo), Fraction(hi)
-    if not (0 <= lo < hi <= 1):
+    if not _unit_interval(lo, hi):
         raise DomainError("need 0 <= lo < hi <= 1")
     if is_rational(alpha):
         raise RationalInputError("fractional-part searches need irrational alpha")
@@ -651,7 +679,7 @@ def kronecker_search(alpha, beta, rect, limit: int) -> Optional[int]:
     if is_rational(alpha) or is_rational(beta):
         raise RationalInputError("fractional-part searches need irrationals")
     l1, r1, l2, r2 = (Fraction(x) for x in rect)
-    if not (0 <= l1 < r1 <= 1 and 0 <= l2 < r2 <= 1):
+    if not (_unit_interval(l1, r1) and _unit_interval(l2, r2)):
         raise DomainError("rectangle sides must satisfy 0 <= l < r <= 1")
     return _first_in_windows([(alpha, l1, r1), (beta, l2, r2)], limit)
 

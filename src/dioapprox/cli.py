@@ -67,10 +67,6 @@ def _fr(text: str) -> Fraction:
     return value
 
 
-def _fmt_fr(x: Fraction) -> str:
-    return format_exact(Fraction(x))
-
-
 def _fmt_laurent(x) -> str:
     # parse_laurent reads back every rational function format_laurent
     # writes; the only series it parses is the builtin.
@@ -92,7 +88,7 @@ class _Kind(NamedTuple):
 
 _INT = _Kind(str, type=int)
 _EXACT = _Kind(format_exact, lambda text, ns: parse_exact(text))
-_RATIONAL = _Kind(_fmt_fr, lambda text, ns: _fr(text))
+_RATIONAL = _Kind(format_exact, lambda text, ns: _fr(text))
 _LAURENT = _Kind(_fmt_laurent, lambda text, ns: nonarch.parse_laurent(text, ns.precision))
 _FLAG = _Kind(bool)
 
@@ -101,8 +97,9 @@ def _choice(*values: str) -> _Kind:
     return _Kind(str, choices=values)
 
 
-# argparse needs choices before any module loads: a test pins these to
-# approx.ABOVE, approx.BELOW and beatty.CertKind
+# argparse needs choices and defaults before any module loads: a test pins
+# these to approx.ABOVE, approx.BELOW, beatty.CertKind,
+# beatty.DEFAULT_SCAN_LIMIT and nonarch.DEFAULT_PRECISION
 _SIDE = _choice("above", "below")
 _CERT_KIND = _choice("disjoint", "cover", "subset", "partition", "fact_c", "fact_d", "fact_f_prime")
 _REQUIRED = object()
@@ -111,7 +108,7 @@ _REQUIRED = object()
 class _Arg(NamedTuple):
     name: str  # "alpha" for a positional, "--limit" for an option
     kind: _Kind
-    default: object = _REQUIRED  # options only; a callable is read at dispatch
+    default: object = _REQUIRED  # options only
 
     @property
     def option(self) -> bool:
@@ -191,7 +188,7 @@ def _farey(x: Fraction, order: int) -> farey.FareyFraction:
 
 def _farey_mediant(left, right, N):
     med = farey.mediant(_farey(left, N), _farey(right, N))
-    return {"raw": f"{med.num}/{med.den}", "value": _fmt_fr(med.value)}
+    return {"raw": f"{med.num}/{med.den}", "value": format_exact(med.value)}
 
 
 def _farey_greatest(N, m, nonstrict):
@@ -334,7 +331,8 @@ _M = _Arg("M", _INT)
 _ALPHA = _Arg("alpha", _EXACT)
 _BETA = _Arg("beta", _EXACT)
 _LIMIT = _Arg("limit", _INT)
-_PRECISION = _Arg("--precision", _INT, lambda: nonarch.DEFAULT_PRECISION)
+_SCAN_LIMIT = _Arg("--limit", _INT, 100_000)
+_PRECISION = _Arg("--precision", _INT, 64)
 
 _COMMANDS = (
     _Command("farey", "list", (_N,), _farey_list),
@@ -383,8 +381,7 @@ _COMMANDS = (
               _Arg("a", _INT), _Arg("b", _INT), _Arg("c", _INT), _M),
              _beatty_imply),
     _Command("beatty", "common",
-             (_ALPHA, _BETA, _Arg("start", _INT), _Arg("count", _INT),
-              _Arg("--limit", _INT, lambda: beatty.DEFAULT_SCAN_LIMIT)),
+             (_ALPHA, _BETA, _Arg("start", _INT), _Arg("count", _INT), _SCAN_LIMIT),
              _beatty_common),
     _Command("beatty", "dmo", (_ALPHA, _Arg("lo", _RATIONAL), _Arg("hi", _RATIONAL), _LIMIT),
              lambda alpha, lo, hi, limit: _search(beatty.dmo_window_search(alpha, lo, hi, limit), limit)),
@@ -397,7 +394,7 @@ _COMMANDS = (
              lambda alpha, beta, l1, r1, l2, r2, limit: _search(
                  beatty.kronecker_search(alpha, beta, (l1, r1, l2, r2), limit), limit)),
     _Command("beatty", "radius", (_Arg("rho", _RATIONAL), _Arg("m", _INT)),
-             lambda rho, m: {"delta": _fmt_fr(beatty.agreement_radius(rho, m))}),
+             lambda rho, m: {"delta": format_exact(beatty.agreement_radius(rho, m))}),
     _Command("beatty", "claim51", (_Arg("rho", _RATIONAL), _BETA), _beatty_claim51),
 
     _Command("nonarch", "floor", (_Arg("expr", _LAURENT), _PRECISION),
@@ -457,9 +454,6 @@ def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
-    for arg in cmd.args:  # before any parse: a Laurent parse reads ns.precision
-        if callable(getattr(ns, arg.dest)):
-            setattr(ns, arg.dest, getattr(ns, arg.dest)())
     values = {}
     for arg in cmd.args:
         value = getattr(ns, arg.dest)

@@ -31,7 +31,6 @@ __all__ = [
     "ceil_of",
     "compare",
     "convergents",
-    "decompose",
     "ensure_exact",
     "ext_gcd",
     "floor_of",
@@ -142,25 +141,12 @@ class QuadIrr:
 
     # -- arithmetic ----------------------------------------------------
 
-    # An int or Fraction operand n/m enters by its own numerator and
-    # denominator (an int has m = 1), with no Fraction built.
+    # Each operation is one row formula; a reflected one swaps the rows.
+    # The other operand is read over this value's radicand (_row).
 
     def __add__(self, other):
-        if other.__class__ is QuadIrr:
-            if other.d != self.d:
-                raise MixedRadicalError(
-                    f"cannot add sqrt({self.d}) and sqrt({other.d}) values exactly"
-                )
-            return _norm(
-                self.a * other.c + other.a * self.c,
-                self.b * other.c + other.b * self.c,
-                self.c * other.c,
-                self.d,
-            )
-        if isinstance(other, _RATIONAL):
-            n, m = other.numerator, other.denominator
-            return _norm(self.a * m + n * self.c, self.b * m, self.c * m, self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "add")
+        return _sum(self.a, self.b, self.c, a, b, c, d)
 
     __radd__ = __add__
 
@@ -168,63 +154,29 @@ class QuadIrr:
         return QuadIrr(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        if other.__class__ is QuadIrr:
-            return self.__add__(-other)
-        if isinstance(other, _RATIONAL):
-            n, m = other.numerator, other.denominator
-            return _norm(self.a * m - n * self.c, self.b * m, self.c * m, self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "add")
+        return _difference(self.a, self.b, self.c, a, b, c, d)
 
     def __rsub__(self, other):
-        if isinstance(other, _RATIONAL):
-            n, m = other.numerator, other.denominator
-            return _norm(n * self.c - self.a * m, -self.b * m, self.c * m, self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "add")
+        return _difference(a, b, c, self.a, self.b, self.c, d)
 
     def __mul__(self, other):
-        if other.__class__ is QuadIrr:
-            if other.d != self.d:
-                raise MixedRadicalError(
-                    f"cannot multiply sqrt({self.d}) and sqrt({other.d}) values exactly"
-                )
-            return _norm(
-                self.a * other.a + self.b * other.b * self.d,
-                self.a * other.b + self.b * other.a,
-                self.c * other.c,
-                self.d,
-            )
-        if isinstance(other, _RATIONAL):
-            n = other.numerator
-            return _norm(self.a * n, self.b * n, self.c * other.denominator, self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "multiply")
+        return _product(self.a, self.b, self.c, a, b, c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadIrr":
-        return _norm(
-            self.c * self.a,
-            -self.c * self.b,
-            self.a * self.a - self.b * self.b * self.d,
-            self.d,
-        )
+        return _reciprocal(self)
 
     def __truediv__(self, other):
-        if other.__class__ is QuadIrr:
-            return self.__mul__(other.inverse())
-        if isinstance(other, _RATIONAL):
-            n, m = other.numerator, other.denominator
-            if n == 0:
-                raise ZeroDivisionError("division by zero")
-            return _norm(self.a * m, self.b * m, self.c * n, self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "multiply")
+        return _quotient(self.a, self.b, self.c, a, b, c, d)
 
     def __rtruediv__(self, other):
-        # n/m over (a + b*sqrt(d))/c is n*c*(a - b*sqrt(d)) / (m*(a^2 - b^2*d))
-        if isinstance(other, _RATIONAL):
-            n, m = other.numerator, other.denominator
-            return _norm(n * self.c * self.a, -n * self.c * self.b,
-                         m * (self.a * self.a - self.b * self.b * self.d), self.d)
-        return NotImplemented
+        a, b, c, d = _row(other, self.d, "multiply")
+        return _quotient(a, b, c, self.a, self.b, self.c, d)
 
     # -- ordering ------------------------------------------------------
 
@@ -249,15 +201,58 @@ class QuadIrr:
 
 ExactReal = Union[Fraction, QuadIrr]
 _RATIONAL = (int, Fraction)
-# What the kernel takes as is; ensure_exact coerces the rest.  QuadIrr comes
-# first: only an exact type match skips Fraction's ABC instance check.
-_EXACT = (QuadIrr, int, Fraction)
+
+
+def _row(x, d: int = 1, verb: str = "") -> tuple[int, int, int, int]:
+    """x as integers (a, b, c, e) meaning (a + b*sqrt(e))/c with c > 0.
+
+    A QuadIrr gives its fields; an int or Fraction n/m gives (n, 0, m, d),
+    over the radicand d of the value it meets (1: the rationals).  A string
+    is parsed and a float refused, as ensure_exact does.  A QuadIrr over a
+    radicand other than a given d >= 2 raises MixedRadicalError, here only.
+    QuadIrr is tested by exact type first: only that skips Fraction's ABC
+    instance check.
+    """
+    if x.__class__ is QuadIrr:
+        if d > 1 and x.d != d:
+            raise MixedRadicalError(f"cannot {verb} sqrt({d}) and sqrt({x.d}) values exactly")
+        return x.a, x.b, x.c, x.d
+    if isinstance(x, _RATIONAL):
+        return x.numerator, 0, x.denominator, d
+    return _row(ensure_exact(x), d, verb)
+
+
+# The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
+# radicand d in, a canonical value out.
+
+
+def _sum(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
+
+
+def _difference(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, d)
+
+
+def _product(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
+
+
+def _quotient(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    """Times the conjugate a2 - b2*sqrt(d) over and under: the norm
+    a2^2 - b2^2*d is 0 only for a zero divisor."""
+    return _norm(c2 * (a1 * a2 - b1 * b2 * d), c2 * (b1 * a2 - a1 * b2),
+                 c1 * (a2 * a2 - b2 * b2 * d), d)
+
+
+def _reciprocal(x) -> ExactReal:
+    return _quotient(1, 0, 1, *_row(x))
 
 
 def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
     """Canonicalize (a + b*sqrt(d))/c; d is assumed squarefree already."""
     if c == 0:
-        raise ZeroDivisionError("zero denominator in quadratic irrational")
+        raise ZeroDivisionError("division by zero")
     if c < 0:
         a, b, c = -a, -b, -c
     if b == 0:
@@ -304,13 +299,6 @@ def is_rational(x: ExactReal) -> bool:
     return x.__class__ is not QuadIrr
 
 
-def decompose(x) -> tuple[Fraction, Fraction, int]:
-    """Write x as u + v*sqrt(d) with rational u, v.  Rationals get d = 1."""
-    if isinstance(x, QuadIrr):
-        return Fraction(x.a, x.c), Fraction(x.b, x.c), x.d
-    return Fraction(x), Fraction(0), 1
-
-
 # -- exact sign determination -----------------------------------------
 
 
@@ -324,10 +312,7 @@ def _sign_one(u, v, d: int) -> int:
     su, sv = _sgn(u), _sgn(v)
     if su == sv:
         return su
-    t = u * u - v * v * d
-    if t == 0:
-        return 0
-    return su * _sgn(t)
+    return su * _sgn(u * u - v * v * d)
 
 
 def _sign_two(u, v, d: int, w, e: int) -> int:
@@ -348,15 +333,10 @@ def _sign_two(u, v, d: int, w, e: int) -> int:
         return _sgn(u)
     if _sgn(u) == s_rad:
         return s_rad
-    # Opposite signs: compare |v*sqrt(d) + w*sqrt(e)| with |u| by squaring,
-    # with sqrt(d*e) = g*sqrt((d/g)*(e/g)) to keep the radicand small.
+    # Opposite signs: the radical pair wins exactly when its square passes
+    # u^2, with sqrt(d*e) = g*sqrt((d/g)*(e/g)) to keep the radicand small.
     g = gcd(d, e)
-    sigma = _sign_one(v * v * d + w * w * e - u * u, 2 * v * w * g, (d // g) * (e // g))
-    if sigma > 0:
-        return s_rad
-    if sigma < 0:
-        return _sgn(u)
-    return 0
+    return s_rad * _sign_one(v * v * d + w * w * e - u * u, 2 * v * w * g, (d // g) * (e // g))
 
 
 def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
@@ -376,11 +356,7 @@ def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
         v, d, w, e = w, e, Fraction(0), 1
     if w != 0 and d == e:
         v, w, e = v + w, Fraction(0), 1
-        if v == 0:
-            d = 1
-    if v == 0:
-        return _sgn(u)
-    if w == 0:
+    if w == 0:  # after the swap, v = 0 leaves w = 0 too
         return _sign_one(u, v, d)
     return _sign_two(u, v, d, w, e)
 
@@ -388,58 +364,39 @@ def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
 def compare(x, y) -> int:
     """Total order on exact reals: -1, 0 or +1.  Works across radicands.
 
-    Decided on the values' own integers, with no Fraction built: both
-    sides go over c1*c2 > 0 (a rational n/m has b = 0, c = m), leaving
-    the integer row (a1*c2 - a2*c1) + b1*c2*sqrt(d1) - b2*c1*sqrt(d2).
-    Canonical radicands are squarefree, so d1 = d2 exactly when the two
-    values share a field, and the row is then one radical; _sign_two
-    decides any other pair.
+    Decided on the values' own rows (_row), with no Fraction built: both
+    sides go over c1*c2 > 0, leaving the integer row
+    (a1*c2 - a2*c1) + b1*c2*sqrt(d1) - b2*c1*sqrt(d2).  Canonical
+    radicands are squarefree, so d1 = d2 exactly when the two values
+    share a field, and the row is then one radical, as it is when either
+    side is rational (b = 0); _sign_two decides any other pair.
     """
-    if not isinstance(x, _EXACT):
-        x = ensure_exact(x)
-    if not isinstance(y, _EXACT):
-        y = ensure_exact(y)
-    if x.__class__ is QuadIrr:
-        if y.__class__ is QuadIrr:
-            u = x.a * y.c - y.a * x.c
-            if x.d == y.d:
-                return _sign_one(u, x.b * y.c - y.b * x.c, x.d)
-            return _sign_two(u, x.b * y.c, x.d, -y.b * x.c, y.d)
-        return _sign_one(x.a * y.denominator - y.numerator * x.c, x.b * y.denominator, x.d)
-    if y.__class__ is QuadIrr:
-        return -_sign_one(y.a * x.denominator - x.numerator * y.c, y.b * x.denominator, y.d)
-    return _sgn(x.numerator * y.denominator - y.numerator * x.denominator)
+    a1, b1, c1, d1 = _row(x)
+    a2, b2, c2, d2 = _row(y)
+    u, v, w = a1 * c2 - a2 * c1, b1 * c2, b2 * c1
+    if d1 == d2 or not (v and w):
+        return _sign_one(u, v - w, d1 if v else d2)
+    return _sign_two(u, v, d1, -w, d2)
 
 
 def sign_of(x) -> int:
-    if not isinstance(x, _EXACT):
-        x = ensure_exact(x)
-    if x.__class__ is QuadIrr:
-        return _sign_one(x.a, x.b, x.d)  # c > 0
-    return _sgn(x.numerator)
+    a, b, _, d = _row(x)
+    return _sign_one(a, b, d)  # c > 0
 
 
 def floor_of(x) -> int:
-    """Exact floor: the unique integer n with n <= x < n + 1."""
-    if x.__class__ is not QuadIrr:
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction):
-            return x.numerator // x.denominator
-        return floor_of(ensure_exact(x))
-    t = x.b * x.b * x.d
-    r = isqrt(t)
-    # b*sqrt(d) is irrational (d squarefree >= 2), so r*r < t strictly.
-    broot = r if x.b > 0 else -r - 1
-    return (x.a + broot) // x.c
+    """Exact floor: the unique integer n with n <= x < n + 1.  Unless b = 0,
+    b*sqrt(d) is irrational (d squarefree >= 2), so r = isqrt(b*b*d) has
+    r*r < b*b*d."""
+    a, b, c, d = _row(x)
+    r = isqrt(b * b * d)
+    return (a + (r if b >= 0 else -r - 1)) // c
 
 
 def ceil_of(x) -> int:
-    if not isinstance(x, _EXACT):
-        x = ensure_exact(x)
-    if x.__class__ is QuadIrr:
-        return floor_of(x) + 1
-    return -((-x.numerator) // x.denominator)
+    a, b, c, d = _row(x)  # -floor(-x), -x having the row (-a, -b, c, d)
+    r = isqrt(b * b * d)
+    return -((-a + (r if b <= 0 else -r - 1)) // c)
 
 
 def frac_of(x) -> ExactReal:
@@ -459,11 +416,11 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
     with Q | D - P^2, and the complete quotients follow the integer PQa
     recurrence P' = a*Q - P, Q' = (D - P'^2)/Q, with isqrt(D) taken once.
     """
-    x = ensure_exact(x)
+    a, b, c, d = _row(x)
     p0, q0, p1, q1 = 0, 1, 1, 0  # p_{k-2}, q_{k-2}, p_{k-1}, q_{k-1}
-    if x.__class__ is QuadIrr:
-        a, c = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
-        D, P, Q = x.b * x.b * x.d * c * c, a * abs(c), c * abs(c)
+    if b:
+        a, c = (a, c) if b > 0 else (-a, -c)
+        D, P, Q = b * b * d * c * c, a * abs(c), c * abs(c)
         r = isqrt(D)
         while True:
             # sqrt(D) is irrational, so floor((P + sqrt(D))/Q) = floor((P + r + [Q < 0])/Q)
@@ -472,12 +429,11 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
             yield quo, p1, q1, P, Q, D
             P = quo * Q - P
             Q = (D - P * P) // Q
-    num, den = x.numerator, x.denominator
-    while den:
-        quo, rem = divmod(num, den)
+    while c:  # Euclid on a/c
+        quo, rem = divmod(a, c)
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-        yield quo, p1, q1, num, den, 0
-        num, den = den, rem
+        yield quo, p1, q1, a, c, 0
+        a, c = c, rem
 
 
 def convergents(x) -> Iterator[tuple[int, int, int]]:
@@ -501,7 +457,7 @@ def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
     row of the maps so far; hi = None stands for +infinity.
     """
     lo, hi = ensure_exact(lo), ensure_exact(hi)
-    if lo == hi:  # canonical forms: equal irrational ends would never part
+    if compare(lo, hi) == 0:  # equal irrational ends would never part
         raise DomainError("least_denominator needs lo < hi")
     q, q_prev = 0, 1
     while True:
@@ -509,7 +465,7 @@ def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
         c = f if lo_in and lo == f else f + 1
         if hi is None or compare(c, hi) < 0:  # at c == hi, an included hi maps to 1, included
             return q * c + q_prev
-        lo, hi = 1 / (hi - f), None if lo == f else 1 / (lo - f)
+        lo, hi = _reciprocal(hi - f), None if lo == f else _reciprocal(lo - f)
         lo_in, hi_in = hi_in, lo_in
         q, q_prev = q * f + q_prev, q
 
@@ -541,11 +497,7 @@ class _Scanner:
 
     def sign(self) -> int:
         """Take a '+' (1) or a '-' (-1); 0 when neither comes next."""
-        ch = self.peek()
-        if ch == "+" or ch == "-":
-            self.pos += 1
-            return 1 if ch == "+" else -1
-        return 0
+        return 1 if self.take("+") else -1 if self.take("-") else 0
 
     def expect(self, ch: str):
         if not self.take(ch):
@@ -577,20 +529,17 @@ class _Scanner:
 
 
 def _parse_term(sc: _Scanner) -> ExactReal:
-    if sc.word("sqrt"):
-        sc.expect("(")
-        d = sc.uint()
-        sc.expect(")")
-        return quad(0, 1, 1, d)
-    n = sc.uint()
-    if sc.take("*"):
+    n = 1  # n, sqrt(d) or n*sqrt(d)
+    if not sc.word("sqrt"):
+        n = sc.uint()
+        if not sc.take("*"):
+            return Fraction(n)
         if not sc.word("sqrt"):
             raise ParseError("expected sqrt(...) after '*'", sc.text, sc.pos)
-        sc.expect("(")
-        d = sc.uint()
-        sc.expect(")")
-        return quad(0, n, 1, d)
-    return Fraction(n)
+    sc.expect("(")
+    d = sc.uint()
+    sc.expect(")")
+    return quad(0, n, 1, d)
 
 
 def _parse_sum(sc: _Scanner) -> tuple[ExactReal, bool]:
@@ -640,10 +589,7 @@ def parse_exact(text: str) -> ExactReal:
 
 def format_exact(x) -> str:
     """Canonical decimal-string serialization; parse_exact inverts it."""
-    if isinstance(x, QuadIrr):
-        sign = "+" if x.b >= 0 else "-"
-        return f"({x.a}{sign}{abs(x.b)}*sqrt({x.d}))/{x.c}"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    a, b, c, d = _row(x)
+    if b:
+        return f"({a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d}))/{c}"
+    return str(a) if c == 1 else f"{a}/{c}"

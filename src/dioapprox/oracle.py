@@ -234,7 +234,9 @@ def relation_naive(kind, alpha, beta, box: int):
     """The least (a, b, c) with |a|, |b|, |c| <= box that certifies `kind`
     for slopes alpha, beta, or None: least |b|, then least |a|, then the
     largest c.  Each relation is written out as Bang states it, and every
-    (a, b) in the box is tried, with c the value when it is an integer.
+    (a, b) in the box is tried against the two integers c next to
+    floor(a*X) + floor(b*Y), each by one exact comparison, which also
+    holds across two quadratic fields.
     """
     if not 0 <= box <= RELATION_GUARD:
         raise DomainError(f"relation_naive guard: need 0 <= box <= {RELATION_GUARD}")
@@ -243,23 +245,23 @@ def relation_naive(kind, alpha, beta, box: int):
     def unit(a, b, c):
         return a >= 1 and b >= 1 and c == 1
 
-    value, holds = {  # the left side of a*X + b*Y = c, and the condition on (a, b, c)
-        "partition": (lambda a, b: a * u + b * v, lambda a, b, c: a == b == c == 1),
-        "disjoint": (lambda a, b: a * u + b * v, unit),
-        "cover": (lambda a, b: a * (1 - u) + b * (1 - v), unit),
-        "subset": (lambda a, b: a * u + b * (1 - v), unit),
-        "fact_f_prime": (lambda a, b: a * u + b * (1 - v), unit),
-        "fact_c": (lambda a, b: a * u + b * v, lambda a, b, c: a * b < 0 and c != 0),
-        "fact_d": (lambda a, b: a * u + b * v,
-                   lambda a, b, c: a >= 1 and b >= 1 and c >= 2 and gcd(gcd(a, b), c) == 1),
+    (x, y), holds = {  # the slots X, Y of a*X + b*Y = c, and the condition on (a, b, c)
+        "partition": ((u, v), lambda a, b, c: a == b == c == 1),
+        "disjoint": ((u, v), unit),
+        "cover": ((1 - u, 1 - v), unit),
+        "subset": ((u, 1 - v), unit),
+        "fact_f_prime": ((u, 1 - v), unit),
+        "fact_c": ((u, v), lambda a, b, c: a * b < 0 and c != 0),
+        "fact_d": ((u, v), lambda a, b, c: a >= 1 and b >= 1 and c >= 2 and gcd(gcd(a, b), c) == 1),
     }[getattr(kind, "value", kind)]
     hits = []
     for a in range(-box, box + 1):
         for b in range(-box, box + 1):
-            x = value(a, b)
-            c = floor_of(x)
-            if abs(c) <= box and compare(x, c) == 0 and holds(a, b, c):
-                hits.append((a, b, c))
+            ax, by = a * x, b * y
+            low = floor_of(ax) + floor_of(by)  # a*X + b*Y lies in [low, low + 2)
+            for c in (low, low + 1):
+                if abs(c) <= box and compare(ax, c - by) == 0 and holds(a, b, c):
+                    hits.append((a, b, c))
     return min(hits, key=lambda h: (abs(h[1]), abs(h[0]), -h[2]), default=None)
 
 

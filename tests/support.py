@@ -7,7 +7,7 @@ sign machinery so the two can check each other.
 
 from fractions import Fraction
 
-from dioapprox.exactnum import quad, sqrt_int
+from dioapprox.exactnum import QuadIrr, quad, sqrt_int
 
 SQRT2 = sqrt_int(2)
 SQRT3 = sqrt_int(3)
@@ -17,6 +17,13 @@ PHI_SQ = quad(3, 1, 2, 5)           # phi^2 = (3 + sqrt(5)) / 2
 PHI_M1 = quad(-1, 1, 2, 5)          # phi - 1
 
 SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 15, 17)
+
+
+def decompose(x) -> tuple[Fraction, Fraction, int]:
+    """Write x as u + v*sqrt(d) with rational u, v.  Rationals get d = 1."""
+    if isinstance(x, QuadIrr):
+        return Fraction(x.a, x.c), Fraction(x.b, x.c), x.d
+    return Fraction(x), Fraction(0), 1
 
 
 def sqrt_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:

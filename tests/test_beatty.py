@@ -128,6 +128,12 @@ def test_window_on_a_huge_partial_quotient():
         assert set(beatty.window(alpha, 500).members) == oracle.beatty_naive(alpha, 500)
 
 
+def test_sparse_window_members():
+    """Slope 100 over 10^7 integers: 100,000 members, found one by one
+    rather than by a walk over every byte of the word."""
+    assert beatty.window(100, 10**7 - 1).members == tuple(range(0, 10**7, 100))
+
+
 def test_window_limit_guard():
     assert beatty.WINDOW_LIMIT == 10**6
     cert = beatty.Certificate(beatty.CertKind.COVER, 1, 1, 1)
@@ -562,8 +568,7 @@ K = beatty.CertKind
     pytest.param(K.FACT_C, SQRT2, 1 + SQRT2, 10**6, (2, -1, 1), id="mixed_sign"),
     pytest.param(K.DISJOINT, PHI, PHI, 10**6, None, id="unsolvable_returns_none"),
     pytest.param(K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), 10**6, (2, 1, 1), id="rational_route"),
-    pytest.param(K.DISJOINT, SQRT2, SQRT3, 10**6, UnsupportedPairingError,
-                 id="cross_radicand_rejected"),
+    pytest.param(K.DISJOINT, SQRT2, SQRT3, 10**6, None, id="cross_radicand_rejected"),
     pytest.param(K.FACT_D, quad(2, 1, 2, 2), SQRT2, 10**6, (1, 2, 2), id="positive_int_form"),
     # 1/sqrt(2) + 1/(2 + sqrt(2)) = 1: the primitive relation has c = 1 and
     # every multiple has gcd > 1, so no search runs up to the bound
@@ -592,8 +597,8 @@ def test_partition_certificate_needs_unit_coefficients():
         beatty.verify_implication(K.PARTITION, PHI, PHI_SQ,
                                   beatty.Certificate(K.PARTITION, 5, 7, 1), 50)
     assert beatty.certificate_search(K.PARTITION, PHI, PHI_SQ, bound=0) is None
-    with pytest.raises(UnsupportedPairingError):  # 1/sqrt(2) + 1/sqrt(3) across fields
-        beatty.certificate_search(K.PARTITION, SQRT2, SQRT3)
+    # 1/sqrt(2) and 1/sqrt(3) lie in two fields, so no relation holds
+    assert beatty.certificate_search(K.PARTITION, SQRT2, SQRT3) is None
     assert not beatty.verify_certificate(beatty.Certificate(K.PARTITION, 1, 1, 1), SQRT2, SQRT3)
 
 
@@ -631,6 +636,21 @@ def test_certificate_search_matches_relation_oracle():
             assert want or source is not kind
             hits.append(want is not None)
     assert sum(hits) > len(K)  # some pairs built with another kind hit too
+
+
+def test_cross_field_pairs_have_no_relation():
+    """Irrational slopes from two quadratic fields: 1, sqrt(d) and sqrt(e)
+    are independent, so the oracle's box holds no relation of any kind and
+    the search returns None."""
+    rng = random.Random(13)
+    for _ in range(8):
+        d, e = rng.sample(SQUAREFREE_POOL, 2)
+        alpha = 2 + frac_of(quad(rng.randrange(-5, 6), rng.randrange(1, 4), rng.randrange(1, 6), d))
+        beta = 1 + rng.randrange(2) + frac_of(quad(rng.randrange(-5, 6), 1, rng.randrange(1, 6), e))
+        for kind in K:
+            if kind is not K.FACT_F_PRIME:
+                assert oracle.relation_naive(kind, alpha, beta, 5) is None, (kind, alpha, beta)
+                assert beatty.certificate_search(kind, alpha, beta) is None, (kind, alpha, beta)
 
 
 def test_verify_implication_suite():

@@ -333,6 +333,8 @@ def test_every_numeric_in_json_is_a_string():
 def test_literal_choices_match_their_modules():
     assert cli._SIDE.choices == (approx.ABOVE, approx.BELOW)
     assert cli._CERT_KIND.choices == tuple(k.value for k in beatty.CertKind)
+    assert cli._SCAN_LIMIT.default == beatty.DEFAULT_SCAN_LIMIT
+    assert cli._PRECISION.default == nonarch.DEFAULT_PRECISION
     assert all(callable(getattr(nonarch, op)) for op in cli._NONARCH_OPS)
 
 

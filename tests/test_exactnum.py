@@ -19,7 +19,6 @@ from dioapprox.exactnum import (
     ceil_of,
     compare,
     convergents,
-    decompose,
     ensure_exact,
     ext_gcd,
     floor_of,
@@ -33,7 +32,7 @@ from dioapprox.exactnum import (
     sqrt_int,
     squarefree_split,
 )
-from support import PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, interval_sign
+from support import PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, decompose, interval_sign
 
 
 # --- extended gcd ------------------------------------------------------
