@@ -13,6 +13,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 import re
 from typing import Callable, NamedTuple, Optional
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .exactnum import (
     ExactReal,
+    _quotient,
     _row,
     ceil_of,
     compare,
@@ -100,15 +102,8 @@ def member(alpha, k: int) -> Optional[int]:
         raise DomainError(f"membership is about k >= 0, got {k}")
     if k == 0:
         return 0
-    n = _ceil_over(k, alpha)
+    n = ceil_of(_quotient(k, 0, 1, *_row(alpha)))  # ceil(k/alpha)
     return n if compare(alpha * n, k + 1) < 0 else None
-
-
-def _ceil_over(m: int, alpha: ExactReal) -> int:
-    """ceil(m/alpha); a rational alpha is read by numerator and denominator."""
-    if is_rational(alpha):
-        return -(-m * alpha.denominator // alpha.numerator)
-    return ceil_of(m / alpha)
 
 
 def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
@@ -170,8 +165,12 @@ class BeattyWindow:
 
     @cached_property
     def members(self) -> tuple[int, ...]:
-        """The set bytes of the word, one regex match per member: a sparse
-        word's zero runs are skipped in C, not walked byte by byte."""
+        """The set bytes of the word.  A word of slope below 5 (a member in
+        every 5 bytes or more) is walked byte by byte; a sparser one is
+        read one regex match per member, its zero runs skipped in C."""
+        p, q = self.ratio
+        if p < 5 * q:
+            return tuple(compress(range(self.bound + 1), self.word))
         return tuple(map(re.Match.start, re.finditer(b"\1", self.word)))
 
     def witness(self, k: int) -> int:
@@ -215,7 +214,7 @@ def mu(alpha, h: int) -> int:
     alpha = _positive(alpha)
     if h < 0:
         raise DomainError(f"mu needs h >= 0, got {h}")
-    return _ceil_over(h + 1, alpha) - 1
+    return ceil_of(_quotient(h + 1, 0, 1, *_row(alpha))) - 1
 
 
 class PartitionReport(NamedTuple):
@@ -594,17 +593,11 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
     return None
 
 
-def _unit_interval(lo: Fraction, hi: Fraction) -> bool:
-    """0 <= lo < hi <= 1, on numerators and denominators."""
-    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    return 0 <= a and a * d < c * b and c <= d
-
-
 def dmo_window_search(alpha, lo, hi, limit: int) -> Optional[int]:
     """Least n <= limit with lo < frac(n*alpha) < hi (_first_in_windows)."""
     alpha = _positive(alpha)
     lo, hi = Fraction(lo), Fraction(hi)
-    if not _unit_interval(lo, hi):
+    if not (compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0):
         raise DomainError("need 0 <= lo < hi <= 1")
     if is_rational(alpha):
         raise RationalInputError("fractional-part searches need irrational alpha")
@@ -679,7 +672,8 @@ def kronecker_search(alpha, beta, rect, limit: int) -> Optional[int]:
     if is_rational(alpha) or is_rational(beta):
         raise RationalInputError("fractional-part searches need irrationals")
     l1, r1, l2, r2 = (Fraction(x) for x in rect)
-    if not (_unit_interval(l1, r1) and _unit_interval(l2, r2)):
+    if not all(compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0
+               for lo, hi in ((l1, r1), (l2, r2))):
         raise DomainError("rectangle sides must satisfy 0 <= l < r <= 1")
     return _first_in_windows([(alpha, l1, r1), (beta, l2, r2)], limit)
 

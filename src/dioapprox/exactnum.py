@@ -104,6 +104,47 @@ def squarefree_split(d: int) -> tuple[int, int]:
     return s, d
 
 
+# The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
+# radicand d in, a canonical value out (_norm).
+
+
+def _sum(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
+
+
+def _difference(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, d)
+
+
+def _product(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    return _norm(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
+
+
+def _quotient(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
+    """Times the conjugate a2 - b2*sqrt(d) over and under: the norm
+    a2^2 - b2^2*d is 0 only for a zero divisor."""
+    return _norm(c2 * (a1 * a2 - b1 * b2 * d), c2 * (b1 * a2 - a1 * b2),
+                 c1 * (a2 * a2 - b2 * b2 * d), d)
+
+
+def _arith(formula, verb: str, reflected: bool = False):
+    """A QuadIrr arithmetic method: formula on this value's row and the
+    other operand's, read over this value's radicand (_row); a reflected
+    method swaps the rows.  Any operand but an int, Fraction, QuadIrr or
+    string (a float too) gives NotImplemented, so Python tries the other
+    operand's method and raises TypeError if that fails as well."""
+
+    def method(self, other):
+        if not isinstance(other, _OPERAND):
+            return NotImplemented
+        a, b, c, d = _row(other, self.d, verb)
+        if reflected:
+            return formula(a, b, c, self.a, self.b, self.c, d)
+        return formula(self.a, self.b, self.c, a, b, c, d)
+
+    return method
+
+
 _setattr = object.__setattr__  # how QuadIrr.__init__ writes past its read-only guard
 
 
@@ -139,44 +180,20 @@ class QuadIrr:
     def __reduce__(self):  # pickle past the read-only guard
         return QuadIrr, (self.a, self.b, self.c, self.d)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic: one row formula each (_arith) ---------------------
 
-    # Each operation is one row formula; a reflected one swaps the rows.
-    # The other operand is read over this value's radicand (_row).
-
-    def __add__(self, other):
-        a, b, c, d = _row(other, self.d, "add")
-        return _sum(self.a, self.b, self.c, a, b, c, d)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _arith(_sum, "add")
+    __sub__ = _arith(_difference, "add")
+    __rsub__ = _arith(_difference, "add", reflected=True)
+    __mul__ = __rmul__ = _arith(_product, "multiply")
+    __truediv__ = _arith(_quotient, "multiply")
+    __rtruediv__ = _arith(_quotient, "multiply", reflected=True)
 
     def __neg__(self):
         return QuadIrr(-self.a, -self.b, self.c, self.d)
 
-    def __sub__(self, other):
-        a, b, c, d = _row(other, self.d, "add")
-        return _difference(self.a, self.b, self.c, a, b, c, d)
-
-    def __rsub__(self, other):
-        a, b, c, d = _row(other, self.d, "add")
-        return _difference(a, b, c, self.a, self.b, self.c, d)
-
-    def __mul__(self, other):
-        a, b, c, d = _row(other, self.d, "multiply")
-        return _product(self.a, self.b, self.c, a, b, c, d)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "QuadIrr":
         return _reciprocal(self)
-
-    def __truediv__(self, other):
-        a, b, c, d = _row(other, self.d, "multiply")
-        return _quotient(self.a, self.b, self.c, a, b, c, d)
-
-    def __rtruediv__(self, other):
-        a, b, c, d = _row(other, self.d, "multiply")
-        return _quotient(a, b, c, self.a, self.b, self.c, d)
 
     # -- ordering ------------------------------------------------------
 
@@ -201,6 +218,7 @@ class QuadIrr:
 
 ExactReal = Union[Fraction, QuadIrr]
 _RATIONAL = (int, Fraction)
+_OPERAND = (QuadIrr, int, Fraction, str)  # what _arith hands to _row
 
 
 def _row(x, d: int = 1, verb: str = "") -> tuple[int, int, int, int]:
@@ -220,29 +238,6 @@ def _row(x, d: int = 1, verb: str = "") -> tuple[int, int, int, int]:
     if isinstance(x, _RATIONAL):
         return x.numerator, 0, x.denominator, d
     return _row(ensure_exact(x), d, verb)
-
-
-# The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
-# radicand d in, a canonical value out.
-
-
-def _sum(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
-    return _norm(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
-
-
-def _difference(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
-    return _norm(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, d)
-
-
-def _product(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
-    return _norm(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
-
-
-def _quotient(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
-    """Times the conjugate a2 - b2*sqrt(d) over and under: the norm
-    a2^2 - b2^2*d is 0 only for a zero divisor."""
-    return _norm(c2 * (a1 * a2 - b1 * b2 * d), c2 * (b1 * a2 - a1 * b2),
-                 c1 * (a2 * a2 - b2 * b2 * d), d)
 
 
 def _reciprocal(x) -> ExactReal:
@@ -497,7 +492,11 @@ class _Scanner:
 
     def sign(self) -> int:
         """Take a '+' (1) or a '-' (-1); 0 when neither comes next."""
-        return 1 if self.take("+") else -1 if self.take("-") else 0
+        ch = self.peek()
+        if ch == "+" or ch == "-":
+            self.pos += 1
+            return 1 if ch == "+" else -1
+        return 0
 
     def expect(self, ch: str):
         if not self.take(ch):
@@ -591,5 +590,8 @@ def format_exact(x) -> str:
     """Canonical decimal-string serialization; parse_exact inverts it."""
     a, b, c, d = _row(x)
     if b:
-        return f"({a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d}))/{c}"
-    return str(a) if c == 1 else f"{a}/{c}"
+        sign = "+" if b > 0 else "-"
+        return f"({a}{sign}{abs(b)}*sqrt({d}))/{c}"
+    if c == 1:
+        return str(a)
+    return f"{a}/{c}"

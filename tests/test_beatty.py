@@ -128,10 +128,23 @@ def test_window_on_a_huge_partial_quotient():
         assert set(beatty.window(alpha, 500).members) == oracle.beatty_naive(alpha, 500)
 
 
+class _UnwalkedWord(bytes):
+    """A word that refuses to be walked byte by byte."""
+
+    def __iter__(self):
+        raise AssertionError("the word was walked byte by byte")
+
+
 def test_sparse_window_members():
     """Slope 100 over 10^7 integers: 100,000 members, found one by one
-    rather than by a walk over every byte of the word."""
-    assert beatty.window(100, 10**7 - 1).members == tuple(range(0, 10**7, 100))
+    with no walk over every byte of the word.  Either side of slope 5,
+    where the walk takes over, members are the set bytes of the word."""
+    win = beatty.window(100, 10**7 - 1)
+    sparse = beatty.BeattyWindow(win.alpha, win.bound, _UnwalkedWord(win.word), win.ratio)
+    assert sparse.members == tuple(range(0, 10**7, 100))
+    for alpha in (Fraction(49, 10), Fraction(5), Fraction(51, 10), 4 + SQRT2, 5 + SQRT2):
+        win = beatty.window(alpha, 1000)
+        assert win.members == tuple(k for k, bit in enumerate(win.word) if bit)
 
 
 def test_window_limit_guard():

@@ -1,3 +1,4 @@
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -343,6 +344,28 @@ def test_mixed_radicands_rejected():
         SQRT2 * sqrt_int(3)
     with pytest.raises(MixedRadicalError):
         SQRT2 + sqrt_int(3)
+
+
+def test_arithmetic_defers_on_operands_it_cannot_read():
+    """Any operand but an int, Fraction, QuadIrr or string gives
+    NotImplemented, so the other type's method is tried, and a float or
+    None ends in TypeError; a string is parsed."""
+
+    class Other:
+        def __radd__(self, x):
+            return "radd"
+
+        def __rtruediv__(self, x):
+            return "rtruediv"
+
+    assert SQRT2 + Other() == "radd" and SQRT2 / Other() == "rtruediv"
+    for bad in (1.5, None, [1]):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(SQRT2, bad)
+            with pytest.raises(TypeError):
+                op(bad, SQRT2)
+    assert SQRT2 + "1" == "1" + SQRT2 == 1 + SQRT2
 
 
 def test_cross_radicand_comparison_works():
