@@ -21,6 +21,7 @@ from .exactnum import (
     compare,
     convergents,
     ensure_exact,
+    ensure_rational,
     is_rational,
     radical_sign,
     sign_of,
@@ -74,7 +75,7 @@ class Bound(NamedTuple):
 
     @classmethod
     def segre(cls, tau, q_floor: int) -> "Bound":
-        tau = Fraction(tau)
+        tau = ensure_rational(tau, "tau")
         if tau < 0:
             raise DomainError(f"tau must be >= 0, got {tau}")
         return cls("segre", q_floor, tau=tau)

@@ -33,6 +33,7 @@ from .exactnum import (
     compare,
     convergents,
     ensure_exact,
+    ensure_rational,
     ext_gcd,
     floor_of,
     is_rational,
@@ -596,7 +597,7 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
 def dmo_window_search(alpha, lo, hi, limit: int) -> Optional[int]:
     """Least n <= limit with lo < frac(n*alpha) < hi (_first_in_windows)."""
     alpha = _positive(alpha)
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = ensure_rational(lo, "lo"), ensure_rational(hi, "hi")
     if not (compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0):
         raise DomainError("need 0 <= lo < hi <= 1")
     if is_rational(alpha):
@@ -640,7 +641,7 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
     """
     if p < 2:
         raise DomainError("root degree must be >= 2")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = ensure_rational(lo, "lo"), ensure_rational(hi, "hi")
     if not (0 <= lo < hi < 1):
         raise DomainError("need 0 <= lo < hi < 1")
     x = lcm(lo.denominator, hi.denominator) // p + 1
@@ -671,7 +672,7 @@ def kronecker_search(alpha, beta, rect, limit: int) -> Optional[int]:
     alpha, beta = _positive(alpha), _positive(beta)
     if is_rational(alpha) or is_rational(beta):
         raise RationalInputError("fractional-part searches need irrationals")
-    l1, r1, l2, r2 = (Fraction(x) for x in rect)
+    l1, r1, l2, r2 = (ensure_rational(x, "a rectangle side") for x in rect)
     if not all(compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0
                for lo, hi in ((l1, r1), (l2, r2))):
         raise DomainError("rectangle sides must satisfy 0 <= l < r <= 1")
@@ -685,7 +686,7 @@ def agreement_radius(rho, m: int) -> Fraction:
     return 1/m'^2: any alpha with 0 < alpha - rho < 1/m'^2 produces the
     same window below m.
     """
-    rho = Fraction(rho)
+    rho = ensure_rational(rho, "rho")
     if rho <= 1:
         raise DomainError("agreement radius is about rational slopes > 1")
     if m < 1:
@@ -720,7 +721,7 @@ def claim51_check(rho, beta) -> Claim51Report:
     assumed: every membership is re-derived and the report says what
     happened.
     """
-    rho = Fraction(rho)
+    rho = ensure_rational(rho, "rho")
     beta = ensure_exact(beta)
     if is_rational(beta):
         return Claim51Report(NOT_APPLICABLE, details={"reason": "beta is rational"})

@@ -303,13 +303,6 @@ def _beatty_claim51(rho, beta):
 _NONARCH_OPS = ("add", "sub", "mul", "div")  # functions of nonarch
 
 
-def _nonarch_beatty(alpha, n, precision):
-    if not isinstance(n, nonarch.RatFunc) or n.den.deg > 0:
-        raise DomainError("the index must be a polynomial with integer constant")
-    index = nonarch.Poly(Fraction(c, n.den.lc()) for c in n.num.coeffs)
-    return {"value": str(nonarch.beatty_nonarch(alpha, nonarch.IPElem(index)))}
-
-
 def _nonarch_linf(sigma, rho, precision):
     rep = nonarch.linf_experiment(sigma, rho)
     if not rep.applicable:
@@ -405,7 +398,7 @@ _COMMANDS = (
              lambda left, op, right, precision: {
                  "value": nonarch.format_laurent(getattr(nonarch, op)(left, right))}),
     _Command("nonarch", "beatty", (_Arg("alpha", _LAURENT), _Arg("n", _LAURENT), _PRECISION),
-             _nonarch_beatty),
+             lambda alpha, n, precision: {"value": str(nonarch.beatty_nonarch(alpha, n))}),
     _Command("nonarch", "linf", (_Arg("sigma", _LAURENT), _Arg("rho", _LAURENT), _PRECISION),
              _nonarch_linf),
 

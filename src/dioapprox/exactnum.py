@@ -32,6 +32,7 @@ __all__ = [
     "compare",
     "convergents",
     "ensure_exact",
+    "ensure_rational",
     "ext_gcd",
     "floor_of",
     "format_exact",
@@ -288,6 +289,14 @@ def ensure_exact(x) -> ExactReal:
     if isinstance(x, str):
         return parse_exact(x)
     raise DomainError(f"cannot interpret {x!r} as an exact number")
+
+
+def ensure_rational(x, name: str) -> Fraction:
+    """ensure_exact for an argument that must be rational."""
+    x = ensure_exact(x)
+    if x.__class__ is QuadIrr:
+        raise DomainError(f"{name} must be rational, got {x}")
+    return x
 
 
 def is_rational(x: ExactReal) -> bool:

@@ -314,8 +314,6 @@ def _as_ratfunc(x):
         return x
     if isinstance(x, (int, Fraction)):
         return RatFunc.const(x)
-    if isinstance(x, IPElem):
-        return RatFunc(x.poly)
     return NotImplemented
 
 
@@ -482,7 +480,7 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
     COEFF_BITS_LIMIT bits.
     """
     f, df = _over_lcm(f[:width])
-    g, dg = _over_lcm(g[:width])
+    g, dg = _over_lcm(g[:max(width, 1)])  # g[0] is read even for width 0
     g0 = g[0]
     rg = g[:0:-1]  # g[1:] reversed, so rg[-k] = g[k]
     nums: list[int] = []
@@ -508,25 +506,6 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
             nums_den = grown
         nums.append(top * (nums_den // bottom))
     return [Fraction(v, nums_den) for v in nums]
-
-
-def _series_inverse(x: EpsSeries, prec_hint: Optional[int] = None) -> EpsSeries:
-    if not x.coeffs:
-        if x.exact:
-            raise ZeroDivisionError("division by exact zero series")
-        raise PrecisionError(
-            "cannot invert: no nonzero coefficient within the known window"
-        )
-    v = x.lead
-    s0 = x.coeffs[0]
-    if x.exact and len(x.coeffs) == 1:
-        return EpsSeries.make(-v, [1 / s0], True)
-    if x.exact:
-        width = (prec_hint if prec_hint is not None else DEFAULT_PRECISION) + v
-        width = max(width, 1)
-    else:
-        width = x.prec - v
-    return EpsSeries.make(-v, _series_quotient([Fraction(1)], x.coeffs, width), False)
 
 
 def add(x, y) -> LaurentElem:
@@ -559,8 +538,23 @@ def div(x, y) -> LaurentElem:
             return (RatFunc._canonical(y.den, y.num) if y.num.lc() > 0
                     else RatFunc._canonical(-y.den, -y.num))
         return RatFunc(x.num * y.den, x.den * y.num)
-    hint = None if x.exact else x.prec - x.lead
-    return _series_mul(x, _series_inverse(y, prec_hint=hint))
+    if not y.coeffs:
+        if y.exact:
+            raise ZeroDivisionError("division by exact zero series")
+        raise PrecisionError("cannot invert: no nonzero coefficient within the known window")
+    if x.is_exact_zero():
+        return EpsSeries(0, (), True)
+    lead, n = x.lead - y.lead, len(x.coeffs)
+    if y.exact and len(y.coeffs) == 1:
+        return EpsSeries.make(lead, [c / y.coeffs[0] for c in x.coeffs], x.exact)
+    # an exact divisor reads as many terms as the dividend, shifted by its
+    # lead (DEFAULT_PRECISION of them over an exact dividend); an inexact
+    # one no more than it knows
+    if y.exact:
+        width = max(DEFAULT_PRECISION + y.lead, 1) if x.exact else min(n, max(n + y.lead, 1))
+    else:
+        width = len(y.coeffs) if x.exact else min(n, len(y.coeffs))
+    return EpsSeries.make(lead, _series_quotient(x.coeffs, y.coeffs, width), False)
 
 
 def sign_of(x) -> int:
@@ -622,82 +616,34 @@ def std_part(x) -> Fraction:
     return Fraction(_split_ratfunc(_as_ratfunc(x))[0].coeff(0))
 
 
-class IPElem:
-    """Element of the integer part: polynomial in t, integer constant."""
+def _integer_constant(c0) -> None:
+    if c0.denominator != 1:
+        raise DomainError(f"constant coefficient must be an integer, got {c0}")
 
-    __slots__ = ("poly",)
+
+class IPElem(RatFunc):
+    """Element of the integer part: a RatFunc that is a polynomial in t
+    with an integer constant.  Its arithmetic is the field's, so sums and
+    products come back as RatFunc."""
+
+    __slots__ = ()
 
     def __init__(self, poly: Poly):
-        c0 = poly.coeff(0)
-        if c0.denominator != 1:
-            raise DomainError(
-                f"constant coefficient must be an integer, got {c0}"
-            )
-        self.poly = poly
+        _integer_constant(poly.coeff(0))
+        super().__init__(poly)
 
-    @classmethod
-    def const(cls, n: int) -> "IPElem":
-        return cls(Poly([n]))
+    @property
+    def poly(self) -> Poly:
+        return Poly(Fraction(c, self.den.coeffs[0]) for c in self.num.coeffs)
 
     def constant(self) -> int:
-        return int(self.poly.coeff(0))
+        return self.num.coeff(0) // self.den.coeffs[0]
 
     def is_standard(self) -> bool:
-        return self.poly.deg <= 0
-
-    def to_laurent(self) -> RatFunc:
-        return RatFunc(self.poly)
-
-    def __add__(self, other):
-        if isinstance(other, IPElem):
-            return IPElem(self.poly + other.poly)
-        if isinstance(other, int):
-            return IPElem(self.poly + Poly([other]))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IPElem(-self.poly)
-
-    def __sub__(self, other):
-        if isinstance(other, IPElem):
-            return IPElem(self.poly - other.poly)
-        if isinstance(other, int):
-            return IPElem(self.poly - Poly([other]))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, IPElem):
-            return IPElem(self.poly * other.poly)
-        if isinstance(other, int):
-            return IPElem(self.poly * Poly([other]))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        return _lc_sign(self.poly.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.poly == Poly([other])
-        return isinstance(other, IPElem) and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
+        return self.num.deg <= 0
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return compare(self, other) < 0
 
     def __repr__(self):
         return f"IPElem({self.poly!r})"
@@ -707,12 +653,15 @@ class IPElem:
 
 
 def _floor_from_parts(poly_part: Poly, tail_sign: int) -> IPElem:
+    """The constant rounded down, one lower when it is an integer and the
+    tail negative, over the least common denominator: canonical already,
+    as that leaves no content."""
     c0 = poly_part.coeff(0)
-    base = int(c0.numerator // c0.denominator)  # floor of the constant
+    base = c0.numerator // c0.denominator
     if c0.denominator == 1 and tail_sign < 0:
         base -= 1
-    adjusted = poly_part - Poly([c0]) + Poly([base])
-    return IPElem(adjusted)
+    num, den = _over_lcm((base, *poly_part.coeffs[1:]))
+    return IPElem._canonical(Poly(num), Poly([den]))
 
 
 def floor_ip(x) -> IPElem:
@@ -749,11 +698,11 @@ def floor_ip(x) -> IPElem:
     if rf is NotImplemented:
         raise DomainError("unsupported operand for floor")
     result = _floor_from_parts(*_split_ratfunc(rf))
-    # confirm 0 <= rf - result < 1 exactly: with result = p/m for integer
-    # p and m > 0, rf - result = gap/(m*den), and lc(m*den) > 0
-    p, m = _over_lcm(result.poly.coeffs)
-    gap = rf.num * Poly([m]) - Poly(p) * rf.den
-    if _lc_sign(gap.coeffs) < 0 or _lc_sign((gap - Poly([m]) * rf.den).coeffs) >= 0:
+    # confirm 0 <= rf - result < 1 exactly: with result = p/m for a
+    # constant m > 0, rf - result = gap/(m*den), and lc(m*den) > 0
+    p, m = result.num, result.den
+    gap = rf.num * m - p * rf.den
+    if _lc_sign(gap.coeffs) < 0 or _lc_sign((gap - m * rf.den).coeffs) >= 0:
         raise AssertionError(f"floor bracketing failed for {rf}")
     return result
 
@@ -774,13 +723,17 @@ def sqrt1p_eps(prec: int = DEFAULT_PRECISION) -> EpsSeries:
     return EpsSeries.make(0, cs, False)
 
 
-def beatty_nonarch(alpha: LaurentElem, n: IPElem) -> IPElem:
-    """floor(n * alpha) in the model; n ranges over integer-part elements."""
+def beatty_nonarch(alpha: LaurentElem, n: RatFunc) -> IPElem:
+    """floor(n * alpha) in the model; n ranges over the integer part: an
+    IPElem, or a RatFunc that is a polynomial with an integer constant."""
+    if not isinstance(n, RatFunc) or n.den.deg > 0:
+        raise DomainError("the index must be a polynomial with integer constant")
+    _integer_constant(Fraction(n.num.coeff(0), n.den.coeffs[0]))
     if sign_of(alpha) <= 0:
         raise DomainError("alpha must be positive")
     if n.sign() < 0:
         raise DomainError("index must be >= 0")
-    return floor_ip(mul(alpha, n.to_laurent()))
+    return floor_ip(mul(alpha, n))
 
 
 class LinfReport(NamedTuple):
@@ -914,8 +867,6 @@ def format_laurent(x: LaurentElem) -> str:
     constant as ``p/q``), so parse_laurent reads it back; a truncated
     series has no such inverse.
     """
-    if isinstance(x, IPElem):
-        x = RatFunc(x.poly)
     if isinstance(x, RatFunc):
         num, den = x.num, x.den
         if den.deg == 0 and num.deg <= 0:

@@ -29,6 +29,6 @@ def test_benchmark_runs_correct(workload):
     _assert_runs_correct(workload, 0)
 
 
-@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs"])
+@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs", "nonarch-model"])
 def test_traced_benchmark_runs_correct(workload):
     _assert_runs_correct(workload, 1)

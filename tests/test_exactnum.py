@@ -184,6 +184,27 @@ def test_kernel_entries_parse_strings_and_refuse_floats(entry):
         entry(1.5)
 
 
+@pytest.mark.parametrize("entry, text", [
+    (lambda x: beatty.dmo_window_search(SQRT2, x, Fraction(1, 5), 100), "1/10"),
+    (lambda x: beatty.kronecker_search(SQRT2, sqrt_int(3), (x, 1, 0, 1), 100), "1/10"),
+    (lambda x: beatty.pth_root_dmo_witness(2, x, Fraction(1, 5)), "1/10"),
+    (lambda x: beatty.agreement_radius(x, 7), "11/10"),
+    (lambda x: beatty.claim51_check(x, SQRT2), "3/2"),
+    (lambda x: approx.Bound.segre(x, 5), "1/2"),
+], ids=["dmo_window_search", "kronecker_search", "pth_root_dmo_witness", "agreement_radius",
+        "claim51_check", "segre"])
+def test_rational_entries_parse_strings_and_refuse_floats(entry, text):
+    """Window ends, rho and tau are read as exact rationals: a string is
+    parsed, a float or a decimal string refused, an irrational refused."""
+    assert entry(text) == entry(Fraction(text))
+    with pytest.raises(DomainError):
+        entry(float(Fraction(text)))
+    with pytest.raises(ParseError):
+        entry(str(float(Fraction(text))))
+    with pytest.raises(DomainError, match="must be rational"):
+        entry(SQRT2 - 1 if Fraction(text) < 1 else SQRT2 + Fraction(1, 20))
+
+
 def test_compare_and_sign_of_build_no_fraction(monkeypatch):
     """Orders and signs come from the values' own integers: no Fraction is
     built and radical_sign is never asked."""

@@ -49,14 +49,40 @@ def test_series_precision_propagation():
     assert prod.lead == 1 and prod.prec == min(4 + 1, 3 + 0)
 
 
+def _assert_series(s, lead, prec, exact, coeffs):
+    assert (s.lead, s.prec, s.exact) == (lead, prec, exact)
+    assert list(s.coeffs) == coeffs
+
+
 def test_series_division_and_errors():
+    """Each divisor shape keeps its own window: a one-term exact divisor
+    divides coefficientwise, a longer exact one reads as many terms as the
+    dividend (DEFAULT_PRECISION over an exact dividend) shifted by its
+    lead, and an inexact one no more than it knows."""
     one = na.EpsSeries.make(0, [1], True)
     geom = na.div(one, na.EpsSeries.make(0, [1, -1], True))
     assert [geom.coeff(i) for i in range(5)] == [1, 1, 1, 1, 1]
     with pytest.raises(ZeroDivisionError):
         na.div(ONE, na.RatFunc.const(0))
+    with pytest.raises(ZeroDivisionError, match="exact zero series"):
+        na.div(one, na.EpsSeries.make(0, [], True))
     with pytest.raises(PrecisionError):
         na.div(one, na.EpsSeries.make(5, [], False))  # nothing known yet
+    s = na.sqrt1p_eps(64)
+    s_cs = list(s.coeffs)
+    # sqrt(1+eps)/(t+1) = eps/sqrt(1+eps): the divisor eps^-1 + 1 is exact
+    inv_sqrt = [Fraction(math.comb(2 * k, k), (-4) ** k) for k in range(63)]
+    _assert_series(na.div(s, rf((1, 1))), 1, 64, False, inv_sqrt)
+    # 1/t expands as an inexact series from eps^1 to eps^63
+    _assert_series(na.div(s, INV_T), -1, 62, False, s_cs[:63])
+    _assert_series(na.div(s, na.EpsSeries.make(2, [Fraction(1, 2)], True)),
+                   -2, 62, False, [2 * c for c in s_cs])
+    _assert_series(na.div(na.EpsSeries.make(1, [3, 6], True), na.EpsSeries.make(-2, [3], True)),
+                   3, 5, True, [1, 2])
+    # (eps + 2 eps^2)/(eps^2 - eps^3), DEFAULT_PRECISION + 2 terms from eps^-1
+    _assert_series(na.div(na.EpsSeries.make(1, [1, 2], True), na.EpsSeries.make(2, [1, -1], True)),
+                   -1, na.DEFAULT_PRECISION + 1, False, [1] + [3] * (na.DEFAULT_PRECISION + 1))
+    _assert_series(na.div(na.EpsSeries(0, (), True), rf((1, 1))), 0, 0, True, [])
 
 
 def test_ratfunc_operators_are_the_module_functions():
@@ -119,8 +145,7 @@ def _assert_canonical(x):
 
 
 def _assert_no_float(x):
-    cs = (x.num.coeffs + x.den.coeffs if isinstance(x, na.RatFunc)
-          else x.poly.coeffs if isinstance(x, na.IPElem) else x.coeffs)
+    cs = x.num.coeffs + x.den.coeffs if isinstance(x, na.RatFunc) else x.coeffs
     assert all(type(c) in (int, Fraction) for c in cs)
 
 
@@ -149,7 +174,9 @@ def test_canonical_form_after_parse_and_ops():
             z = op(x, y)
             _assert_canonical(z)
             _assert_no_float(z)
-        _assert_no_float(na.floor_ip(x))
+        floor = na.floor_ip(x)  # built without the constructor's reduction
+        _assert_canonical(floor)
+        _assert_no_float(floor)
         _assert_no_float(na.to_series(x, 8))
         _assert_no_float(na.mul(x, na.sqrt1p_eps(8)))
         if na.is_finite(x):
@@ -278,8 +305,7 @@ def test_discreteness_of_integer_part():
         p = na.IPElem(na.Poly(coeffs))
         if p.poly.is_zero():
             continue
-        x = p.to_laurent()
-        inside = na.compare(x, na.RatFunc.const(0)) > 0 and na.compare(x, ONE) < 0
+        inside = na.compare(p, na.RatFunc.const(0)) > 0 and na.compare(p, ONE) < 0
         assert not inside
 
 
@@ -341,7 +367,7 @@ def test_floor_bracketing_randomized():
         if den.is_zero():
             continue
         x = na.RatFunc(num, den)
-        f = na.floor_ip(x).to_laurent()
+        f = na.floor_ip(x)
         assert na.compare(f, x) <= 0
         assert na.compare(x, na.add(f, ONE)) < 0
         checked += 1
@@ -461,9 +487,24 @@ def test_beatty_nonarch_series_slope():
     alpha = na.add(na.EpsSeries.make(0, [1], True), bump)
     n = na.IPElem(na.Poly([1, 1]))
     out = na.beatty_nonarch(alpha, n)
-    x = na.mul(alpha, n.to_laurent())
-    assert na.compare(out.to_laurent(), x) <= 0
-    assert na.compare(x, na.add(out.to_laurent(), ONE)) < 0
+    x = na.mul(alpha, n)
+    assert na.compare(out, x) <= 0
+    assert na.compare(x, na.add(out, ONE)) < 0
+
+
+def test_beatty_nonarch_index_membership():
+    """The index is any field element of the integer part: an IPElem, or a
+    RatFunc that is a polynomial with an integer constant term."""
+    alpha = rf((1, 1), (0, 1))
+    ip = na.IPElem(na.Poly([2, Fraction(1, 3)]))
+    as_rf = rf((6, 1), (3,))
+    assert ip == as_rf and hash(ip) == hash(as_rf)
+    assert na.beatty_nonarch(alpha, ip + 1) == na.beatty_nonarch(alpha, na.IPElem(na.Poly([3, Fraction(1, 3)])))
+    for index, message in ((rf((1, 1), (0, 1)), "polynomial with integer constant"),
+                           (rf((Fraction(1, 2), 1)), "must be an integer, got 1/2"),
+                           (na.sqrt1p_eps(8), "polynomial with integer constant")):
+        with pytest.raises(DomainError, match=message):
+            na.beatty_nonarch(alpha, index)
 
 
 def test_small_slope_membership_construction():
@@ -474,7 +515,7 @@ def test_small_slope_membership_construction():
         k = na.IPElem(na.Poly([rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9)]))
         if k.sign() <= 0:
             continue
-        n = na.floor_ip(na.div(k.to_laurent(), alpha))
+        n = na.floor_ip(na.div(k, alpha))
         hit = na.beatty_nonarch(alpha, n + 1)
         assert hit == k
 
@@ -636,6 +677,11 @@ def test_coefficient_bits_limit():
     assert na.parse_laurent(f"({near}*t + 1)/(t + {near})").sign() == 1
     with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):  # produced
         na.mul(na.RatFunc(na.Poly([top // 2**20])), na.RatFunc(na.Poly([top // 2**20])))
+    # each coefficient of a series quotient is held to the limit, the quotient
+    # itself and not only the divisor's inverse: (1 - 7eps/3)^-1 adds about
+    # 1.2 bits a term to the 2 of sqrt(1+eps)
+    with pytest.raises(ResourceLimitError, match="coefficient 489 holds 4097 bits"):
+        na.div(na.sqrt1p_eps(na.PRECISION_LIMIT), rf((-7, 3), (7,)))
 
 
 # --- parsing / formatting ---------------------------------------------------
