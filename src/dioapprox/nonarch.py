@@ -17,6 +17,7 @@ cannot settle.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul as _imul
 from typing import Iterable, NamedTuple, Optional, Union
@@ -59,11 +60,12 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
-# Input size guards: at these bounds the slowest operations measured
-# (series division at PRECISION_LIMIT; linf on two quotients of dense
-# degree-DEGREE_LIMIT polynomials with 7-bit coefficients, whose
-# difference holds about COEFF_BITS_LIMIT bits) take about a second on a
-# 2-core machine.
+# Input size guards: at these bounds the slowest operations measured take
+# about a second on a 2-core machine: linf on two quotients of dense
+# degree-DEGREE_LIMIT polynomials with 7-bit coefficients, whose difference
+# holds about COEFF_BITS_LIMIT bits, and a series quotient at
+# PRECISION_LIMIT by a window of random denominators.  Products and
+# quotients of sqrt1p(eps) at PRECISION_LIMIT take about 0.1 s.
 DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
 COEFF_BITS_LIMIT = 4096  # most bits a RatFunc's integer coefficients may hold, plus one each
 PRECISION_LIMIT = 600  # largest series precision that may be requested
@@ -335,16 +337,16 @@ class EpsSeries(_FieldOps):
 
     @classmethod
     def make(cls, lead: int, coeffs: Iterable, exact: bool) -> "EpsSeries":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lead += 1
+        """Leading zeros move into the lead, and an exact series drops its
+        trailing ones; a Fraction is taken as it is, anything else wrapped."""
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        start = next((i for i, c in enumerate(cs) if c), len(cs))
         if exact:
-            while cs and cs[-1] == 0:
+            while cs and not cs[-1]:
                 cs.pop()
             if not cs:
                 return cls(0, (), True)
-        return cls(lead, tuple(cs), exact)
+        return cls(lead + start, tuple(cs[start:]), exact)
 
     @property
     def prec(self) -> int:
@@ -401,7 +403,7 @@ def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
     fr = list(reversed(f.coeffs))
     gr = list(reversed(g.coeffs))
     lead = g.deg - f.deg
-    if len(gr) == 1:  # monomial denominator: exact Laurent polynomial
+    if not any(gr[1:]):  # a monomial denominator c*t^k: exact Laurent polynomial
         return EpsSeries.make(lead, [Fraction(c, gr[0]) for c in fr], True)
     width = prec - lead
     if width <= 0:
@@ -441,10 +443,36 @@ def _series_add(x: EpsSeries, y: EpsSeries, negate: bool) -> EpsSeries:
     return EpsSeries.make(lo, out, exact)
 
 
-def _over_lcm(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _over_lcm(coeffs, b: int = 1) -> tuple[list[int], int]:
+    """The row of a window on scale b: integers X_k and the least D with
+    c_k = X_k / (D * b^k), exact for any b >= 1.  b = 1 puts the window
+    over its least common denominator."""
+    dens = [c.denominator for c in coeffs]
+    if b == 1:  # every RatFunc takes this path: no powers, no gcds
+        den = lcm(*dens)
+        return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+    powers = list(accumulate(repeat(b, len(dens) - 1), _imul, initial=1))
+    den = lcm(*[q // gcd(q, p) for q, p in zip(dens, powers)])
+    return [c.numerator * (den * p // q) for c, q, p in zip(coeffs, dens, powers)], den
+
+
+def _scale(coeffs) -> int:
+    """A b with den(c_k) | den(c_0) * b^k through the window, raised as each
+    denominator asks: 4 for sqrt1p(eps), g0 for an expansion over g.  1 once
+    b^(n-1) would pass the square of the largest denominator (random
+    denominators), where one common denominator makes the smaller row."""
+    if (n := len(coeffs)) < 2:
+        return 1
+    q0, cap = coeffs[0].denominator, 2 * max(c.denominator.bit_length() for c in coeffs)
+    b, p = 1, q0  # p = q0 * b^k
+    for k in range(1, n):
+        p *= b
+        if p % (q := coeffs[k].denominator):
+            b *= q // gcd(q, p)
+            if b.bit_length() * (n - 1) > cap:
+                return 1
+            p = q0 * b ** k
+    return b
 
 
 def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
@@ -457,55 +485,55 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
         hi = min(s.prec + t.lead for s, t in ((x, y), (y, x)) if not s.exact)
     lo = x.lead + y.lead
     width = hi - lo
-    a, da = _over_lcm(x.coeffs[:width])
-    b, db = _over_lcm(y.coeffs[:width])
-    b.reverse()
-    na, nb = len(a), len(b)
-    den = da * db
+    xs, ys = x.coeffs[:width], y.coeffs[:width]
+    square = xs is ys  # then its one row serves both factors
+    b = _scale(xs) if square else lcm(_scale(xs), _scale(ys))
+    a, den = _over_lcm(xs, b)
+    c, dc = (a, den) if square else _over_lcm(ys, b)
+    c = c[::-1]
+    na, nc = len(a), len(c)
+    den *= dc  # D_x * D_y * b^k
     out = []
     for k in range(width):
-        i0, i1 = max(0, k - nb + 1), min(k + 1, na)  # a[i] meets b[k - i]
-        out.append(Fraction(sum(map(_imul, a[i0:i1], b[nb - 1 - k + i0:])), den))
+        i0, i1 = max(0, k - nc + 1), min(k + 1, na)  # a[i] meets c[k - i]
+        out.append(Fraction(sum(map(_imul, a[i0:i1], c[nc - 1 - k + i0:])), den))
+        den *= b
     return EpsSeries.make(lo, out, exact)
 
 
 def _series_quotient(f, g, width: int) -> list[Fraction]:
     """The first ``width`` coefficients of f/g for coefficient lists with
-    g[0] != 0: out[n] = (f[n] - sum(g[k] * out[n - k], k >= 1)) / g[0].
+    g[0] != 0.
 
-    Runs in integers: f and g over their common denominators, and the
-    coefficients found so far as numerators over their running lcm,
-    rescaled only when that lcm grows.  ResourceLimitError once a
-    coefficient's numerator and denominator hold more than
-    COEFF_BITS_LIMIT bits.
+    Runs on rows over one scale b, F_k / (D_f * b^k) and G_k / (D_g * b^k)
+    with G's content moved into D_f, and divides nowhere:
+    O_n = F_n * G_0^n - sum(G_k * G_0^(k-1) * O_(n-k), k >= 1), and
+    coefficient n is D_g * O_n / (D_f * G_0^(n+1) * b^n), so the powers of
+    G_0 carry the denominators an expansion over g grows.
+    ResourceLimitError once a coefficient's numerator and denominator hold
+    more than COEFF_BITS_LIMIT bits.
     """
-    f, df = _over_lcm(f[:width])
-    g, dg = _over_lcm(g[:max(width, 1)])  # g[0] is read even for width 0
-    g0 = g[0]
-    rg = g[:0:-1]  # g[1:] reversed, so rg[-k] = g[k]
-    nums: list[int] = []
-    nums_den = 1
+    f, g = f[:width], g[:max(width, 1)]  # g[0] is read even for width 0
+    b = lcm(_scale(f), _scale(g))
+    (fr, df), (gr, dg) = _over_lcm(f, b), _over_lcm(g, b)
+    content = gcd(*gr)
+    gr, df = [v // content for v in gr], df * content
+    g0, h, nums, out = gr[0], [], [], []  # h[-k] = G_k * G_0^(k-1), grown as n reaches k
+    power, den = 1, df * g0  # G_0^n and D_f * G_0^(n+1) * b^n
     for n in range(width):
-        tail = rg[max(len(rg) - n, 0):]
-        acc = df * sum(map(_imul, tail, nums[n - len(tail):]))
-        top = (f[n] * dg * nums_den if n < len(f) else 0) - acc
-        bottom = df * nums_den * g0
-        if bottom < 0:
-            top, bottom = -top, -bottom
-        common = gcd(top, bottom)
-        top, bottom = top // common, bottom // common
-        if (bits := top.bit_length() + bottom.bit_length()) > COEFF_BITS_LIMIT:
+        top = (fr[n] * power if n < len(fr) else 0) - sum(map(_imul, h, nums[n - len(h):]))
+        nums.append(top)
+        out.append(c := Fraction(dg * top, den))
+        if (bits := c.numerator.bit_length() + c.denominator.bit_length()) > COEFF_BITS_LIMIT:
             raise ResourceLimitError(
                 f"series coefficient {n} holds {bits} bits, past COEFF_BITS_LIMIT = "
                 f"{COEFF_BITS_LIMIT}"
             )
-        if nums_den % bottom:
-            grown = lcm(nums_den, bottom)
-            scale = grown // nums_den
-            nums = [v * scale for v in nums]
-            nums_den = grown
-        nums.append(top * (nums_den // bottom))
-    return [Fraction(v, nums_den) for v in nums]
+        if n + 1 < len(gr):
+            h.insert(0, gr[n + 1] * power)
+        power *= g0
+        den *= g0 * b
+    return out
 
 
 def add(x, y) -> LaurentElem:

@@ -73,8 +73,8 @@ def test_series_division_and_errors():
     # sqrt(1+eps)/(t+1) = eps/sqrt(1+eps): the divisor eps^-1 + 1 is exact
     inv_sqrt = [Fraction(math.comb(2 * k, k), (-4) ** k) for k in range(63)]
     _assert_series(na.div(s, rf((1, 1))), 1, 64, False, inv_sqrt)
-    # 1/t expands as an inexact series from eps^1 to eps^63
-    _assert_series(na.div(s, INV_T), -1, 62, False, s_cs[:63])
+    # 1/t, a monomial denominator, expands exactly to eps^1: s shifts by one
+    _assert_series(na.div(s, INV_T), -1, 63, False, s_cs)
     _assert_series(na.div(s, na.EpsSeries.make(2, [Fraction(1, 2)], True)),
                    -2, 62, False, [2 * c for c in s_cs])
     _assert_series(na.div(na.EpsSeries.make(1, [3, 6], True), na.EpsSeries.make(-2, [3], True)),
@@ -218,12 +218,31 @@ def _rand_series(rng, max_len):
     return na.EpsSeries(rng.randint(-3, 3), tuple(cs), rng.random() < 0.4)
 
 
+# Windows on a scale b > 1: sqrt1p(eps) (b = 4) and expansions over a g
+# with |g0| > 1 (b = |g0|); a random window takes b = 1.
+SQRT1P = {p: na.sqrt1p_eps(p) for p in (32, 58, 141, 600)}
+OVER_3T_7 = na.to_series(rf((0, 1), (-7, 3)), 141)  # t/(3t - 7)
+OVER_CUBIC = na.to_series(rf((1, 0, 1), (3, 5, 0, 2)), 58)  # (t^2 + 1)/(2t^3 + 5t + 3), lead 1
+
+
+def _shifted(s, lead):
+    return na.EpsSeries(lead, s.coeffs, s.exact)
+
+
+def _scaled_cases(rng):
+    """Pairs mixing the scales, both ways round, some with negative leads."""
+    s141, s58 = SQRT1P[141], SQRT1P[58]
+    rand80 = na.EpsSeries(-2, tuple(_rand_series(rng, 80).coeffs), False)
+    pairs = [(s141, OVER_3T_7), (s58, OVER_CUBIC), (OVER_3T_7, OVER_CUBIC),
+             (_shifted(s58, -3), _shifted(OVER_3T_7, -1)), (rand80, s58), (rand80, OVER_CUBIC)]
+    return pairs + [(y, x) for x, y in pairs]
+
+
 def test_series_mul_matches_naive():
     rng = random.Random(41)
     cases = [(_rand_series(rng, 12), _rand_series(rng, 12)) for _ in range(300)]
     cases += [(_rand_series(rng, 80), _rand_series(rng, 80)) for _ in range(6)]
-    s = na.sqrt1p_eps(256)
-    cases.append((s, s))
+    cases += [(s, s) for s in SQRT1P.values()] + _scaled_cases(rng)
     for x, y in cases:
         z = na.mul(x, y)
         lo = x.lead + y.lead
@@ -241,7 +260,8 @@ def test_series_mul_matches_naive():
 def test_series_div_matches_naive():
     rng = random.Random(43)
     cases = [(_rand_series(rng, 12), _rand_series(rng, 12)) for _ in range(300)]
-    cases.append((na.EpsSeries.make(0, [1], True), na.sqrt1p_eps(256)))
+    one = na.EpsSeries.make(0, [1], True)
+    cases += [(one, s) for s in SQRT1P.values()] + _scaled_cases(rng)
     for x, y in cases:
         z = na.div(x, y)
         shift = x.lead - y.lead
@@ -255,22 +275,56 @@ def test_series_div_matches_naive():
 
 def test_to_series_matches_naive():
     rng = random.Random(47)
+    cases = []
     for _ in range(200):
         num = na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
         den = na.Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(2, 5))])
         if num.is_zero() or den.is_zero():
             continue
-        x = na.RatFunc(num, den)
-        prec = rng.choice([8, 32, 128, 256])
+        cases.append((na.RatFunc(num, den), rng.choice([8, 32, 128, 256])))
+    # |g0| > 1, a negative lead, and the monomial denominators c and c*t^k
+    cases += [(x, p) for x in (rf((0, 1), (-7, 3)), rf((1, 0, 1), (3, 5, 0, 2)))
+              for p in (32, 141, 600)]
+    cases += [(rf((1, 0, 0, 1), (-7, 3)), 58), (rf((1, 2), (0, 0, 5)), 8), (rf((3, 0, 1), (2,)), 8)]
+    for x, prec in cases:
         s = na.to_series(x, prec)
         lead = x.den.deg - x.num.deg
-        if x.den.deg == 0:
-            assert s.exact
+        f, g = x.num.coeffs[::-1], x.den.coeffs[::-1]
+        if not any(g[1:]):  # the denominator is a monomial: an exact Laurent polynomial
+            assert s.exact and [s.coeff(lead + i) for i in range(len(f))] == [Fraction(c, g[0]) for c in f]
             continue
         assert not s.exact and s.prec == prec
-        f, g = x.num.coeffs[::-1], x.den.coeffs[::-1]
         want = oracle.series_product_naive(f, oracle.series_inverse_naive(g, prec - lead), prec - lead)
         assert [s.coeff(lead + i) for i in range(prec - lead)] == want
+
+
+def test_series_rows_are_exact_on_every_scale():
+    """c_k = X_k / (D * b^k) for any b, with the least D; b = 1 is the
+    window over its least common denominator."""
+    rng = random.Random(53)
+    windows = [_rand_series(rng, 40).coeffs for _ in range(60)]
+    windows += [SQRT1P[58].coeffs, OVER_3T_7.coeffs[:40], OVER_CUBIC.coeffs, (Fraction(0), Fraction(1, 3))]
+    for cs in windows:
+        for b in (1, 2, 3, 4, 12, 2**40):
+            xs, d = na._over_lcm(cs, b)
+            assert all(type(v) is int for v in xs)
+            assert [Fraction(v, d * b**k) for k, v in enumerate(xs)] == list(cs)
+            for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):  # every prime of these denominators
+                assert d % q or any((c * (d // q) * b**k).denominator > 1 for k, c in enumerate(cs))
+        assert na._over_lcm(cs)[1] == math.lcm(*(c.denominator for c in cs))
+
+
+def test_series_scale_is_picked_from_the_window():
+    """sqrt1p(eps) on scale 4 needs no common denominator and keeps entry k
+    near 2k bits; an expansion over 3t - 7 takes scale 3; a window of
+    random denominators falls back to 1."""
+    s = SQRT1P[600].coeffs
+    assert na._scale(s) == 4
+    xs, d = na._over_lcm(s, na._scale(s))
+    assert d == 1 and max(v.bit_length() for v in xs) <= 1200
+    assert na._scale(OVER_3T_7.coeffs) == 3
+    rng = random.Random(59)
+    assert na._scale([Fraction(rng.randint(1, 9), rng.randint(1, 30)) for _ in range(60)]) == 1
 
 
 # --- order, magnitude classes, standard part ------------------------------
