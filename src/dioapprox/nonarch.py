@@ -60,12 +60,14 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
-# Input size guards: at these bounds the slowest operations measured take
-# about a second on a 2-core machine: linf on two quotients of dense
+# Input size guards: at these bounds linf on two quotients of dense
 # degree-DEGREE_LIMIT polynomials with 7-bit coefficients, whose difference
-# holds about COEFF_BITS_LIMIT bits, and a series quotient at
-# PRECISION_LIMIT by a window of random denominators.  Products and
-# quotients of sqrt1p(eps) at PRECISION_LIMIT take about 0.1 s.
+# holds about COEFF_BITS_LIMIT bits, takes about a second on a 2-core
+# machine.  At PRECISION_LIMIT a series quotient by a window of random
+# denominators meets COEFF_BITS_LIMIT within 40 ms, the square of
+# sqrt1p(eps) takes about 25 ms and its inverse about 50 ms; a product of
+# two windows of random denominators up to 10^6 takes about 7 s, since no
+# limit bounds a product's coefficients.
 DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
 COEFF_BITS_LIMIT = 4096  # most bits a RatFunc's integer coefficients may hold, plus one each
 PRECISION_LIMIT = 600  # largest series precision that may be requested
@@ -75,6 +77,13 @@ def _check_precision(prec: int) -> None:
     if prec > PRECISION_LIMIT:
         raise ResourceLimitError(
             f"precision {prec} exceeds PRECISION_LIMIT = {PRECISION_LIMIT}"
+        )
+
+
+def _check_bits(bits: int) -> None:
+    if bits > COEFF_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
         )
 
 
@@ -256,11 +265,7 @@ class RatFunc(_FieldOps):
         (n, dn), (d, dd) = _over_lcm(num.coeffs), _over_lcm(den.coeffs)
         if dn != dd:
             n, d = [c * dd for c in n], [c * dn for c in d]
-        bits = sum(c.bit_length() + 1 for c in n + d)  # the denominator 1 has one bit
-        if bits > COEFF_BITS_LIMIT:
-            raise ResourceLimitError(
-                f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
-            )
+        _check_bits(sum(c.bit_length() + 1 for c in n + d))  # the denominator 1 has one bit
         if not n:
             d = [1]
         elif len(g := _poly_gcd(_primitive(n), _primitive(d))) > 1:
@@ -272,7 +277,14 @@ class RatFunc(_FieldOps):
 
     @classmethod
     def const(cls, q) -> "RatFunc":
-        return cls(Poly([Fraction(q)]))
+        """The constant q as the pair n/d, canonical as it stands: a
+        Fraction's terms are coprime and its denominator positive, so no gcd
+        is taken."""
+        if type(q) is not int and type(q) is not Fraction:
+            q = Fraction(q)
+        n, d = q.numerator, q.denominator
+        _check_bits(n.bit_length() + d.bit_length() + 2)
+        return cls._canonical(Poly([n]), Poly([d]))
 
     @classmethod
     def t_power(cls, k: int) -> "RatFunc":
@@ -486,7 +498,7 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     lo = x.lead + y.lead
     width = hi - lo
     xs, ys = x.coeffs[:width], y.coeffs[:width]
-    square = xs is ys  # then its one row serves both factors
+    square = xs == ys  # the same window or an equal one: one row serves both factors
     b = _scale(xs) if square else lcm(_scale(xs), _scale(ys))
     a, den = _over_lcm(xs, b)
     c, dc = (a, den) if square else _over_lcm(ys, b)
@@ -495,8 +507,14 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     den *= dc  # D_x * D_y * b^k
     out = []
     for k in range(width):
-        i0, i1 = max(0, k - nc + 1), min(k + 1, na)  # a[i] meets c[k - i]
-        out.append(Fraction(sum(map(_imul, a[i0:i1], c[nc - 1 - k + i0:])), den))
+        i0 = max(0, k - nc + 1)  # a[i] meets c[k - i]
+        if square:  # each pair i < k - i once, doubled, and the middle square
+            acc = 2 * sum(map(_imul, a[i0:(k + 1) // 2], c[nc - 1 - k + i0:]))
+            if not k % 2:
+                acc += a[k // 2] ** 2
+        else:
+            acc = sum(map(_imul, a[i0:min(k + 1, na)], c[nc - 1 - k + i0:]))
+        out.append(Fraction(acc, den))
         den *= b
     return EpsSeries.make(lo, out, exact)
 
@@ -506,10 +524,15 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
     g[0] != 0.
 
     Runs on rows over one scale b, F_k / (D_f * b^k) and G_k / (D_g * b^k)
-    with G's content moved into D_f, and divides nowhere:
-    O_n = F_n * G_0^n - sum(G_k * G_0^(k-1) * O_(n-k), k >= 1), and
-    coefficient n is D_g * O_n / (D_f * G_0^(n+1) * b^n), so the powers of
-    G_0 carry the denominators an expansion over g grows.
+    with G's content moved into D_f.  G_0 = r * s, where r keeps the primes
+    of G_0 that G_1 lacks: output n of 1/g holds those to the power n + 1,
+    so the powers of r carry them with no rescale.  Coefficient n is
+    D_g * O_n / (D_f * L * r^(n+1) * b^n) with
+    O_n = (F_n * L * r^n - sum(G_k * r^(k-1) * O_(n-k), k >= 1)) / s,
+    and the running integer L takes on only what s leaves undivided: when
+    it grows, the O the sum still reads are rescaled.  For sqrt1p(eps) and
+    an expansion over g with gcd(g_0, g_1) = 1, s = 1: L stays 1 and
+    nothing divides.
     ResourceLimitError once a coefficient's numerator and denominator hold
     more than COEFF_BITS_LIMIT bits.
     """
@@ -518,10 +541,21 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
     (fr, df), (gr, dg) = _over_lcm(f, b), _over_lcm(g, b)
     content = gcd(*gr)
     gr, df = [v // content for v in gr], df * content
-    g0, h, nums, out = gr[0], [], [], []  # h[-k] = G_k * G_0^(k-1), grown as n reaches k
-    power, den = 1, df * g0  # G_0^n and D_f * G_0^(n+1) * b^n
+    r, shared = gr[0], gcd(*gr[:2])  # with no G_1 all of G_0 is shared
+    while shared > 1:
+        r //= shared
+        shared = gcd(r, shared)
+    s, lcd = gr[0] // r, 1  # s > 0, and L
+    h, nums, out = [], [], []  # h[-k] = G_k * r^(k-1), grown as n reaches k
+    power, den = 1, df * r  # r^n and D_f * L * r^(n+1) * b^n
     for n in range(width):
-        top = (fr[n] * power if n < len(fr) else 0) - sum(map(_imul, h, nums[n - len(h):]))
+        top = (fr[n] * power * lcd if n < len(fr) else 0) - sum(map(_imul, h, nums[n - len(h):]))
+        if s > 1:
+            if (grow := s // gcd(top, s)) > 1:
+                lcd, den, top = lcd * grow, den * grow, top * grow
+                reach = len(nums) - len(h)  # the O the sum reads from here on
+                nums[reach:] = [v * grow for v in nums[reach:]]
+            top //= s
         nums.append(top)
         out.append(c := Fraction(dg * top, den))
         if (bits := c.numerator.bit_length() + c.denominator.bit_length()) > COEFF_BITS_LIMIT:
@@ -531,8 +565,8 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
             )
         if n + 1 < len(gr):
             h.insert(0, gr[n + 1] * power)
-        power *= g0
-        den *= g0 * b
+        power *= r
+        den *= r * b
     return out
 
 
@@ -659,6 +693,11 @@ class IPElem(RatFunc):
     def __init__(self, poly: Poly):
         _integer_constant(poly.coeff(0))
         super().__init__(poly)
+
+    @classmethod
+    def const(cls, q) -> "IPElem":
+        _integer_constant(Fraction(q))
+        return super().const(q)
 
     @property
     def poly(self) -> Poly:

@@ -5,8 +5,10 @@ of increasing precision; it is deliberately separate from the library's
 sign machinery so the two can check each other.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
+from dioapprox import nonarch
 from dioapprox.exactnum import QuadIrr, quad, sqrt_int
 
 SQRT2 = sqrt_int(2)
@@ -103,3 +105,29 @@ def first_verified(alpha, candidates, budget, bound):
     raise ResourceLimitError(
         f"no candidate passed the bound within {budget} candidates past Q = {bound.q_limit}"
     )
+
+
+class Work:
+    """Products counted by ``counted_products`` and the bit length of the
+    largest operand any of them met."""
+
+    products = 0
+    max_bits = 0
+
+
+@contextmanager
+def counted_products():
+    """Count every product the series kernel makes through nonarch._imul:
+    its dot products and the powers of a row's scale."""
+    work, imul = Work(), nonarch._imul
+
+    def counted(x, y):
+        work.products += 1
+        work.max_bits = max(work.max_bits, x.bit_length(), y.bit_length())
+        return x * y
+
+    nonarch._imul = counted
+    try:
+        yield work
+    finally:
+        nonarch._imul = imul

@@ -13,6 +13,7 @@ from dioapprox.errors import (
     PrecisionError,
     ResourceLimitError,
 )
+from support import counted_products
 
 T = na.RatFunc.t_power(1)
 INV_T = na.RatFunc.t_power(-1)
@@ -208,6 +209,34 @@ def test_inverse_of_reduced_ratfunc_swaps_without_a_gcd(monkeypatch):
         _assert_canonical(inv)
 
 
+def test_constants_are_canonical_without_a_gcd(monkeypatch):
+    """const(q) of either class is the constructor's answer, num and den
+    alike, with no common denominator and no gcd taken."""
+    rng = random.Random(89)
+    big = 10**200
+    ints = [0, 1, -1] + [rng.choice((rng.randint(-99, 99), rng.randint(-big, big))) for _ in range(497)]
+    fracs = [Fraction(rng.choice((rng.randint(-99, 99), rng.randint(-big, big))),
+                      rng.choice((rng.randint(1, 99), rng.randint(1, big)))) for _ in range(497)]
+    fracs = [Fraction(0), Fraction(-1, 3), Fraction(4, 2)] + fracs
+    wants = {cls: [cls(na.Poly([q])) for q in qs] for cls, qs in ((na.RatFunc, fracs), (na.IPElem, ints))}
+
+    def no_gcd(*_):
+        raise AssertionError("const took a gcd")
+
+    monkeypatch.setattr(na, "_poly_gcd", no_gcd)
+    monkeypatch.setattr(na, "_over_lcm", no_gcd)
+    for cls, qs in ((na.RatFunc, fracs), (na.IPElem, ints)):
+        for q, want in zip(qs, wants[cls]):
+            got = cls.const(q)
+            assert type(got) is cls and got == want and hash(got) == hash(want)
+            assert (got.num, got.den) == (want.num, want.den)
+    assert na.RatFunc.const(0).den == na.Poly([1]) and na.IPElem.const(Fraction(4, 2)).constant() == 2
+    with pytest.raises(DomainError, match="must be an integer, got 1/2"):
+        na.IPElem.const(Fraction(1, 2))
+    with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):
+        na.RatFunc.const(Fraction(1, 2**na.COEFF_BITS_LIMIT))
+
+
 # --- the integer series kernel against the schoolbook loops ---------------
 
 def _rand_series(rng, max_len):
@@ -243,6 +272,10 @@ def test_series_mul_matches_naive():
     cases = [(_rand_series(rng, 12), _rand_series(rng, 12)) for _ in range(300)]
     cases += [(_rand_series(rng, 80), _rand_series(rng, 80)) for _ in range(6)]
     cases += [(s, s) for s in SQRT1P.values()] + _scaled_cases(rng)
+    for width in list(range(21)) + [47, 64, 79, 80]:  # squares: one window, and an equal copy
+        cs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(width))
+        x = na.EpsSeries(rng.randint(-3, 3), cs, width > 0 and rng.random() < 0.4)
+        cases += [(x, x), (x, na.EpsSeries(x.lead, tuple(map(Fraction, cs)), x.exact))]
     for x, y in cases:
         z = na.mul(x, y)
         lo = x.lead + y.lead
@@ -325,6 +358,82 @@ def test_series_scale_is_picked_from_the_window():
     assert na._scale(OVER_3T_7.coeffs) == 3
     rng = random.Random(59)
     assert na._scale([Fraction(rng.randint(1, 9), rng.randint(1, 30)) for _ in range(60)]) == 1
+
+
+def test_series_square_pairs_its_products():
+    """Two separately parsed sqrt1p(eps) make about n^2/4 products, not n^2/2."""
+    s, t = (na.parse_laurent("sqrt1p(eps)", 256) for _ in range(2))
+    with counted_products() as work:
+        z = na.mul(s, t)
+    assert work.products <= 256 * 257 // 4 + 256
+    assert [z.coeff(i) for i in range(256)] == [1, 1] + [0] * 254
+
+
+# Divisors whose window is not geometric: random denominators, under 1 or
+# under sqrt1p(eps), one large prime on a far coefficient, and an expansion
+# over 1 + P*t^k.
+P2000, P1000 = 2**1999 + 345, 2**999 + 1239  # primes
+
+
+def _random_window(rng, width, dmax):
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, dmax)) for _ in range(width)]
+    cs[0] = cs[0] or Fraction(1)
+    return na.EpsSeries(0, tuple(cs), False)
+
+
+def _one_plus_over_prime(k, width):  # 1 + eps^k / P2000
+    cs = [Fraction(1)] + [Fraction(0)] * (width - 1)
+    cs[k] = Fraction(1, P2000)
+    return na.EpsSeries(0, tuple(cs), False)
+
+
+def _found_quotients(width, far):
+    rng = random.Random(67)
+    pairs = [(_random_window(rng, width, d), _random_window(rng, width, d)) for d in (30, 1000, 10**6)]
+    pairs += [(na.EpsSeries.make(0, [1], True), _one_plus_over_prime(k, width)) for k in far]
+    pairs.append((na.sqrt1p_eps(width), _random_window(rng, width, 1000)))
+    return pairs
+
+
+def test_series_div_by_divisors_that_are_not_geometric_matches_naive():
+    """Or refuse at the first coefficient that passes COEFF_BITS_LIMIT."""
+    for x, y in _found_quotients(40, (1, 16, 39)):
+        want = oracle.series_product_naive(x.coeffs, oracle.series_inverse_naive(y.coeffs, 40), 40)
+        bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in want]
+        if max(bits) > na.COEFF_BITS_LIMIT:
+            n = next(n for n, b in enumerate(bits) if b > na.COEFF_BITS_LIMIT)
+            with pytest.raises(ResourceLimitError, match=f"series coefficient {n} holds {bits[n]} bits"):
+                na.div(x, y)
+            continue
+        z = na.div(x, y)
+        assert z.prec == 40 and [z.coeff(i) for i in range(40)] == want
+    for k in (16, 39):
+        s = na.to_series(rf((1,), [1] + [0] * (k - 1) + [P1000]), 40 + k)
+        f, g = [1], [P1000] + [0] * (k - 1) + [1]
+        assert [s.coeff(k + i) for i in range(40)] == oracle.series_product_naive(
+            f, oracle.series_inverse_naive(g, 40), 40)
+
+
+def test_series_div_by_divisors_that_are_not_geometric_refuses_where_it_did():
+    """At PRECISION_LIMIT each class meets COEFF_BITS_LIMIT at the coefficient,
+    and with the message, of the kernel that carried G_0^(k-1) in its weights."""
+    refusals = [(279, 4098), (72, 4172), (30, 4164), (192, 5999), (76, 4124)]
+    for (x, y), (n, bits) in zip(_found_quotients(na.PRECISION_LIMIT, (64,)), refusals):
+        with pytest.raises(ResourceLimitError, match=f"series coefficient {n} holds {bits} bits, past"):
+            na.div(x, y)
+    over = na.parse_laurent(f"1/({P1000}*t^64 + 1)")
+    with pytest.raises(ResourceLimitError, match="series coefficient 256 holds 4997 bits, past"):
+        na.mul(na.sqrt1p_eps(na.PRECISION_LIMIT), over)
+
+
+def test_series_quotient_operands_stay_near_the_coefficient_limit():
+    """Dividing random windows, no product meets an operand past the limit:
+    the weights carry only the primes each output needs."""
+    rng = random.Random(71)
+    x, y = (_random_window(rng, na.PRECISION_LIMIT, 1000) for _ in range(2))
+    with counted_products() as work, pytest.raises(ResourceLimitError):
+        na.div(x, y)
+    assert work.max_bits <= na.COEFF_BITS_LIMIT
 
 
 # --- order, magnitude classes, standard part ------------------------------
