@@ -17,7 +17,7 @@ cannot settle.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import gcd, lcm
 from operator import mul as _imul
 from typing import Iterable, NamedTuple, Optional, Union
@@ -60,14 +60,14 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
-# Input size guards: at these bounds linf on two quotients of dense
-# degree-DEGREE_LIMIT polynomials with 7-bit coefficients, whose difference
-# holds about COEFF_BITS_LIMIT bits, takes about a second on a 2-core
-# machine.  At PRECISION_LIMIT a series quotient by a window of random
-# denominators meets COEFF_BITS_LIMIT within 40 ms, the square of
+# Input size guards: at these bounds linf on 1 + A/B and 3/2 + C/D, with
+# A/B and C/D dense of degree DEGREE_LIMIT - 1 over DEGREE_LIMIT and 7-bit
+# coefficients, takes about 12 ms on a 2-core machine, and the difference
+# holds about 3.7k bits.  At PRECISION_LIMIT a series quotient by a window
+# of random denominators meets COEFF_BITS_LIMIT within 40 ms, the square of
 # sqrt1p(eps) takes about 25 ms and its inverse about 50 ms; a product of
-# two windows of random denominators up to 10^6 takes about 7 s, since no
-# limit bounds a product's coefficients.
+# two windows of random denominators up to 10^6 meets it within 0.2 s, and
+# one of denominators up to 1,000 answers in about 0.4 s.
 DEGREE_LIMIT = 64  # largest exponent of t the parser accepts
 COEFF_BITS_LIMIT = 4096  # most bits a RatFunc's integer coefficients may hold, plus one each
 PRECISION_LIMIT = 600  # largest series precision that may be requested
@@ -84,6 +84,13 @@ def _check_bits(bits: int) -> None:
     if bits > COEFF_BITS_LIMIT:
         raise ResourceLimitError(
             f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
+        )
+
+
+def _check_series_coeff(n: int, c: Fraction) -> None:
+    if (bits := c.numerator.bit_length() + c.denominator.bit_length()) > COEFF_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"series coefficient {n} holds {bits} bits, past COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
         )
 
 
@@ -115,25 +122,16 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
+        return Poly(_padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) - other.coeff(i) for i in range(n))
+        return Poly(_padd(self.coeffs, [-c for c in other.coeffs]))
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return Poly(_pmul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -155,6 +153,49 @@ def _rational(c) -> Union[int, Fraction]:
 
 def _lc_sign(cs) -> int:  # of the last (leading) coefficient; 0 for none
     return (cs[-1] > 0) - (cs[-1] < 0) if cs else 0
+
+
+def _poly(cs) -> Poly:
+    """A Poly of integer coefficients, ascending and without trailing
+    zeros, taken as they are."""
+    p = object.__new__(Poly)
+    p.coeffs = tuple(cs)
+    return p
+
+
+def _padd(x, y) -> list:
+    out = [a + b for a, b in zip_longest(x, y, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pmul(x, y) -> list:
+    out = [0] * (len(x) + len(y) - 1) if x and y else []
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _pquo(x, g) -> list[int]:
+    """x / g for integer polynomials where g divides x in Z[t]."""
+    if len(g) == 1:
+        return list(x) if g[0] == 1 else [c // g[0] for c in x]
+    q, _, s = _pdivmod(x, g)
+    return [c // s for c in q]
+
+
+def _zgcd(x, y) -> list[int]:
+    """The gcd in Z[t] of two nonzero integer polynomials, lc > 0: the
+    gcd of their contents times that of their primitive parts (Gauss's
+    lemma).  A constant operand takes no polynomial gcd."""
+    c = gcd(*x, *y)
+    if len(x) == 1 or len(y) == 1:
+        return [c]
+    g = _poly_gcd(_primitive(x), _primitive(y))
+    return g if c == 1 else [c * v for v in g]
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -262,18 +303,19 @@ class RatFunc(_FieldOps):
     def __init__(self, num: Poly, den: Poly = Poly([1])):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        (n, dn), (d, dd) = _over_lcm(num.coeffs), _over_lcm(den.coeffs)
-        if dn != dd:
+        n, d = num.coeffs, den.coeffs
+        if not all(type(c) is int for c in n + d):  # over one common denominator
+            (n, dn), (d, dd) = _over_lcm(n), _over_lcm(d)
             n, d = [c * dd for c in n], [c * dn for c in d]
         _check_bits(sum(c.bit_length() + 1 for c in n + d))  # the denominator 1 has one bit
         if not n:
-            d = [1]
-        elif len(g := _poly_gcd(_primitive(n), _primitive(d))) > 1:
-            # exact: g is primitive, so by Gauss's lemma q/s is integral
-            n, d = ([c // s for c in q] for q, _, s in (_pdivmod(n, g), _pdivmod(d, g)))
-        content = gcd(*n, *d) if d[-1] > 0 else -gcd(*n, *d)
-        self.num = Poly(c // content for c in n)
-        self.den = Poly(c // content for c in d)
+            d = (1,)
+        else:
+            g = _zgcd(n, d)
+            if d[-1] < 0:
+                g = [-c for c in g]
+            n, d = _pquo(n, g), _pquo(d, g)
+        self.num, self.den = _poly(n), _poly(d)
 
     @classmethod
     def const(cls, q) -> "RatFunc":
@@ -284,7 +326,7 @@ class RatFunc(_FieldOps):
             q = Fraction(q)
         n, d = q.numerator, q.denominator
         _check_bits(n.bit_length() + d.bit_length() + 2)
-        return cls._canonical(Poly([n]), Poly([d]))
+        return cls._canonical((n,) if n else (), (d,))
 
     @classmethod
     def t_power(cls, k: int) -> "RatFunc":
@@ -296,14 +338,15 @@ class RatFunc(_FieldOps):
         return self.num.is_zero()
 
     @classmethod
-    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
-        """A pair already in canonical form, taken as it is."""
+    def _canonical(cls, num, den) -> "RatFunc":
+        """Integer coefficient sequences already in canonical form, taken as
+        they are."""
         x = object.__new__(cls)
-        x.num, x.den = num, den
+        x.num, x.den = _poly(num), _poly(den)
         return x
 
     def __neg__(self):
-        return RatFunc._canonical(-self.num, self.den)  # negation keeps the form
+        return RatFunc._canonical([-c for c in self.num.coeffs], self.den.coeffs)  # keeps the form
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -460,7 +503,7 @@ def _over_lcm(coeffs, b: int = 1) -> tuple[list[int], int]:
     c_k = X_k / (D * b^k), exact for any b >= 1.  b = 1 puts the window
     over its least common denominator."""
     dens = [c.denominator for c in coeffs]
-    if b == 1:  # every RatFunc takes this path: no powers, no gcds
+    if b == 1:  # rational RatFunc input and series floors: no powers, no gcds
         den = lcm(*dens)
         return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
     powers = list(accumulate(repeat(b, len(dens) - 1), _imul, initial=1))
@@ -514,7 +557,9 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
                 acc += a[k // 2] ** 2
         else:
             acc = sum(map(_imul, a[i0:min(k + 1, na)], c[nc - 1 - k + i0:]))
-        out.append(Fraction(acc, den))
+        out.append(q := Fraction(acc, den))
+        if acc.bit_length() + den.bit_length() > COEFF_BITS_LIMIT:  # reduced, it may pass
+            _check_series_coeff(k, q)
         den *= b
     return EpsSeries.make(lo, out, exact)
 
@@ -558,11 +603,7 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
             top //= s
         nums.append(top)
         out.append(c := Fraction(dg * top, den))
-        if (bits := c.numerator.bit_length() + c.denominator.bit_length()) > COEFF_BITS_LIMIT:
-            raise ResourceLimitError(
-                f"series coefficient {n} holds {bits} bits, past COEFF_BITS_LIMIT = "
-                f"{COEFF_BITS_LIMIT}"
-            )
+        _check_series_coeff(n, c)
         if n + 1 < len(gr):
             h.insert(0, gr[n + 1] * power)
         power *= r
@@ -570,24 +611,57 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
     return out
 
 
+def _reduced(num: list[int], den: list[int]) -> RatFunc:
+    """The result of a field operation on canonical pairs' coefficients,
+    canonical as built by Henrici's splits (Knuth, TAOCP vol. 2, 4.5.1),
+    which take gcds of the reduced factors only; held to the limit."""
+    _check_bits(sum(c.bit_length() + 1 for c in num + den))
+    return RatFunc._canonical(num, den)
+
+
+def _ratfunc_add(a, b, c, d) -> RatFunc:
+    """a/b + c/d.  With g = gcd(b, d) = 1 the sum over b*d is reduced;
+    otherwise t/(b/g * d/g) is, but for gcd(t, g)."""
+    g = _zgcd(b, d)
+    if g == [1]:
+        return _reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    b1 = _pquo(b, g)
+    t = _padd(_pmul(a, _pquo(d, g)), _pmul(c, b1))
+    if not t:
+        return RatFunc._canonical((), (1,))
+    h = _zgcd(t, g)
+    return _reduced(_pquo(t, h), _pmul(b1, _pquo(d, h)))
+
+
+def _ratfunc_mul(a, b, c, d) -> RatFunc:
+    """a/b * c/d, for lc(d) of either sign: only gcd(a, d) and gcd(c, b)
+    can cancel."""
+    if not a or not c:
+        return RatFunc._canonical((), (1,))
+    g, h = _zgcd(a, d), _zgcd(c, b)
+    if d[-1] < 0:
+        g = [-v for v in g]
+    return _reduced(_pmul(_pquo(a, g), _pquo(c, h)), _pmul(_pquo(b, h), _pquo(d, g)))
+
+
 def add(x, y) -> LaurentElem:
     x, y = _coerce(x, y)
     if isinstance(x, RatFunc):
-        return RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+        return _ratfunc_add(x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs)
     return _series_add(x, y, negate=False)
 
 
 def sub(x, y) -> LaurentElem:
     x, y = _coerce(x, y)
     if isinstance(x, RatFunc):
-        return RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)
+        return _ratfunc_add(x.num.coeffs, x.den.coeffs, [-c for c in y.num.coeffs], y.den.coeffs)
     return _series_add(x, y, negate=True)
 
 
 def mul(x, y) -> LaurentElem:
     x, y = _coerce(x, y)
     if isinstance(x, RatFunc):
-        return RatFunc(x.num * y.num, x.den * y.den)
+        return _ratfunc_mul(x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs)
     return _series_mul(x, y)
 
 
@@ -596,10 +670,7 @@ def div(x, y) -> LaurentElem:
     if isinstance(x, RatFunc):
         if y.is_zero():
             raise ZeroDivisionError("division by zero")
-        if x.num.coeffs == x.den.coeffs == (1,):  # 1/y of a reduced y: swap, lc(den) > 0
-            return (RatFunc._canonical(y.den, y.num) if y.num.lc() > 0
-                    else RatFunc._canonical(-y.den, -y.num))
-        return RatFunc(x.num * y.den, x.den * y.num)
+        return _ratfunc_mul(x.num.coeffs, x.den.coeffs, y.den.coeffs, y.num.coeffs)
     if not y.coeffs:
         if y.exact:
             raise ZeroDivisionError("division by exact zero series")
@@ -631,17 +702,22 @@ def sign_of(x) -> int:
 def compare(x, y) -> int:
     x, y = _coerce(x, y)
     if isinstance(x, RatFunc):  # the sign of x - y, unreduced: both lc(den) > 0
-        return _lc_sign((x.num * y.den - y.num * x.den).coeffs)
+        return _lc_sign(_padd(_pmul(x.num.coeffs, y.den.coeffs),
+                              [-c for c in _pmul(y.num.coeffs, x.den.coeffs)]))
     return sub(x, y).sign()
 
 
-def _split_ratfunc(x: RatFunc) -> tuple[Poly, int]:
-    """x = polynomial part + infinitesimal tail: the part and the tail's sign.
+def _split_ratfunc(x: RatFunc) -> tuple[list[int], int, int]:
+    """x = polynomial part + infinitesimal tail: the part as integers q
+    over s > 0, and the tail's sign.
 
-    s*num = q*den + r with s > 0, so the part is q/s, and the tail
-    r/(s*den) has the sign of lc(r) because lc(den) > 0."""
-    q, r, s = _pdivmod(x.num.coeffs, x.den.coeffs)
-    return Poly(Fraction(c, s) for c in q), _lc_sign(r)
+    s*num = q*den + r, so the part is q/s, and the tail r/(s*den) has the
+    sign of lc(r) because lc(den) > 0.  A constant den leaves no tail."""
+    n, d = x.num.coeffs, x.den.coeffs
+    if len(d) == 1:
+        return n, d[0], 0
+    q, r, s = _pdivmod(n, d)
+    return q, s, _lc_sign(r)
 
 
 def is_infinitesimal(x) -> bool:
@@ -675,7 +751,8 @@ def std_part(x) -> Fraction:
         raise DomainError("standard part of an infinite element")
     if isinstance(x, EpsSeries):
         return x.coeff(0)
-    return Fraction(_split_ratfunc(_as_ratfunc(x))[0].coeff(0))
+    q, s, _ = _split_ratfunc(_as_ratfunc(x))
+    return Fraction(q[0] if q else 0, s)
 
 
 def _integer_constant(c0) -> None:
@@ -719,16 +796,16 @@ class IPElem(RatFunc):
         return str(self.poly)
 
 
-def _floor_from_parts(poly_part: Poly, tail_sign: int) -> IPElem:
-    """The constant rounded down, one lower when it is an integer and the
-    tail negative, over the least common denominator: canonical already,
-    as that leaves no content."""
-    c0 = poly_part.coeff(0)
-    base = c0.numerator // c0.denominator
-    if c0.denominator == 1 and tail_sign < 0:
-        base -= 1
-    num, den = _over_lcm((base, *poly_part.coeffs[1:]))
-    return IPElem._canonical(Poly(num), Poly([den]))
+def _floor_of_split(q, s: int, tail_sign: int) -> IPElem:
+    """The floor of q/s plus a tail of the given sign, q integers and
+    s > 0: the constant rounded down, one lower when it is an integer and
+    the tail negative, and the rest over their least common denominator
+    m = s/h.  Canonical already, as that leaves no content."""
+    q0, h = (q[0] if q else 0), gcd(s, *q[1:])
+    num = [(q0 // s - (tail_sign < 0 and q0 % s == 0)) * (s // h)] + [c // h for c in q[1:]]
+    while num and not num[-1]:
+        num.pop()
+    return IPElem._canonical(num, (s // h,))
 
 
 def floor_ip(x) -> IPElem:
@@ -744,32 +821,29 @@ def floor_ip(x) -> IPElem:
             raise PrecisionError(
                 f"floor needs coefficients through eps^0; precision is {x.prec}"
             )
-        poly_cs = []
-        for i in range(min(x.lead, 0), 1):
-            poly_cs.append(x.coeff(i))
-        # eps^i for i <= 0 is t^(-i): reverse into ascending t powers
-        poly_part = Poly(reversed(poly_cs))
+        # eps^i for i <= 0 is t^(-i): ascending t powers
+        q, s = _over_lcm([x.coeff(-k) for k in range(max(-x.lead, 0) + 1)])
         tail_sign = 0
         for i in range(1, max(x.prec, 1)):
             c = x.coeff(i)
             if c != 0:
                 tail_sign = 1 if c > 0 else -1
                 break
-        if tail_sign == 0 and not x.exact and poly_part.coeff(0).denominator == 1:
+        if tail_sign == 0 and not x.exact and x.coeff(0).denominator == 1:
             raise IndeterminateSignError(
                 "tail sign unknown: computed coefficients are all zero and "
                 "the series is not flagged exactly zero beyond them"
             )
-        return _floor_from_parts(poly_part, tail_sign)
+        return _floor_of_split(q, s, tail_sign)
     rf = _as_ratfunc(x)
     if rf is NotImplemented:
         raise DomainError("unsupported operand for floor")
-    result = _floor_from_parts(*_split_ratfunc(rf))
+    result = _floor_of_split(*_split_ratfunc(rf))
     # confirm 0 <= rf - result < 1 exactly: with result = p/m for a
     # constant m > 0, rf - result = gap/(m*den), and lc(m*den) > 0
-    p, m = result.num, result.den
-    gap = rf.num * m - p * rf.den
-    if _lc_sign(gap.coeffs) < 0 or _lc_sign((gap - m * rf.den).coeffs) >= 0:
+    (m,), den = result.den.coeffs, rf.den.coeffs
+    gap = _padd([m * c for c in rf.num.coeffs], [-c for c in _pmul(result.num.coeffs, den)])
+    if _lc_sign(gap) < 0 or _lc_sign(_padd(gap, [-m * c for c in den])) >= 0:
         raise AssertionError(f"floor bracketing failed for {rf}")
     return result
 

@@ -131,3 +131,20 @@ def counted_products():
         yield work
     finally:
         nonarch._imul = imul
+
+
+@contextmanager
+def counted_gcds():
+    """Record the degrees of the two operands of every polynomial gcd the
+    rational functions take through nonarch._poly_gcd, as pairs."""
+    degrees, poly_gcd = [], nonarch._poly_gcd
+
+    def counted(x, y):
+        degrees.append((len(x) - 1, len(y) - 1))
+        return poly_gcd(x, y)
+
+    nonarch._poly_gcd = counted
+    try:
+        yield degrees
+    finally:
+        nonarch._poly_gcd = poly_gcd

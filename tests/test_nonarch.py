@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dioapprox.errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from support import counted_products
+from support import counted_gcds, counted_products
 
 T = na.RatFunc.t_power(1)
 INV_T = na.RatFunc.t_power(-1)
@@ -237,6 +238,42 @@ def test_constants_are_canonical_without_a_gcd(monkeypatch):
         na.RatFunc.const(Fraction(1, 2**na.COEFF_BITS_LIMIT))
 
 
+def test_ratfunc_arithmetic_matches_the_full_reduction():
+    """add, sub, mul and div give the pair the constructor makes of the
+    unreduced formula, on canonical pairs that share a factor (a
+    polynomial or an integer) in every place a Henrici split can cancel."""
+    rng = random.Random(97)
+
+    def poly(deg):  # leading coefficient of either sign
+        return na.Poly([rng.randint(-5, 5) for _ in range(deg)] + [rng.choice((-5, -3, -2, -1, 1, 2, 4))])
+
+    def ratfunc(shared):
+        num, den = poly(rng.randint(0, 2)), poly(rng.choice((0, 0, 1, 2)))  # constants, polynomials
+        if rng.random() < 0.15:
+            num = na.Poly([])
+        elif rng.random() < 0.3:
+            num = num * na.Poly([rng.choice((2, 3, 6, -4))])  # integer content
+        if rng.random() < 0.7:
+            num, den = (num * shared, den) if rng.random() < 0.5 else (num, den * shared)
+        return na.RatFunc(num, den)
+
+    cancelled = {op: 0 for op in (na.add, na.sub, na.mul, na.div)}
+    for _ in range(20_000):
+        shared = poly(rng.randint(0, 1))
+        x = ratfunc(shared)
+        y = x if rng.random() < 0.05 else ratfunc(shared)
+        (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+        cases = [(na.add, a * d + c * b, b * d), (na.sub, a * d - c * b, b * d), (na.mul, a * c, b * d)]
+        if not y.is_zero():
+            cases.append((na.div, a * d, b * c))
+        for op, num, den in cases:
+            got, want = op(x, y), na.RatFunc(num, den)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (op, x, y)
+            _assert_canonical(got)
+            cancelled[op] += want.den != den
+    assert min(cancelled.values()) > 2_000, cancelled
+
+
 # --- the integer series kernel against the schoolbook loops ---------------
 
 def _rand_series(rng, max_len):
@@ -436,6 +473,23 @@ def test_series_quotient_operands_stay_near_the_coefficient_limit():
     assert work.max_bits <= na.COEFF_BITS_LIMIT
 
 
+def test_series_products_refuse_past_the_coefficient_limit():
+    """A product of windows of random denominators refuses, as a quotient
+    does, at the first coefficient whose reduced size passes the limit,
+    before its dot products grow; the square of sqrt1p(eps) stays under it."""
+    rng = random.Random(67)
+    x, y = (_random_window(rng, na.PRECISION_LIMIT, 10**6) for _ in range(2))
+    want = oracle.series_product_naive(x.coeffs[:100], y.coeffs[:100], 100)
+    bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in want]
+    n = next(n for n, b in enumerate(bits) if b > na.COEFF_BITS_LIMIT)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"series coefficient {n} holds {bits[n]} bits, past"):
+        na.mul(x, y)
+    assert time.perf_counter() - start < 1
+    s = na.mul(na.sqrt1p_eps(na.PRECISION_LIMIT), na.sqrt1p_eps(na.PRECISION_LIMIT))
+    assert s.prec == na.PRECISION_LIMIT and list(s.coeffs) == [1, 1] + [0] * (na.PRECISION_LIMIT - 2)
+
+
 # --- order, magnitude classes, standard part ------------------------------
 
 def test_sign_and_compare():
@@ -588,8 +642,8 @@ def test_floor_of_dense_quotients_with_large_coefficients():
 
 def test_floor_bracketing_recheck_catches_a_wrong_split(monkeypatch):
     # 1 with a negative tail would floor to 0, and 1 - 0 < 1 fails
-    for x, split in ((ONE, (na.Poly([1]), -1)), (na.add(ONE, INV_T), (na.Poly([1]), -1)),
-                     (na.add(ONE, INV_T), (na.Poly([2]), 1))):
+    for x, split in ((ONE, ((1,), 1, -1)), (na.add(ONE, INV_T), ((1,), 1, -1)),
+                     (na.add(ONE, INV_T), ((2,), 1, 1))):
         monkeypatch.setattr(na, "_split_ratfunc", lambda rf, split=split: split)
         with pytest.raises(AssertionError, match="bracketing"):
             na.floor_ip(x)
@@ -795,6 +849,25 @@ def test_linf_split_on_an_end_of_the_interval():
     for s, a, r, b in ((1, -1, Fraction(3, 2), 0), (Fraction(3, 2), 0, 2, 0),
                        (Fraction(3, 2), 1, Fraction(3, 2), 0)):
         _assert_linf_matches_scan(Fraction(s), a, Fraction(r), b, "1/t")
+
+
+def test_linf_on_dense_quotients_takes_gcds_of_input_degree_only():
+    """sigma = 1 + A/B and rho = 3/2 + C/D, A/B > 0 > C/D of degree d - 1
+    over degree d with 7-bit coefficients: the difference's gcd is taken of
+    the denominators, never of the degree-2d cross products."""
+    d, rng = 40, random.Random(101)
+
+    def dense(deg, lead):
+        return na.Poly([rng.randint(-63, 63) for _ in range(deg)] + [lead * rng.randint(1, 63)])
+
+    with counted_gcds() as degrees:
+        sigma = na.add(ONE, na.RatFunc(dense(d - 1, 1), dense(d, 1)))
+        rho = na.add(na.RatFunc.const(Fraction(3, 2)), na.RatFunc(dense(d - 1, -1), dense(d, 1)))
+        rep = na.linf_experiment(sigma, rho)
+    s, r = Fraction(1), Fraction(3, 2)
+    m = _linf_bound(s, 1, r, -1)
+    assert (rep.m, rep.k) == (m, oracle.linf_scan(s, 1, r, -1, m)[0])
+    assert degrees and max(max(pair) for pair in degrees) <= d
 
 
 def test_linf_makes_four_floor_calls(monkeypatch):
