@@ -478,32 +478,34 @@ def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
 
 
 class _Scanner:
+    """Tokens of a text.  Whitespace is skipped once, after each token, so
+    pos always rests on a character that is not whitespace, or at the end."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self._move(0)
+
+    def _move(self, pos: int) -> None:
+        text = self.text
+        while text[pos:pos + 1].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self) -> str:
-        """The next character that is not whitespace, moving up to it; ''
-        at the end."""
-        text, pos = self.text, self.pos
-        ch = text[pos:pos + 1]
-        while ch.isspace():
-            pos += 1
-            ch = text[pos:pos + 1]
-        self.pos = pos
-        return ch
+        """The next character; '' at the end."""
+        return self.text[self.pos:self.pos + 1]
 
     def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+        if self.text[self.pos:self.pos + 1] == ch:
+            self._move(self.pos + 1)
             return True
         return False
 
     def sign(self) -> int:
         """Take a '+' (1) or a '-' (-1); 0 when neither comes next."""
-        ch = self.peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch == "+" or ch == "-":
-            self.pos += 1
+            self._move(self.pos + 1)
             return 1 if ch == "+" else -1
         return 0
 
@@ -512,28 +514,27 @@ class _Scanner:
             raise ParseError(f"expected {ch!r}", self.text, self.pos)
 
     def uint(self) -> int:
-        self.peek()
         text, start = self.text, self.pos
         end = start
         while text[end:end + 1].isdigit():
             end += 1
         if end == start:
             raise ParseError("expected digits", text, start)
-        self.pos = end
         try:
-            return int(text[start:end])
+            n = int(text[start:end])
         except ValueError:  # longer than the interpreter's int/str digit limit
             raise ParseError("too many digits", text, start) from None
+        self._move(end)
+        return n
 
     def word(self, w: str) -> bool:
-        self.peek()
         if self.text.startswith(w, self.pos):
-            self.pos += len(w)
+            self._move(self.pos + len(w))
             return True
         return False
 
     def done(self) -> bool:
-        return not self.peek()
+        return self.pos == len(self.text)
 
 
 def _parse_term(sc: _Scanner) -> ExactReal:

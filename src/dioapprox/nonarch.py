@@ -62,8 +62,8 @@ __all__ = [
 DEFAULT_PRECISION = 64
 # Input size guards: at these bounds linf on 1 + A/B and 3/2 + C/D, with
 # A/B and C/D dense of degree DEGREE_LIMIT - 1 over DEGREE_LIMIT and 7-bit
-# coefficients, takes about 12 ms on a 2-core machine, and the difference
-# holds about 3.7k bits.  At PRECISION_LIMIT a series quotient by a window
+# coefficients, takes about 1.5 ms on a 2-core machine, and the unreduced
+# difference holds about 3.7k bits.  At PRECISION_LIMIT a series quotient by a window
 # of random denominators meets COEFF_BITS_LIMIT within 40 ms, the square of
 # sqrt1p(eps) takes about 25 ms and its inverse about 50 ms; a product of
 # two windows of random denominators up to 10^6 meets it within 0.2 s, and
@@ -227,7 +227,8 @@ def _pdivmod(x, y: list[int]) -> tuple[list[int], list[int], int]:
     Only the len(y) coefficients in reach of the next step are kept
     scaled; each lower one is scaled once, as it comes into reach, and a
     step whose leading coefficient is already zero scales nothing.  Each
-    quotient coefficient is brought to the final s at the end."""
+    quotient coefficient is brought to the final s at the end, by the
+    factors of lc(y) the later steps took."""
     ly, dy = y[-1], len(y) - 1
     k0 = len(x) - dy  # x[k0:] lie above the first step's window
     win, scale, tops = list(x[max(k0, 0):]), 1, []
@@ -237,10 +238,15 @@ def _pdivmod(x, y: list[int]) -> tuple[list[int], list[int], int]:
         if top:
             win = [ly * w - top * c for w, c in zip(win, y)]
             scale *= ly
-        tops.append((top, scale))
+        tops.append(top)
     while win and not win[-1]:
         win.pop()
-    return [top * (scale // at) for top, at in reversed(tops)], win, scale
+    q, later = [], 1
+    for top in reversed(tops):  # q_0 first, which no later step scaled
+        q.append(top * later)
+        if top:
+            later *= ly
+    return q, win, scale
 
 
 def _join_terms(var: str, terms) -> str:
@@ -699,21 +705,26 @@ def sign_of(x) -> int:
     return rf.sign()
 
 
+def _cross(x: RatFunc, y: RatFunc) -> list[int]:
+    """The numerator of x - y over den(x) * den(y), unreduced: as both
+    lc(den) > 0, its leading coefficient has the difference's sign."""
+    return _padd(_pmul(x.num.coeffs, y.den.coeffs), [-c for c in _pmul(y.num.coeffs, x.den.coeffs)])
+
+
 def compare(x, y) -> int:
     x, y = _coerce(x, y)
-    if isinstance(x, RatFunc):  # the sign of x - y, unreduced: both lc(den) > 0
-        return _lc_sign(_padd(_pmul(x.num.coeffs, y.den.coeffs),
-                              [-c for c in _pmul(y.num.coeffs, x.den.coeffs)]))
+    if isinstance(x, RatFunc):
+        return _lc_sign(_cross(x, y))
     return sub(x, y).sign()
 
 
-def _split_ratfunc(x: RatFunc) -> tuple[list[int], int, int]:
-    """x = polynomial part + infinitesimal tail: the part as integers q
-    over s > 0, and the tail's sign.
+def _split_ratfunc(n, d) -> tuple[list[int], int, int]:
+    """n/d = polynomial part + infinitesimal tail, for integer coefficients
+    with lc(d) > 0, reduced or not: the part as integers q over s > 0, and
+    the tail's sign.
 
-    s*num = q*den + r, so the part is q/s, and the tail r/(s*den) has the
-    sign of lc(r) because lc(den) > 0.  A constant den leaves no tail."""
-    n, d = x.num.coeffs, x.den.coeffs
+    s*n = q*d + r, so the part is q/s, and the tail r/(s*d) has the sign
+    of lc(r) because lc(d) > 0.  A constant d leaves no tail."""
     if len(d) == 1:
         return n, d[0], 0
     q, r, s = _pdivmod(n, d)
@@ -751,7 +762,8 @@ def std_part(x) -> Fraction:
         raise DomainError("standard part of an infinite element")
     if isinstance(x, EpsSeries):
         return x.coeff(0)
-    q, s, _ = _split_ratfunc(_as_ratfunc(x))
+    x = _as_ratfunc(x)
+    q, s, _ = _split_ratfunc(x.num.coeffs, x.den.coeffs)
     return Fraction(q[0] if q else 0, s)
 
 
@@ -800,12 +812,32 @@ def _floor_of_split(q, s: int, tail_sign: int) -> IPElem:
     """The floor of q/s plus a tail of the given sign, q integers and
     s > 0: the constant rounded down, one lower when it is an integer and
     the tail negative, and the rest over their least common denominator
-    m = s/h.  Canonical already, as that leaves no content."""
+    m = s/h.  Canonical already, as that leaves no content.  Held to the
+    limit coefficient by coefficient, as a series is: each p_i/m."""
     q0, h = (q[0] if q else 0), gcd(s, *q[1:])
-    num = [(q0 // s - (tail_sign < 0 and q0 % s == 0)) * (s // h)] + [c // h for c in q[1:]]
+    m = s // h
+    num = [(q0 // s - (tail_sign < 0 and q0 % s == 0)) * m] + [c // h for c in q[1:]]
     while num and not num[-1]:
         num.pop()
-    return IPElem._canonical(num, (s // h,))
+    if (bits := max(map(int.bit_length, num), default=0) + m.bit_length()) > COEFF_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"a floor coefficient holds {bits} bits, past COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
+        )
+    return IPElem._canonical(num, (m,))
+
+
+def _floor_pair(n, d) -> IPElem:
+    """The floor of n/d for integer coefficients with lc(d) > 0, reduced or
+    not: pseudo-division gives any such pair the same polynomial part.
+    The bracketing is re-checked on the pair given."""
+    result = _floor_of_split(*_split_ratfunc(n, d))
+    # confirm 0 <= n/d - result < 1 exactly: with result = p/m for a
+    # constant m > 0, n/d - result = gap/(m*d), and lc(m*d) > 0
+    (m,) = result.den.coeffs
+    gap = _padd([m * c for c in n], [-c for c in _pmul(result.num.coeffs, d)])
+    if _lc_sign(gap) < 0 or _lc_sign(_padd(gap, [-m * c for c in d])) >= 0:
+        raise AssertionError(f"floor bracketing failed for ({_poly_str(_poly(n))})/({_poly_str(_poly(d))})")
+    return result
 
 
 def floor_ip(x) -> IPElem:
@@ -838,14 +870,7 @@ def floor_ip(x) -> IPElem:
     rf = _as_ratfunc(x)
     if rf is NotImplemented:
         raise DomainError("unsupported operand for floor")
-    result = _floor_of_split(*_split_ratfunc(rf))
-    # confirm 0 <= rf - result < 1 exactly: with result = p/m for a
-    # constant m > 0, rf - result = gap/(m*den), and lc(m*den) > 0
-    (m,), den = result.den.coeffs, rf.den.coeffs
-    gap = _padd([m * c for c in rf.num.coeffs], [-c for c in _pmul(result.num.coeffs, den)])
-    if _lc_sign(gap) < 0 or _lc_sign(_padd(gap, [-m * c for c in den])) >= 0:
-        raise AssertionError(f"floor bracketing failed for {rf}")
-    return result
+    return _floor_pair(rf.num.coeffs, rf.den.coeffs)
 
 
 def sqrt1p_eps(prec: int = DEFAULT_PRECISION) -> EpsSeries:
@@ -874,7 +899,10 @@ def beatty_nonarch(alpha: LaurentElem, n: RatFunc) -> IPElem:
         raise DomainError("alpha must be positive")
     if n.sign() < 0:
         raise DomainError("index must be >= 0")
-    return floor_ip(mul(alpha, n))
+    if isinstance(alpha, EpsSeries):
+        return floor_ip(mul(alpha, n))
+    a = _as_ratfunc(alpha)  # a/b * c/k floors as it stands, unreduced
+    return _floor_pair(_pmul(a.num.coeffs, n.num.coeffs), _pmul(a.den.coeffs, n.den.coeffs))
 
 
 class LinfReport(NamedTuple):
@@ -902,12 +930,18 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
     for name, x in (("sigma", sigma), ("rho", rho)):
         if compare(x, RatFunc.const(1)) < 0 or compare(x, RatFunc.const(2)) >= 0:
             raise DomainError(f"{name} must lie in [1, 2)")
-    diff = sub(rho, sigma)
-    if diff.sign() <= 0:
+    x, y = _coerce(rho, sigma)
+    if isinstance(x, RatFunc):  # rho - sigma as the unreduced pair num/den
+        num, den = _cross(x, y), _pmul(x.den.coeffs, y.den.coeffs)
+        sign, small = _lc_sign(num), len(num) < len(den)  # a common factor keeps the degree gap
+    else:
+        diff = sub(x, y)
+        sign, small = diff.sign(), is_infinitesimal(diff)
+    if sign <= 0:
         raise DomainError("need sigma < rho")
-    if is_infinitesimal(diff):
+    if small:
         return LinfReport(False, reason="rho - sigma is infinitesimal")
-    m_elem = floor_ip(div(RatFunc.const(1), diff))
+    m_elem = _floor_pair(den, num) if isinstance(x, RatFunc) else floor_ip(div(RatFunc.const(1), diff))
     if not m_elem.is_standard():
         raise AssertionError("non-infinitesimal difference gave an infinite bound")
     m = m_elem.constant()
@@ -985,11 +1019,10 @@ def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
         return sqrt1p_eps(prec)
     sc = _Scanner(text)
     num, terms = _parse_side(sc)
-    den, at = {0: 1}, 0
+    den, at = {0: 1}, sc.pos + 1  # just past a '/', if one comes next
     if sc.take("/"):
         if terms > 1:
             raise ParseError("ambiguous numerator of '/': parenthesize it", text, 0)
-        at = sc.pos
         den, terms = _parse_side(sc)
         if terms > 1:
             raise ParseError("ambiguous denominator of '/': parenthesize it", text, at)

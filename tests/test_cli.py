@@ -124,6 +124,14 @@ def test_floor_of_dense_quotient_with_30_digit_coefficients():
     assert out.splitlines()[-1] == f"floor: {floor[0] if floor else 0}"
 
 
+def test_floor_past_the_coefficient_limit_exit_code():
+    # t^64/(10^1000*t + 1) parses within the limit; its floor would hold
+    # 6.9 million bits
+    code, out, err = run_capture(["nonarch", "floor", f"t^64/({10 ** 1000}*t + 1)"])
+    assert code == 3 and out == ""
+    assert "COEFF_BITS_LIMIT" in err and "Traceback" not in err
+
+
 def test_farey_list_limit_exit_code():
     code, out, err = run_capture(["farey", "list", "2000"])  # about 1.2e6 terms
     assert code == 3 and out == ""

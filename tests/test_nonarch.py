@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -644,9 +646,14 @@ def test_floor_bracketing_recheck_catches_a_wrong_split(monkeypatch):
     # 1 with a negative tail would floor to 0, and 1 - 0 < 1 fails
     for x, split in ((ONE, ((1,), 1, -1)), (na.add(ONE, INV_T), ((1,), 1, -1)),
                      (na.add(ONE, INV_T), ((2,), 1, 1))):
-        monkeypatch.setattr(na, "_split_ratfunc", lambda rf, split=split: split)
+        monkeypatch.setattr(na, "_split_ratfunc", lambda n, d, split=split: split)
         with pytest.raises(AssertionError, match="bracketing"):
             na.floor_ip(x)
+        with pytest.raises(AssertionError, match="bracketing"):  # a RatFunc slope, unreduced
+            na.beatty_nonarch(x, na.IPElem.const(1))
+    # floor(1/(3/2 - 5/4)) = 4, not the patched 0
+    with pytest.raises(AssertionError, match="bracketing"):
+        na.linf_experiment(na.RatFunc.const(Fraction(5, 4)), na.RatFunc.const(Fraction(3, 2)))
 
 
 def test_floor_on_series_tail_rules():
@@ -722,6 +729,65 @@ def test_beatty_nonarch_index_membership():
                            (na.sqrt1p_eps(8), "polynomial with integer constant")):
         with pytest.raises(DomainError, match=message):
             na.beatty_nonarch(alpha, index)
+
+
+def _times(x, y):
+    """The product of two coefficient lists, ascending."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def test_beatty_nonarch_floors_the_unreduced_product_as_the_reduced_one():
+    """floor(n * alpha) for alpha = a/b and n = c/k, read off (a*c, b*k) as
+    it stands, equals the floor of the reduced product and long division
+    over the rationals: also when n and b share a factor t + r, and when n
+    has a denominator k > 1 that a's content may cancel."""
+    rng = random.Random(83)
+    shared = over_k = 0
+
+    def ints(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+
+    total = 2400
+    for i in range(total):
+        k = rng.choice((1, 1, 2, 3, 6))
+        a, b, c = ints(rng.randint(0, 3)), ints(rng.randint(0, 2)), ints(rng.randint(0, 2))
+        c[0] = k * rng.randint(-3 if len(c) > 1 else 1, 3)  # an integer constant over k, also times t + r
+        if rng.random() < 0.3:
+            a = [k * v for v in a]
+        if i % 3 == 0:  # n = (t + r) * p / k and alpha = x / ((t + r) * q)
+            root = [rng.randint(-9, 9), 1]
+            b, c = _times(root, b), _times(root, c)
+            shared += 1
+        alpha = na.RatFunc(na.Poly(a), na.Poly(b))
+        n = na.RatFunc(na.Poly(c), na.Poly([k]))
+        over_k += n.den.coeffs != (1,)
+        got = na.beatty_nonarch(alpha, n)
+        assert got == na.floor_ip(na.mul(alpha, n)), (a, b, c, k)
+        floor, _ = oracle.ratfunc_floor_naive(_times(a, c), [k * v for v in b])
+        assert list(got.poly.coeffs) == floor, (a, b, c, k)
+    assert 4 * shared >= total and over_k > total // 10
+
+
+def test_deck_floors_take_no_gcd():
+    """The benchmark deck's beatty_nonarch and linf ops, seed 1, floor
+    their products and differences without a polynomial gcd."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    ops = [op for op in workloads.build_nonarch(random.Random("nonarch-model:1"), "")
+           if op.fn in ("nonarch.beatty_nonarch", "nonarch.linf_experiment")]
+    assert len(ops) == 40
+    with counted_gcds() as degrees:
+        results = [op.call() for op in ops]
+    assert degrees == []
+    assert all(op.check(res, {}) is None for op, res in zip(ops, results))
 
 
 def test_small_slope_membership_construction():
@@ -851,23 +917,24 @@ def test_linf_split_on_an_end_of_the_interval():
         _assert_linf_matches_scan(Fraction(s), a, Fraction(r), b, "1/t")
 
 
-def test_linf_on_dense_quotients_takes_gcds_of_input_degree_only():
+def test_linf_on_dense_quotients_takes_no_gcd():
     """sigma = 1 + A/B and rho = 3/2 + C/D, A/B > 0 > C/D of degree d - 1
-    over degree d with 7-bit coefficients: the difference's gcd is taken of
-    the denominators, never of the degree-2d cross products."""
-    d, rng = 40, random.Random(101)
+    over degree d with 7-bit coefficients: the difference is read as the
+    unreduced cross pair, and the floors of the slopes are not reduced."""
+    rng = random.Random(101)
 
     def dense(deg, lead):
         return na.Poly([rng.randint(-63, 63) for _ in range(deg)] + [lead * rng.randint(1, 63)])
 
-    with counted_gcds() as degrees:
-        sigma = na.add(ONE, na.RatFunc(dense(d - 1, 1), dense(d, 1)))
-        rho = na.add(na.RatFunc.const(Fraction(3, 2)), na.RatFunc(dense(d - 1, -1), dense(d, 1)))
-        rep = na.linf_experiment(sigma, rho)
     s, r = Fraction(1), Fraction(3, 2)
     m = _linf_bound(s, 1, r, -1)
-    assert (rep.m, rep.k) == (m, oracle.linf_scan(s, 1, r, -1, m)[0])
-    assert degrees and max(max(pair) for pair in degrees) <= d
+    for d in (40, 64):
+        sigma = na.add(ONE, na.RatFunc(dense(d - 1, 1), dense(d, 1)))
+        rho = na.add(na.RatFunc.const(r), na.RatFunc(dense(d - 1, -1), dense(d, 1)))
+        with counted_gcds() as degrees:
+            rep = na.linf_experiment(sigma, rho)
+        assert (rep.m, rep.k) == (m, oracle.linf_scan(s, 1, r, -1, m)[0])
+        assert degrees == []
 
 
 def test_linf_makes_four_floor_calls(monkeypatch):
@@ -918,6 +985,23 @@ def test_coefficient_bits_limit():
     # 1.2 bits a term to the 2 of sqrt(1+eps)
     with pytest.raises(ResourceLimitError, match="coefficient 489 holds 4097 bits"):
         na.div(na.sqrt1p_eps(na.PRECISION_LIMIT), rf((-7, 3), (7,)))
+
+
+def test_floors_are_held_to_the_coefficient_limit():
+    """t^64/(N*t + 1) with N = 10^1000 holds about 3.4k bits, but its floor
+    would hold 6.9 million: the constant is -1/N^64."""
+    big = 10 ** 1000
+    for call in (lambda: na.floor_ip(na.parse_laurent(f"t^64/({big}*t + 1)")),
+                 lambda: na.beatty_nonarch(na.parse_laurent(f"1/({big}*t + 1)"),
+                                           na.IPElem(na.Poly([0] * 64 + [1])))):
+        with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):
+            call()
+    # a product or difference past the limit that floors within it answers
+    n, m = 2 ** 3000 + 1, 2 ** 3000 + 3
+    alpha = na.parse_laurent(f"1/({n}*t + 1)")
+    with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):
+        na.mul(alpha, na.IPElem.const(m))
+    assert na.beatty_nonarch(alpha, na.IPElem.const(m)) == na.IPElem.const(0)
 
 
 # --- parsing / formatting ---------------------------------------------------
@@ -982,6 +1066,20 @@ def test_laurent_text_language():
     with pytest.raises(ParseError) as err:
         na.parse_laurent("t + " + "9" * 5000)
     assert err.value.pos == 4
+
+
+def test_parse_error_positions_after_whitespace():
+    from dioapprox.exactnum import parse_exact
+
+    for parse, text, pos in ((na.parse_laurent, "3 * t ^ ", 8),
+                             (na.parse_laurent, "(t + 1) /  (t", 13),
+                             (na.parse_laurent, "2  3", 3), (parse_exact, "2  3", 3),
+                             (na.parse_laurent, "t + 1 /  (t)", 0),
+                             (na.parse_laurent, "1 /  t + 1", 3),
+                             (na.parse_laurent, "1/ (0)", 2)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == pos, text
 
 
 def test_format_round_trip():
