@@ -516,7 +516,7 @@ class _Scanner:
     def uint(self) -> int:
         text, start = self.text, self.pos
         end = start
-        while text[end:end + 1].isdigit():
+        while text[end:end + 1].isdecimal():  # the digits int() reads
             end += 1
         if end == start:
             raise ParseError("expected digits", text, start)

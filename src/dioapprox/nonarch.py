@@ -57,6 +57,7 @@ __all__ = [
     "sqrt1p_eps",
     "std_part",
     "sub",
+    "to_series",
 ]
 
 DEFAULT_PRECISION = 64
@@ -80,18 +81,11 @@ def _check_precision(prec: int) -> None:
         )
 
 
-def _check_bits(bits: int) -> None:
+def _held(bits: int, what: str, at: Optional[int] = None) -> None:
+    """Refuse a value of ``bits`` bits past COEFF_BITS_LIMIT.  ``what`` names
+    it, with '{}' where a series coefficient's index ``at`` goes."""
     if bits > COEFF_BITS_LIMIT:
-        raise ResourceLimitError(
-            f"{bits} coefficient bits exceed COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
-        )
-
-
-def _check_series_coeff(n: int, c: Fraction) -> None:
-    if (bits := c.numerator.bit_length() + c.denominator.bit_length()) > COEFF_BITS_LIMIT:
-        raise ResourceLimitError(
-            f"series coefficient {n} holds {bits} bits, past COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
-        )
+        raise ResourceLimitError(f"{what.format(at)} holds {bits} bits, past COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}")
 
 
 class Poly:
@@ -313,7 +307,7 @@ class RatFunc(_FieldOps):
         if not all(type(c) is int for c in n + d):  # over one common denominator
             (n, dn), (d, dd) = _over_lcm(n), _over_lcm(d)
             n, d = [c * dd for c in n], [c * dn for c in d]
-        _check_bits(sum(c.bit_length() + 1 for c in n + d))  # the denominator 1 has one bit
+        _held(sum(c.bit_length() + 1 for c in n + d), "a rational function")  # the denominator 1 has one bit
         if not n:
             d = (1,)
         else:
@@ -331,7 +325,7 @@ class RatFunc(_FieldOps):
         if type(q) is not int and type(q) is not Fraction:
             q = Fraction(q)
         n, d = q.numerator, q.denominator
-        _check_bits(n.bit_length() + d.bit_length() + 2)
+        _held(n.bit_length() + d.bit_length() + 2, "a rational function")
         return cls._canonical((n,) if n else (), (d,))
 
     @classmethod
@@ -370,14 +364,6 @@ class RatFunc(_FieldOps):
 
     def __str__(self):
         return format_laurent(self)
-
-
-def _as_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
-    return NotImplemented
 
 
 class EpsSeries(_FieldOps):
@@ -426,15 +412,8 @@ class EpsSeries(_FieldOps):
         return self.exact and not self.coeffs
 
     def sign(self) -> int:
-        if self.coeffs:
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
-        if self.exact:
-            return 0
-        raise IndeterminateSignError(
-            f"all coefficients below eps^{self.prec} vanish and the tail is "
-            "not flagged exactly zero"
-        )
+        _order(self)  # refuses a window that shows no coefficient
+        return _lc_sign(self.coeffs[:1])
 
     def __repr__(self):
         return f"EpsSeries(lead={self.lead}, coeffs={self.coeffs}, exact={self.exact})"
@@ -449,21 +428,40 @@ class EpsSeries(_FieldOps):
 LaurentElem = Union[RatFunc, EpsSeries]
 
 
+def _element(x) -> LaurentElem:
+    """The one operand rule of every public function: a RatFunc (an IPElem
+    too) or an EpsSeries as it stands, an int or a Fraction as its
+    constant, and DomainError for anything else."""
+    if isinstance(x, (RatFunc, EpsSeries)):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return RatFunc.const(x)
+    raise DomainError(f"a Laurent-model operand is a RatFunc, an EpsSeries, an int or a Fraction, not {type(x).__name__}")
+
+
+def _order(x) -> Optional[int]:
+    """The lowest power of eps in x, None for zero.  IndeterminateSignError
+    for a series whose window shows no coefficient and whose tail is not
+    flagged exactly zero."""
+    x = _element(x)
+    if isinstance(x, RatFunc):
+        return x.den.deg - x.num.deg if x.num.coeffs else None
+    if x.coeffs:
+        return x.lead
+    if x.exact:
+        return None
+    raise IndeterminateSignError(f"all coefficients below eps^{x.prec} vanish and the tail is not flagged exactly zero")
+
+
 def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
     """Expand into eps powers.  Exact when the denominator is a monomial."""
     _check_precision(prec)
+    x = _element(x)
     if isinstance(x, EpsSeries):
         return x
-    x = _as_ratfunc(x)
-    if x is NotImplemented:
-        raise DomainError("cannot expand this object as a series")
-    if x.is_zero():
-        return EpsSeries(0, (), True)
-    f, g = x.num, x.den
     # f(t) = eps^(-deg f) * fr(eps) with reversed coefficients
-    fr = list(reversed(f.coeffs))
-    gr = list(reversed(g.coeffs))
-    lead = g.deg - f.deg
+    fr, gr = x.num.coeffs[::-1], x.den.coeffs[::-1]
+    lead = len(gr) - len(fr)
     if not any(gr[1:]):  # a monomial denominator c*t^k: exact Laurent polynomial
         return EpsSeries.make(lead, [Fraction(c, gr[0]) for c in fr], True)
     width = prec - lead
@@ -475,33 +473,24 @@ def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
 
 
 def _coerce(x, y) -> tuple[LaurentElem, LaurentElem]:
-    xs = isinstance(x, EpsSeries)
-    ys = isinstance(y, EpsSeries)
+    x, y = _element(x), _element(y)
+    xs, ys = isinstance(x, EpsSeries), isinstance(y, EpsSeries)
     if xs and not ys:
         return x, to_series(y, x.prec if not x.exact else DEFAULT_PRECISION)
     if ys and not xs:
         return to_series(x, y.prec if not y.exact else DEFAULT_PRECISION), y
-    if not xs and not ys:
-        a, b = _as_ratfunc(x), _as_ratfunc(y)
-        if a is NotImplemented or b is NotImplemented:
-            raise DomainError("unsupported operand types for Laurent arithmetic")
-        return a, b
     return x, y
 
 
-def _series_add(x: EpsSeries, y: EpsSeries, negate: bool) -> EpsSeries:
+def _series_add(x: EpsSeries, y: EpsSeries) -> EpsSeries:
     if x.is_exact_zero():
-        return (-y) if negate else y
+        return y
     if y.is_exact_zero():
         return x
     exact = x.exact and y.exact  # then every order is known, and both windows fit
     hi = max(x.prec, y.prec) if exact else min(s.prec for s in (x, y) if not s.exact)
     lo = min(x.lead, y.lead)
-    out = []
-    for i in range(lo, hi):
-        c = x.coeff(i) + (-y.coeff(i) if negate else y.coeff(i))
-        out.append(c)
-    return EpsSeries.make(lo, out, exact)
+    return EpsSeries.make(lo, [x.coeff(i) + y.coeff(i) for i in range(lo, hi)], exact)
 
 
 def _over_lcm(coeffs, b: int = 1) -> tuple[list[int], int]:
@@ -565,7 +554,7 @@ def _series_mul(x: EpsSeries, y: EpsSeries) -> EpsSeries:
             acc = sum(map(_imul, a[i0:min(k + 1, na)], c[nc - 1 - k + i0:]))
         out.append(q := Fraction(acc, den))
         if acc.bit_length() + den.bit_length() > COEFF_BITS_LIMIT:  # reduced, it may pass
-            _check_series_coeff(k, q)
+            _held(q.numerator.bit_length() + q.denominator.bit_length(), "series coefficient {}", k)
         den *= b
     return EpsSeries.make(lo, out, exact)
 
@@ -609,7 +598,7 @@ def _series_quotient(f, g, width: int) -> list[Fraction]:
             top //= s
         nums.append(top)
         out.append(c := Fraction(dg * top, den))
-        _check_series_coeff(n, c)
+        _held(c.numerator.bit_length() + c.denominator.bit_length(), "series coefficient {}", n)
         if n + 1 < len(gr):
             h.insert(0, gr[n + 1] * power)
         power *= r
@@ -621,7 +610,7 @@ def _reduced(num: list[int], den: list[int]) -> RatFunc:
     """The result of a field operation on canonical pairs' coefficients,
     canonical as built by Henrici's splits (Knuth, TAOCP vol. 2, 4.5.1),
     which take gcds of the reduced factors only; held to the limit."""
-    _check_bits(sum(c.bit_length() + 1 for c in num + den))
+    _held(sum(c.bit_length() + 1 for c in num + den), "a rational function")
     return RatFunc._canonical(num, den)
 
 
@@ -654,14 +643,11 @@ def add(x, y) -> LaurentElem:
     x, y = _coerce(x, y)
     if isinstance(x, RatFunc):
         return _ratfunc_add(x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs)
-    return _series_add(x, y, negate=False)
+    return _series_add(x, y)
 
 
 def sub(x, y) -> LaurentElem:
-    x, y = _coerce(x, y)
-    if isinstance(x, RatFunc):
-        return _ratfunc_add(x.num.coeffs, x.den.coeffs, [-c for c in y.num.coeffs], y.den.coeffs)
-    return _series_add(x, y, negate=True)
+    return add(x, -_element(y))
 
 
 def mul(x, y) -> LaurentElem:
@@ -697,12 +683,7 @@ def div(x, y) -> LaurentElem:
 
 
 def sign_of(x) -> int:
-    if isinstance(x, EpsSeries):
-        return x.sign()
-    rf = _as_ratfunc(x)
-    if rf is NotImplemented:
-        raise DomainError("unsupported operand for sign")
-    return rf.sign()
+    return _element(x).sign()
 
 
 def _cross(x: RatFunc, y: RatFunc) -> list[int]:
@@ -733,36 +714,20 @@ def _split_ratfunc(n, d) -> tuple[list[int], int, int]:
 
 def is_infinitesimal(x) -> bool:
     """Smaller in magnitude than every positive rational?"""
-    if isinstance(x, EpsSeries):
-        if x.is_exact_zero():
-            return True
-        if x.coeffs:
-            return x.lead >= 1
-        raise IndeterminateSignError(
-            "window shows no coefficients; infinitesimality is undecidable"
-        )
-    x = _as_ratfunc(x)
-    return x.is_zero() or x.num.deg < x.den.deg
+    return (v := _order(x)) is None or v >= 1
 
 
 def is_finite(x) -> bool:
-    if isinstance(x, EpsSeries):
-        if not x.coeffs:
-            if x.exact:
-                return True
-            raise IndeterminateSignError("window shows no coefficients")
-        return x.lead >= 0
-    x = _as_ratfunc(x)
-    return x.is_zero() or x.num.deg <= x.den.deg
+    return (v := _order(x)) is None or v >= 0
 
 
 def std_part(x) -> Fraction:
     """The rational a finite element differs from by an infinitesimal."""
+    x = _element(x)
     if not is_finite(x):
         raise DomainError("standard part of an infinite element")
     if isinstance(x, EpsSeries):
         return x.coeff(0)
-    x = _as_ratfunc(x)
     q, s, _ = _split_ratfunc(x.num.coeffs, x.den.coeffs)
     return Fraction(q[0] if q else 0, s)
 
@@ -819,10 +784,7 @@ def _floor_of_split(q, s: int, tail_sign: int) -> IPElem:
     num = [(q0 // s - (tail_sign < 0 and q0 % s == 0)) * m] + [c // h for c in q[1:]]
     while num and not num[-1]:
         num.pop()
-    if (bits := max(map(int.bit_length, num), default=0) + m.bit_length()) > COEFF_BITS_LIMIT:
-        raise ResourceLimitError(
-            f"a floor coefficient holds {bits} bits, past COEFF_BITS_LIMIT = {COEFF_BITS_LIMIT}"
-        )
+    _held(max(map(int.bit_length, num), default=0) + m.bit_length(), "a floor coefficient")
     return IPElem._canonical(num, (m,))
 
 
@@ -848,6 +810,7 @@ def floor_ip(x) -> IPElem:
     positive-index coefficients and refused when they are all zero
     without the exact flag.
     """
+    x = _element(x)
     if isinstance(x, EpsSeries):
         if not x.exact and x.prec <= 0:
             raise PrecisionError(
@@ -855,22 +818,15 @@ def floor_ip(x) -> IPElem:
             )
         # eps^i for i <= 0 is t^(-i): ascending t powers
         q, s = _over_lcm([x.coeff(-k) for k in range(max(-x.lead, 0) + 1)])
-        tail_sign = 0
-        for i in range(1, max(x.prec, 1)):
-            c = x.coeff(i)
-            if c != 0:
-                tail_sign = 1 if c > 0 else -1
-                break
+        tail = next((c for i, c in enumerate(x.coeffs, x.lead) if i >= 1 and c), 0)
+        tail_sign = (tail > 0) - (tail < 0)
         if tail_sign == 0 and not x.exact and x.coeff(0).denominator == 1:
             raise IndeterminateSignError(
                 "tail sign unknown: computed coefficients are all zero and "
                 "the series is not flagged exactly zero beyond them"
             )
         return _floor_of_split(q, s, tail_sign)
-    rf = _as_ratfunc(x)
-    if rf is NotImplemented:
-        raise DomainError("unsupported operand for floor")
-    return _floor_pair(rf.num.coeffs, rf.den.coeffs)
+    return _floor_pair(x.num.coeffs, x.den.coeffs)
 
 
 def sqrt1p_eps(prec: int = DEFAULT_PRECISION) -> EpsSeries:
@@ -892,17 +848,19 @@ def sqrt1p_eps(prec: int = DEFAULT_PRECISION) -> EpsSeries:
 def beatty_nonarch(alpha: LaurentElem, n: RatFunc) -> IPElem:
     """floor(n * alpha) in the model; n ranges over the integer part: an
     IPElem, or a RatFunc that is a polynomial with an integer constant."""
+    n = _element(n)
     if not isinstance(n, RatFunc) or n.den.deg > 0:
         raise DomainError("the index must be a polynomial with integer constant")
     _integer_constant(Fraction(n.num.coeff(0), n.den.coeffs[0]))
-    if sign_of(alpha) <= 0:
+    alpha = _element(alpha)
+    if alpha.sign() <= 0:
         raise DomainError("alpha must be positive")
     if n.sign() < 0:
         raise DomainError("index must be >= 0")
     if isinstance(alpha, EpsSeries):
         return floor_ip(mul(alpha, n))
-    a = _as_ratfunc(alpha)  # a/b * c/k floors as it stands, unreduced
-    return _floor_pair(_pmul(a.num.coeffs, n.num.coeffs), _pmul(a.den.coeffs, n.den.coeffs))
+    # a/b * c/k floors as it stands, unreduced
+    return _floor_pair(_pmul(alpha.num.coeffs, n.num.coeffs), _pmul(alpha.den.coeffs, n.den.coeffs))
 
 
 class LinfReport(NamedTuple):
@@ -1015,9 +973,15 @@ def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
     ResourceLimitError past PRECISION_LIMIT, or past DEGREE_LIMIT once
     the text has parsed; ParseError for malformed text."""
     _check_precision(prec)
-    if text.strip() == "sqrt1p(eps)":
-        return sqrt1p_eps(prec)
     sc = _Scanner(text)
+    if sc.word("sqrt1p"):
+        sc.expect("(")
+        if not sc.word("eps"):
+            raise ParseError("expected 'eps'", text, sc.pos)
+        sc.expect(")")
+        if not sc.done():
+            raise ParseError("trailing input", text, sc.pos)
+        return sqrt1p_eps(prec)
     num, terms = _parse_side(sc)
     den, at = {0: 1}, sc.pos + 1  # just past a '/', if one comes next
     if sc.take("/"):
@@ -1041,6 +1005,7 @@ def format_laurent(x: LaurentElem) -> str:
     constant as ``p/q``), so parse_laurent reads it back; a truncated
     series has no such inverse.
     """
+    x = _element(x)
     if isinstance(x, RatFunc):
         num, den = x.num, x.den
         if den.deg == 0 and num.deg <= 0:

@@ -53,6 +53,16 @@ def test_parse_error_exit_code():
     assert code == 2 and not out and "required: N" in err
 
 
+def test_laurent_text_errors_and_the_spaced_builtin():
+    code, out, err = run_capture(["nonarch", "floor", "3²"])
+    assert code == 2 and not out and "trailing input at position 1" in err
+    code, out, err = run_capture(["nonarch", "floor", "sqrt1p( eps )", "--format", "json"])
+    assert code == 0 and not err
+    env = json.loads(out)
+    assert env["inputs"]["expr"] == "sqrt1p(eps)" and env["result"] == {"floor": "1"}
+    assert run_capture(env["argv"]) == (code, out, err)
+
+
 def test_resource_exit_code():
     code, out, _ = run_capture(
         ["beatty", "common", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "0", "1",
@@ -517,7 +527,7 @@ _SIDES = st.one_of(_POLYS, _SPACED_POLYS, st.builds("({}{}{})".format, _WS, _SPA
 _MALFORMED = st.builds("{}{}{}".format, _SIDES,
                        st.sampled_from(["*", "^", "(", ")", ")/(", "/(t)/", "/ /"]), _SIDES)
 _LAURENTS = st.one_of(
-    st.just("sqrt1p(eps)"),
+    st.sampled_from(["sqrt1p(eps)", "sqrt1p( eps )", "3²", "t^٣"]),
     _POLYS,
     st.builds("({})/({})".format, _POLYS, _POLYS),
     _RATIONALS,

@@ -601,6 +601,10 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_exact("(1+sqrt(2))/" + "9" * 5000)
     assert err.value.pos == 12
+    # a superscript digit is trailing input, where int() would refuse it
+    with pytest.raises(ParseError, match="trailing input at position 1"):
+        parse_exact("2²")
+    assert parse_exact("٣/٤") == Fraction(3, 4)  # decimal digits of any script
 
 
 def test_format_round_trip():

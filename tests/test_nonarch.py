@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from dioapprox import nonarch as na
 from dioapprox import oracle
+from dioapprox.exactnum import parse_exact
 from dioapprox.errors import (
     DomainError,
     IndeterminateSignError,
@@ -948,6 +950,78 @@ def test_linf_makes_four_floor_calls(monkeypatch):
     assert rep.k == oracle.linf_scan(s, 0, r, 0, 500)[0] == 500
 
 
+# --- one operand rule ------------------------------------------------------
+
+SIGMA, RHO = na.RatFunc.const(Fraction(5, 4)), na.RatFunc.const(Fraction(3, 2))
+# every public function of values, each operand slot taking the value v
+_SLOTS = {
+    "add": (lambda v: na.add(v, T), lambda v: na.add(SQRT1P[32], v)),
+    "sub": (lambda v: na.sub(v, SQRT1P[32]), lambda v: na.sub(T, v)),
+    "mul": (lambda v: na.mul(v, INV_T), lambda v: na.mul(SQRT1P[32], v)),
+    "div": (lambda v: na.div(v, SQRT1P[32]), lambda v: na.div(T, v)),
+    "compare": (lambda v: na.compare(v, INV_T), lambda v: na.compare(SQRT1P[32], v)),
+    "sign_of": (na.sign_of,),
+    "is_finite": (na.is_finite,),
+    "is_infinitesimal": (na.is_infinitesimal,),
+    "std_part": (na.std_part,),
+    "floor_ip": (na.floor_ip,),
+    "to_series": (lambda v: na.to_series(v, 16),),
+    "format_laurent": (na.format_laurent,),
+    "beatty_nonarch": (lambda v: na.beatty_nonarch(v, na.IPElem.const(7)),
+                       lambda v: na.beatty_nonarch(rf((1, 1), (0, 1)), v)),
+    "linf_experiment": (lambda v: na.linf_experiment(v, RHO), lambda v: na.linf_experiment(SIGMA, v)),
+}
+
+
+def _outcome(call, v):
+    try:
+        return "value", repr(call(v))
+    except Exception as e:
+        return "error", type(e), str(e)
+
+
+def test_every_public_function_reads_operands_through_one_rule():
+    """A foreign operand is a DomainError wherever it goes, and an int or a
+    Fraction behaves as the RatFunc constant of its value."""
+    public = {name for name, f in vars(na).items()
+              if inspect.isfunction(f) and f.__module__ == na.__name__ and not name.startswith("_")}
+    assert set(_SLOTS) == public - {"parse_laurent", "sqrt1p_eps"}
+    foreign = (1.5, "t", None, parse_exact("sqrt(2)"))
+    ratios = (0, 1, 3, -2, 7, Fraction(5, 4), Fraction(3, 2), Fraction(-7, 3), Fraction(13, 8))
+    for name, slots in _SLOTS.items():
+        for call in slots:
+            for v in foreign:
+                with pytest.raises(DomainError):
+                    call(v)
+            for v in ratios:
+                assert _outcome(call, v) == _outcome(call, na.RatFunc.const(v)), (name, v)
+    assert na.format_laurent(3) == "3" and na.format_laurent(Fraction(-3, 4)) == "-3/4"
+
+
+def test_ratfunc_and_series_backends_agree_on_laurent_polynomials():
+    """A Laurent polynomial and its exact series answer every order question
+    alike, and a window that shows nothing is refused by each with one text."""
+    rng = random.Random(53)
+    for _ in range(500):
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        den = [0] * rng.randint(0, 3) + [rng.choice((1, 2, 3, -5))]
+        x = rf(num, den)
+        s = na.to_series(x)
+        assert s.exact
+        for f in (na.sign_of, na.is_finite, na.is_infinitesimal, na.std_part, na.floor_ip):
+            assert _outcome(f, x)[:2] == _outcome(f, s)[:2], (f.__name__, x)
+            if _outcome(f, x)[0] == "value":
+                assert f(x) == f(s), (f.__name__, x)
+    for lead in (-2, 0, 1, 3):
+        empty = na.EpsSeries.make(lead, [0] * 3, False)
+        refusals = set()
+        for f in (na.sign_of, na.is_finite, na.is_infinitesimal):
+            with pytest.raises(IndeterminateSignError) as err:
+                f(empty)
+            refusals.add(str(err.value))
+        assert len(refusals) == 1, refusals
+
+
 # --- size guards ------------------------------------------------------------
 
 def test_degree_and_precision_limits():
@@ -1066,6 +1140,25 @@ def test_laurent_text_language():
     with pytest.raises(ParseError) as err:
         na.parse_laurent("t + " + "9" * 5000)
     assert err.value.pos == 4
+
+
+def test_parse_reads_the_digits_int_reads():
+    """A superscript digit ends a number; it is trailing input, not a number
+    too long to read."""
+    for text, pos in (("t + 2²", 5), ("3²", 1)):
+        with pytest.raises(ParseError, match=f"trailing input at position {pos}"):
+            na.parse_laurent(text)
+    assert na.parse_laurent("t^٣") == rf((0, 0, 0, 1))
+
+
+def test_sqrt1p_builtin_reads_token_by_token():
+    for text in ("sqrt1p(eps)", "sqrt1p( eps )", " sqrt1p ( eps ) "):
+        assert repr(na.parse_laurent(text, 8)) == repr(na.sqrt1p_eps(8)), text
+    for text, pos in (("2*sqrt1p(eps)", 2), ("sqrt1p(eps) + 1", 12), ("sqrt1p(eps", 10),
+                      ("sqrt1p(t)", 7), ("sqrt1p", 6)):
+        with pytest.raises(ParseError) as err:
+            na.parse_laurent(text)
+        assert err.value.pos == pos, text
 
 
 def test_parse_error_positions_after_whitespace():
