@@ -1,8 +1,9 @@
 """Command-line surface over all modules.
 
-Every payload numeric is an exact string (integer, fraction or radical
-expression); floats never appear.  The JSON envelope echoes a canonical
-argv, and re-running that argv reproduces the payload byte for byte.
+Every payload value is exact text: handlers return library values, and
+one walk prints each through its own ``str`` (``format_exact``,
+``format_laurent``); floats never appear.  The JSON envelope echoes a
+canonical argv, and re-running that argv reproduces the payload byte for byte.
 
 Every command is one row of ``_COMMANDS``: its group, name, arguments
 and a handler.  Each argument has a kind that pairs a parser with a
@@ -26,6 +27,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import import_module
+from types import GeneratorType
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -121,7 +123,7 @@ class _Arg(NamedTuple):
 
 class _Command(NamedTuple):
     """``handler`` takes each argument's value by dest and returns the
-    result, or ``(result, exit_code, resource)``."""
+    result, or ``(result, exit_code, resource)``, of library values."""
 
     group: str
     name: str
@@ -129,19 +131,17 @@ class _Command(NamedTuple):
     handler: Callable
 
 
-class _Outcome:
-    def __init__(self, command, inputs, result, canonical, exit_code=EXIT_OK,
-                 resource=None):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.canonical = canonical
-        self.exit_code = exit_code
-        self.resource = resource
-
-
-def _text(x) -> Optional[str]:
-    return None if x is None else str(x)
+def _exact(node):
+    """The envelope's text: None, bools and strings as they stand, dicts,
+    lists, tuples and generators leaf by leaf, and every other value as
+    ``str``.  A generator's items become text one at a time."""
+    if node is None or isinstance(node, (bool, str)):
+        return node
+    if isinstance(node, dict):
+        return {k: _exact(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple, GeneratorType)):
+        return [_exact(v) for v in node]
+    return str(node)
 
 
 def _status(ok: bool) -> str:
@@ -156,7 +156,7 @@ def _checked(ok: bool) -> int:
 
 
 def _listing(terms: list) -> dict:
-    return {"terms": terms, "count": str(len(terms))}
+    return {"terms": terms, "count": len(terms)}
 
 
 def _farey_size(N: int, cap: int) -> int:
@@ -177,9 +177,10 @@ def _farey_size(N: int, cap: int) -> int:
 
 
 def _farey_list(N):
-    if _farey_size(N, LIST_LIMIT) > LIST_LIMIT:
+    count = _farey_size(N, LIST_LIMIT)  # |F_N| unless past the limit
+    if count > LIST_LIMIT:
         raise ResourceLimitError(f"F_{N} has more than LIST_LIMIT = {LIST_LIMIT} terms")
-    return _listing([str(f) for f in farey.sequence(N)])
+    return {"terms": farey.sequence(N), "count": count}
 
 
 def _farey(x: Fraction, order: int) -> farey.FareyFraction:
@@ -188,18 +189,18 @@ def _farey(x: Fraction, order: int) -> farey.FareyFraction:
 
 def _farey_mediant(left, right, N):
     med = farey.mediant(_farey(left, N), _farey(right, N))
-    return {"raw": f"{med.num}/{med.den}", "value": format_exact(med.value)}
+    return {"raw": f"{med.num}/{med.den}", "value": med.value}
 
 
 def _farey_greatest(N, m, nonstrict):
     f = farey.greatest_below(N, m, strict=not nonstrict)
-    return {"fraction": str(f), "phi": str(farey.phi_embed(f))}
+    return {"fraction": f, "phi": farey.phi_embed(f)}
 
 
 def _appr(appr: approx.Approximation) -> dict:
     return {
-        "p": str(appr.p),
-        "q": str(appr.q),
+        "p": appr.p,
+        "q": appr.q,
         "bound": appr.bound.describe(appr.q),
         "verified": appr.verified,
     }
@@ -222,16 +223,16 @@ def _approx_verify(alpha, p, q, kind, bound_q, tau, side):
 
 def _beatty_member(alpha, k):
     witness = beatty.member(alpha, k)
-    return {"member": witness is not None, "witness": _text(witness)}
+    return {"member": witness is not None, "witness": witness}
 
 
 def _beatty_partition(alpha, beta, M):
     rep = beatty.partition_check(alpha, beta, M)
-    result = {"status": _status(rep.ok), "checked_to": str(rep.checked_to)}
+    result = {"status": _status(rep.ok), "checked_to": rep.checked_to}
     if rep.first_shared is not None:
-        result["first_shared"] = str(rep.first_shared)
+        result["first_shared"] = rep.first_shared
     if rep.first_uncovered is not None:
-        result["first_uncovered"] = str(rep.first_uncovered)
+        result["first_uncovered"] = rep.first_uncovered
     return result, _checked(rep.ok), None
 
 
@@ -245,9 +246,9 @@ def _beatty_separate(alpha, beta):
     res = beatty.separation_witness(alpha, beta)
     return {
         "status": res.status,
-        "witness": _text(res.witness),
+        "witness": res.witness,
         "container": res.container,
-        "trace": {k: str(v) for k, v in res.trace.items()},
+        "trace": res.trace,
     }
 
 
@@ -255,7 +256,7 @@ def _beatty_cert(kind, alpha, beta, bound):
     cert = beatty.certificate_search(beatty.CertKind(kind), alpha, beta, bound)
     if cert is None:
         return {"found": False}
-    return {"found": True, "a": str(cert.a), "b": str(cert.b), "c": str(cert.c)}
+    return {"found": True, "a": cert.a, "b": cert.b, "c": cert.c}
 
 
 def _beatty_imply(kind, alpha, beta, a, b, c, M):
@@ -270,32 +271,32 @@ def _beatty_imply(kind, alpha, beta, a, b, c, M):
 def _beatty_common(alpha, beta, start, count, limit):
     scan = beatty.common_elements(alpha, beta, start, count, limit=limit)
     return (
-        {"found": [str(v) for v in scan.found], "exhausted": scan.exhausted},
+        {"found": scan.found, "exhausted": scan.exhausted},
         EXIT_RESOURCE if scan.exhausted else EXIT_OK,
-        {"scan_limit": str(limit), "exhausted": scan.exhausted},
+        {"scan_limit": limit, "exhausted": scan.exhausted},
     )
 
 
 def _search(hit: Optional[int], limit: int):
     if hit is None:
         return ({"found": False, "n": None}, EXIT_RESOURCE,
-                {"scan_limit": str(limit), "exhausted": True})
-    return {"found": True, "n": str(hit)}
+                {"scan_limit": limit, "exhausted": True})
+    return {"found": True, "n": hit}
 
 
 def _beatty_pthroot(p, lo, hi):
     m, n = beatty.pth_root_dmo_witness(p, lo, hi)
-    return {"M": str(m), "n": str(n)}
+    return {"M": m, "n": n}
 
 
 def _beatty_claim51(rho, beta):
     rep = beatty.claim51_check(rho, beta)
     result = {
         "status": rep.status,
-        "m": _text(rep.m),
-        "t": _text(rep.t),
-        "k": _text(rep.k),
-        "separator": _text(rep.separator),
+        "m": rep.m,
+        "t": rep.t,
+        "k": rep.k,
+        "separator": rep.separator,
     }
     return result, EXIT_VIOLATION if rep.status == beatty.FAILS else EXIT_OK, None
 
@@ -309,10 +310,10 @@ def _nonarch_linf(sigma, rho, precision):
         return {"applicable": False, "reason": rep.reason}
     return {
         "applicable": True,
-        "m": str(rep.m),
-        "k": str(rep.k),
-        "separator": str(rep.separator),
-        "between": [str(rep.lower_neighbor), str(rep.upper_neighbor)],
+        "m": rep.m,
+        "k": rep.k,
+        "separator": rep.separator,
+        "between": [rep.lower_neighbor, rep.upper_neighbor],
     }
 
 
@@ -330,13 +331,13 @@ _PRECISION = _Arg("--precision", _INT, 64)
 _COMMANDS = (
     _Command("farey", "list", (_N,), _farey_list),
     _Command("farey", "succ", (_Arg("fraction", _RATIONAL), _N),
-             lambda fraction, N: {"successor": str(farey.successor(_farey(fraction, N)))}),
+             lambda fraction, N: {"successor": farey.successor(_farey(fraction, N))}),
     _Command("farey", "pred", (_Arg("fraction", _RATIONAL), _N),
-             lambda fraction, N: {"predecessor": str(farey.predecessor(_farey(fraction, N)))}),
+             lambda fraction, N: {"predecessor": farey.predecessor(_farey(fraction, N))}),
     _Command("farey", "mediant", (_Arg("left", _RATIONAL), _Arg("right", _RATIONAL), _N),
              _farey_mediant),
     _Command("farey", "phi", (_Arg("fraction", _RATIONAL), _N),
-             lambda fraction, N: {"phi": str(farey.phi_embed(_farey(fraction, N)))}),
+             lambda fraction, N: {"phi": farey.phi_embed(_farey(fraction, N))}),
     _Command("farey", "greatest", (_N, _Arg("m", _INT), _Arg("--nonstrict", _FLAG, False)),
              _farey_greatest),
 
@@ -357,12 +358,12 @@ _COMMANDS = (
              _approx_verify),
 
     _Command("beatty", "term", (_ALPHA, _Arg("n", _INT)),
-             lambda alpha, n: {"value": str(beatty.beatty_term(alpha, n))}),
+             lambda alpha, n: {"value": beatty.beatty_term(alpha, n)}),
     _Command("beatty", "member", (_ALPHA, _Arg("k", _INT)), _beatty_member),
     _Command("beatty", "window", (_ALPHA, _M),
-             lambda alpha, M: {"members": [str(k) for k in beatty.window(alpha, M).members]}),
+             lambda alpha, M: {"members": beatty.window(alpha, M).members}),
     _Command("beatty", "mu", (_ALPHA, _Arg("h", _INT)),
-             lambda alpha, h: {"count": str(beatty.mu(alpha, h))}),
+             lambda alpha, h: {"count": beatty.mu(alpha, h)}),
     _Command("beatty", "partition", (_ALPHA, _BETA, _M), _beatty_partition),
     _Command("beatty", "apdecomp", (_Arg("p", _INT), _Arg("q", _INT), _M), _beatty_apdecomp),
     _Command("beatty", "separate", (_ALPHA, _BETA), _beatty_separate),
@@ -387,18 +388,17 @@ _COMMANDS = (
              lambda alpha, beta, l1, r1, l2, r2, limit: _search(
                  beatty.kronecker_search(alpha, beta, (l1, r1, l2, r2), limit), limit)),
     _Command("beatty", "radius", (_Arg("rho", _RATIONAL), _Arg("m", _INT)),
-             lambda rho, m: {"delta": format_exact(beatty.agreement_radius(rho, m))}),
+             lambda rho, m: {"delta": beatty.agreement_radius(rho, m)}),
     _Command("beatty", "claim51", (_Arg("rho", _RATIONAL), _BETA), _beatty_claim51),
 
     _Command("nonarch", "floor", (_Arg("expr", _LAURENT), _PRECISION),
-             lambda expr, precision: {"floor": str(nonarch.floor_ip(expr))}),
+             lambda expr, precision: {"floor": nonarch.floor_ip(expr)}),
     _Command("nonarch", "arith",
              (_Arg("left", _LAURENT), _Arg("op", _choice(*_NONARCH_OPS)), _Arg("right", _LAURENT),
               _PRECISION),
-             lambda left, op, right, precision: {
-                 "value": nonarch.format_laurent(getattr(nonarch, op)(left, right))}),
+             lambda left, op, right, precision: {"value": getattr(nonarch, op)(left, right)}),
     _Command("nonarch", "beatty", (_Arg("alpha", _LAURENT), _Arg("n", _LAURENT), _PRECISION),
-             lambda alpha, n, precision: {"value": str(nonarch.beatty_nonarch(alpha, n))}),
+             lambda alpha, n, precision: {"value": nonarch.beatty_nonarch(alpha, n)}),
     _Command("nonarch", "linf", (_Arg("sigma", _LAURENT), _Arg("rho", _LAURENT), _PRECISION),
              _nonarch_linf),
 
@@ -407,7 +407,7 @@ _COMMANDS = (
     _Command("oracle", "dirichlet", (_ALPHA, _Q),
              lambda alpha, Q: {"satisfying": [f"{p}/{q}" for p, q in oracle.dirichlet_naive(alpha, Q)]}),
     _Command("oracle", "beatty", (_ALPHA, _M),
-             lambda alpha, M: {"members": [str(v) for v in sorted(oracle.beatty_naive(alpha, M))]}),
+             lambda alpha, M: {"members": sorted(oracle.beatty_naive(alpha, M))}),
 )
 
 
@@ -446,7 +446,8 @@ def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
     return top
 
 
-def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
+def _execute(cmd: _Command, ns: argparse.Namespace) -> tuple[dict, int]:
+    """The envelope of exact text, and the exit code."""
     values = {}
     for arg in cmd.args:
         value = getattr(ns, arg.dest)
@@ -475,10 +476,11 @@ def _execute(cmd: _Command, ns: argparse.Namespace) -> _Outcome:
         canonical = [cmd.group, cmd.name, *options, "--", *positionals]
     else:
         canonical = [cmd.group, cmd.name, *positionals, *options]
-    return _Outcome(f"{cmd.group} {cmd.name}", inputs, result, canonical, exit_code, resource)
+    return _exact({"command": f"{cmd.group} {cmd.name}", "argv": canonical, "inputs": inputs,
+                   "result": result, "resource": resource}), exit_code
 
 
-def _render_plain(outcome: _Outcome, stream):
+def _render_plain(envelope: dict, stream):
     def emit(prefix, value):
         if isinstance(value, dict):
             for k, v in value.items():
@@ -491,10 +493,10 @@ def _render_plain(outcome: _Outcome, stream):
             value = " ".join(str(v) for v in value)
         print(f"{key}: {value}", file=stream)
 
-    print(f"command: {outcome.command}", file=stream)
-    emit("", outcome.result)
-    if outcome.resource:
-        emit("resource.", outcome.resource)
+    print(f"command: {envelope['command']}", file=stream)
+    emit("", envelope["result"])
+    if envelope["resource"]:
+        emit("resource.", envelope["resource"])
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -507,9 +509,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    fmt = args.format
     try:
-        outcome = _execute(args.command, args)
+        envelope, exit_code = _execute(args.command, args)
     except (ParseError, DomainError, NotFoundError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
@@ -518,20 +519,13 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             raise  # a resource failure only when str() met the interpreter's digit limit
         print(f"resource: {exc}", file=stderr)
         return EXIT_RESOURCE
-    if fmt == "json":
-        envelope = {
-            "command": outcome.command,
-            "argv": outcome.canonical,
-            "inputs": outcome.inputs,
-            "result": outcome.result,
-            "resource": outcome.resource,
-        }
+    if args.format == "json":
         import json
 
         print(json.dumps(envelope), file=stdout)
     else:
-        _render_plain(outcome, stdout)
-    return outcome.exit_code
+        _render_plain(envelope, stdout)
+    return exit_code
 
 
 def main() -> None:

@@ -136,9 +136,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
-    def __str__(self):
-        return _poly_str(self)
-
 
 def _rational(c) -> Union[int, Fraction]:
     c = Fraction(c)
@@ -454,8 +451,8 @@ def _order(x) -> Optional[int]:
 
 
 def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
-    """Expand into eps powers.  Exact when the denominator is a monomial."""
-    _check_precision(prec)
+    """Expand into eps powers: exactly, at any precision, when the
+    denominator is a monomial."""
     x = _element(x)
     if isinstance(x, EpsSeries):
         return x
@@ -464,6 +461,7 @@ def to_series(x, prec: int = DEFAULT_PRECISION) -> EpsSeries:
     lead = len(gr) - len(fr)
     if not any(gr[1:]):  # a monomial denominator c*t^k: exact Laurent polynomial
         return EpsSeries.make(lead, [Fraction(c, gr[0]) for c in fr], True)
+    _check_precision(prec)
     width = prec - lead
     if width <= 0:
         raise PrecisionError(
@@ -769,9 +767,6 @@ class IPElem(RatFunc):
     def __repr__(self):
         return f"IPElem({self.poly!r})"
 
-    def __str__(self):
-        return str(self.poly)
-
 
 def _floor_of_split(q, s: int, tail_sign: int) -> IPElem:
     """The floor of q/s plus a tail of the given sign, q integers and
@@ -924,37 +919,39 @@ def linf_experiment(sigma: LaurentElem, rho: LaurentElem) -> LinfReport:
 # -- textual syntax ------------------------------------------------------
 
 
-def _parse_poly(sc: _Scanner) -> tuple[dict[int, int], int]:
+def _parse_poly(sc: _Scanner) -> tuple[dict[int, int], int, bool]:
     """A signed sum of terms 'c', 'c*t^k', 'c t^k' and 't^k', each '^k'
-    optional, e.g. '3*t^2 - t + 1': its coefficients by power, and the
-    number of terms."""
+    optional, e.g. '3*t^2 - t + 1': its coefficients by power, the number
+    of terms, and whether the last has both a written 'c' and a 't'."""
     coeffs: dict[int, int] = {}
     terms, sign = 0, sc.sign() or 1
     while True:
-        coef = 1 if sc.peek() == "t" else sc.uint()
+        written = sc.peek() != "t"
+        coef = sc.uint() if written else 1
         power = 0
         if sc.take("*"):
             sc.expect("t")
             power = 1
         elif sc.take("t"):
             power = 1
+        product = written and power == 1
         if power and sc.take("^"):
             power = sc.uint()
         coeffs[power] = coeffs.get(power, 0) + sign * coef
         terms += 1
         if not (sign := sc.sign()):
-            return coeffs, terms
+            return coeffs, terms, product
 
 
-def _parse_side(sc: _Scanner) -> tuple[dict[int, int], int]:
-    """'( side )' or a polynomial; a parenthesized side counts as one term."""
+def _parse_side(sc: _Scanner) -> tuple[dict[int, int], int, bool]:
+    """'( side )' or a polynomial; a parenthesized side is one plain term."""
     depth = 0
     while sc.take("("):
         depth += 1
-    coeffs, terms = _parse_poly(sc)
+    coeffs, terms, product = _parse_poly(sc)
     for _ in range(depth):
         sc.expect(")")
-    return coeffs, 1 if depth else terms
+    return (coeffs, 1, False) if depth else (coeffs, terms, product)
 
 
 def _poly_of(coeffs: dict[int, int]) -> Poly:
@@ -967,8 +964,9 @@ def _poly_of(coeffs: dict[int, int]) -> Poly:
 def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
     """Parse 'poly', 'side/side' or the builtin 'sqrt1p(eps)', where a side
     is a polynomial or a parenthesized side; a side of '/' with several
-    terms must be parenthesized, so 't - 1/t' does not silently read as
-    '(t-1)/t'.  Whitespace is insignificant.
+    terms must be parenthesized, and so must a denominator 'c*t^k', so
+    't - 1/t' does not silently read as '(t-1)/t', nor '1/2*t' as
+    '1/(2*t)'.  Whitespace is insignificant.
 
     ResourceLimitError past PRECISION_LIMIT, or past DEGREE_LIMIT once
     the text has parsed; ParseError for malformed text."""
@@ -982,13 +980,13 @@ def parse_laurent(text: str, prec: int = DEFAULT_PRECISION) -> LaurentElem:
         if not sc.done():
             raise ParseError("trailing input", text, sc.pos)
         return sqrt1p_eps(prec)
-    num, terms = _parse_side(sc)
+    num, terms, _ = _parse_side(sc)
     den, at = {0: 1}, sc.pos + 1  # just past a '/', if one comes next
     if sc.take("/"):
         if terms > 1:
             raise ParseError("ambiguous numerator of '/': parenthesize it", text, 0)
-        den, terms = _parse_side(sc)
-        if terms > 1:
+        den, terms, product = _parse_side(sc)
+        if terms > 1 or product:
             raise ParseError("ambiguous denominator of '/': parenthesize it", text, at)
     if not sc.done():
         raise ParseError("trailing input", text, sc.pos)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,53 @@ def test_laurent_text_errors_and_the_spaced_builtin():
     env = json.loads(out)
     assert env["inputs"]["expr"] == "sqrt1p(eps)" and env["result"] == {"floor": "1"}
     assert run_capture(env["argv"]) == (code, out, err)
+
+
+def test_a_product_after_a_slash_is_a_usage_error():
+    for text in ("1/2*t", "t/2*t^3"):
+        code, out, err = run_capture(["nonarch", "floor", text])
+        assert code == 2 and not out
+        assert "ambiguous denominator of '/': parenthesize it at position 2" in err, text
+
+
+def _model_cases(rng):
+    """nonarch floor, beatty and linf argvs whose inputs' denominators lead
+    with 2 or 3, each with the model values its payload fields must read
+    back to."""
+    den = nonarch.Poly([rng.randint(-9, 9), rng.choice((2, 3))])
+    x = nonarch.RatFunc(nonarch.Poly([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)]), den)
+    n = nonarch.IPElem(nonarch.Poly([rng.randint(0, 9), rng.randint(1, 4)]))
+    s, r = Fraction(rng.randint(11, 14), 10), Fraction(rng.randint(15, 19), 10)
+    tail = nonarch.RatFunc(nonarch.Poly([rng.randint(-9, 9)]), den)  # infinitesimal
+    sigma, rho = nonarch.add(s, tail), nonarch.sub(r, tail)
+    rep = nonarch.linf_experiment(sigma, rho)
+    text = nonarch.format_laurent
+    return [
+        (["nonarch", "floor", text(x)], {"floor": nonarch.floor_ip(x)}),
+        (["nonarch", "beatty", text(x), text(n)], {"value": nonarch.beatty_nonarch(x, n)}),
+        (["nonarch", "linf", text(sigma), text(rho)],
+         {"separator": rep.separator, "between": [rep.lower_neighbor, rep.upper_neighbor]}),
+    ]
+
+
+def test_printed_model_values_read_back_through_the_cli():
+    rng = random.Random(67)
+    fractional = 0
+    for _ in range(20):
+        for argv, want in _model_cases(rng):
+            _, out, _ = run_capture(argv)
+            plain = dict(line.split(": ", 1) for line in out.splitlines())
+            _, out, _ = run_capture(argv + ["--format", "json"])
+            result = json.loads(out)["result"]
+            for field, value in want.items():
+                if isinstance(value, list):  # a plain list of integers joins with spaces
+                    texts = [plain[field].split(" "), result[field]]
+                    assert all([nonarch.parse_laurent(t) for t in ts] == value for ts in texts), argv
+                else:
+                    assert nonarch.parse_laurent(plain[field]) == value, argv
+                    assert nonarch.parse_laurent(result[field]) == value, argv
+                    fractional += value.den != nonarch.Poly([1])
+    assert fractional > 20
 
 
 def test_resource_exit_code():
@@ -343,6 +391,7 @@ def test_every_numeric_in_json_is_a_string():
         ["approx", "hurwitz", "(1+1*sqrt(5))/2", "10", "--format", "json"],
         ["beatty", "mu", "(1+1*sqrt(5))/2", "10", "--format", "json"],
         ["farey", "mediant", "1/3", "2/5", "5", "--format", "json"],
+        *(row + ["--format", "json"] for row in REPLAY_SAMPLES),
     ):
         _, out, _ = run_capture(argv)
         walk(json.loads(out))
@@ -527,7 +576,7 @@ _SIDES = st.one_of(_POLYS, _SPACED_POLYS, st.builds("({}{}{})".format, _WS, _SPA
 _MALFORMED = st.builds("{}{}{}".format, _SIDES,
                        st.sampled_from(["*", "^", "(", ")", ")/(", "/(t)/", "/ /"]), _SIDES)
 _LAURENTS = st.one_of(
-    st.sampled_from(["sqrt1p(eps)", "sqrt1p( eps )", "3²", "t^٣"]),
+    st.sampled_from(["sqrt1p(eps)", "sqrt1p( eps )", "3²", "t^٣", "1/2*t", "t/2*t"]),
     _POLYS,
     st.builds("({})/({})".format, _POLYS, _POLYS),
     _RATIONALS,

@@ -1186,3 +1186,52 @@ def test_format_round_trip():
         if x.num.is_zero():
             continue
         assert na.parse_laurent(na.format_laurent(x)) == x
+
+
+def test_a_product_after_a_slash_must_be_parenthesized():
+    """Read left to right, '1/2*t' is t/2, so a bare denominator that is a
+    coefficient times a power of t is refused rather than read as 1/(2t)."""
+    for text in ("1/2*t", "1/2 t", "t/2*t^3", "t/2*t", "1/ 2t"):
+        with pytest.raises(ParseError, match="ambiguous denominator") as err:
+            na.parse_laurent(text)
+        assert err.value.pos == text.index("/") + 1, text
+    for text, value in (("3*t/2", rf((0, 3), (2,))), ("1/t^2", rf((1,), (0, 0, 1))),
+                        ("1/2", na.RatFunc.const(Fraction(1, 2))), ("1/(2*t)", rf((1,), (0, 2)))):
+        assert na.parse_laurent(text) == value, text
+
+
+def test_a_built_series_meets_a_constant_past_the_precision_limit():
+    """Only a truncated quotient is held to PRECISION_LIMIT: a constant
+    expands exactly at the precision of a series the library built."""
+    s = na.mul(na.sqrt1p_eps(na.PRECISION_LIMIT), na.EpsSeries.make(5, [1], True))
+    assert s.prec == na.PRECISION_LIMIT + 5
+    assert na.compare(s, 0) == 1
+    assert na.add(s, 1).prec == s.prec
+    for call in (lambda: na.to_series(rf((1,), (1, 1)), na.PRECISION_LIMIT + 1),
+                 lambda: na.add(s, rf((1,), (1, 1)))):
+        with pytest.raises(ResourceLimitError, match="PRECISION_LIMIT"):
+            call()
+
+
+def test_printed_model_values_read_back():
+    """A floor, a model Beatty term and a linf separator or neighbour print
+    as format_laurent writes them, so parse_laurent reads each back; the
+    denominators lead with 2 or 3, so most floors have fractional
+    coefficients."""
+    rng = random.Random(61)
+    fractional = 0
+    for _ in range(500):
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))] + [rng.choice((2, 3))]
+        x = rf([rng.randint(-9, 9) for _ in range(len(den) + rng.randint(0, 2))] + [rng.randint(1, 9)], den)
+        n = na.IPElem(na.Poly([rng.randint(0, 9) for _ in range(rng.randint(0, 2))] + [rng.randint(1, 4)]))
+        q, p = rng.randint(2, 12), rng.randint(2, 12)
+        s, r = sorted((Fraction(rng.randint(q + 1, 2 * q - 1), q), Fraction(rng.randint(p + 1, 2 * p - 1), p)))
+        tail = rf((rng.randint(-9, 9),), den)  # infinitesimal
+        values = [na.floor_ip(x), na.beatty_nonarch(x, n)]
+        if s < r:
+            rep = na.linf_experiment(na.add(s, tail), na.sub(r, tail))
+            values += [rep.separator, rep.lower_neighbor, rep.upper_neighbor]
+        for v in values:
+            assert na.parse_laurent(str(v)) == v, str(v)
+        fractional += values[0].den != na.Poly([1])
+    assert fractional > 250
