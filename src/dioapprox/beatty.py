@@ -27,6 +27,7 @@ from .errors import (
 )
 from .exactnum import (
     ExactReal,
+    _over,
     _quotient,
     _row,
     ceil_of,
@@ -386,15 +387,17 @@ _RULES = {
 }
 
 
-def _slots(rule: _Rule, alpha: ExactReal, beta: ExactReal) -> tuple[tuple, tuple]:
+def _slots(rule: _Rule, alpha: ExactReal, beta: ExactReal) -> tuple[tuple, Optional[tuple]]:
     """The kind's X and Y as rows (a, b, c, d), meaning (a + b*sqrt(d))/c
-    with c != 0: for a slope s = (a + b*sqrt(d))/c of norm n = a^2 - b^2*d,
+    with c != 0, Y read over X's radicand (_over); Y is None across two
+    fields.  For a slope s = (a + b*sqrt(d))/c of norm n = a^2 - b^2*d,
     1/s = (c*a - c*b*sqrt(d))/n and 1 - 1/s = (n - c*a + c*b*sqrt(d))/n."""
     def slot(slope, co):
         a, b, c, d = _row(slope)
         n = a * a - b * b * d  # not 0: the slope is positive
         return (n - c * a, c * b, n, d) if co else (c * a, -c * b, n, d)
-    return slot(alpha, rule.co_alpha), slot(beta, rule.co_beta)
+    x = slot(alpha, rule.co_alpha)
+    return x, _over(slot(beta, rule.co_beta), x[3])
 
 
 def _check_pairing(kind: CertKind, alpha: ExactReal, beta: ExactReal):
@@ -411,16 +414,16 @@ def _check_pairing(kind: CertKind, alpha: ExactReal, beta: ExactReal):
 def _primitive_relation(x: tuple, y: tuple) -> Optional[tuple[int, int, int]]:
     """The integer relation A*x + B*y = C with C >= 0 and gcd(A, B, C) = 1
     of two irrational rows (_slots); every other is a multiple.  None
-    across two fields: for squarefree d != e, 1, sqrt(d) and sqrt(e) are
+    across two fields (y is None): there 1, sqrt(d) and sqrt(e) are
     independent over the rationals, so only A = B = C = 0 relates them.
 
     In one field the radical parts cancel, A*b1/c1 + B*b2/c2 = 0, so (A, B)
     is a multiple of the coprime pair along (b2*c1, -b1*c2), and the
     reduced denominator of A*a1/c1 + B*a2/c2 scales it to integers.
     """
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
-    if d1 != d2:
+    if y is None:
         return None
+    (a1, b1, c1, _), (a2, b2, c2, _) = x, y
     g = gcd(b2 * c1, b1 * c2)
     A, B = b2 * c1 // g, -b1 * c2 // g
     num, den = A * a1 * c2 + B * a2 * c1, c1 * c2  # C = num/den
@@ -479,16 +482,18 @@ def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
 def verify_certificate(cert: Certificate, alpha, beta) -> bool:
     """Does the certificate's defining relation hold exactly, with its
     sign/coprimality side conditions?  Over c1*c2, a*X + b*Y - c is the
-    row (a*a1*c2 + b*a2*c1 - c*c1*c2) + a*b1*c2*sqrt(d1) + b*b2*c1*sqrt(d2),
-    zero when its rational part is and its radical parts cancel in one
-    field or vanish one by one across two."""
+    row (a*a1*c2 + b*a2*c1 - c*c1*c2) + (a*b1*c2 + b*b2*c1)*sqrt(d) in
+    one field (_slots), zero when both parts are.  Across two fields only
+    a = b = 0 makes the radical parts vanish, and no side condition allows it."""
     alpha, beta = _positive(alpha), _positive(beta)
     rule = _RULES[cert.kind]
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = _slots(rule, alpha, beta)
+    (a1, b1, c1, _), y = _slots(rule, alpha, beta)
+    if y is None:
+        return False
+    a2, b2, c2, _ = y
     a, b, c = cert.a, cert.b, cert.c
-    v, w = a * b1 * c2, b * b2 * c1
     return (rule.side(a, b, c) and a * a1 * c2 + b * a2 * c1 == c * c1 * c2
-            and (v + w == 0 if d1 == d2 else v == w == 0))
+            and a * b1 * c2 + b * b2 * c1 == 0)
 
 
 class ImplicationReport(NamedTuple):

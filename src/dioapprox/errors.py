@@ -17,11 +17,6 @@ class UnsupportedPairingError(DomainError):
     """The (alpha, beta) representation pairing is not solvable exactly."""
 
 
-class SquarefreeError(DomainError):
-    """The squarefree part of a radicand could not be certified within the
-    configured trial-division bound."""
-
-
 class InvalidCertificateError(DomainError):
     """A certificate's defining relation does not hold for the given pair."""
 

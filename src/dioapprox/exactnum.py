@@ -6,10 +6,11 @@ operation, floor and comparison is decided by integer arithmetic alone;
 no floating point appears on any code path.
 
 The canonical form of a quadratic irrational is: ``c > 0``, ``d >= 2``
-squarefree, ``b != 0`` and ``gcd(a, b, c) = 1``.  Constructions whose
+not a square, ``b != 0`` and ``gcd(a, b, c) = 1``.  Constructions whose
 value is actually rational (``b = 0`` or ``d`` a perfect square) come
 out as ``Fraction``, so the type of a value always matches its
-rationality.
+rationality.  No radicand is factored: ``sqrt(d)`` and ``sqrt(e)`` share
+a field exactly when ``d*e`` is a perfect square (``_over``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Union
 
-from .errors import (
-    DomainError,
-    MixedRadicalError,
-    ParseError,
-    SquarefreeError,
-)
+from .errors import DomainError, MixedRadicalError, ParseError
 
 __all__ = [
     "ExactReal",
@@ -47,9 +43,7 @@ __all__ = [
     "squarefree_split",
 ]
 
-#: Trial-division limit used when certifying squarefree radicands.  A
-#: radicand whose part free of primes up to this bound is a non-square
-#: of at least its cube is rejected rather than silently trusted.
+#: Trial-division limit of squarefree_split.
 SQUAREFREE_TRIAL_BOUND = 10_000
 
 
@@ -75,34 +69,24 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def squarefree_split(d: int) -> tuple[int, int]:
-    """Write sqrt(d) = s*sqrt(m) with m squarefree; return (s, m).
-
-    Trial division only goes up to SQUAREFREE_TRIAL_BOUND; if the remaining
-    factor is too large to certify squarefree the construction is refused.
-    """
+    """sqrt(d) = s*sqrt(m) with the squares that trial division up to
+    SQUAREFREE_TRIAL_BOUND = B finds pulled out; returns (s, m).  One pass
+    divides each p^e out of the cofactor r, p^(e//2) going to s and
+    p^(e%2) to m, until p > B or p^2 > r; r is pulled out last when it is
+    a square.  m is squarefree below B^3 = 10^12, a non-square or 1 always."""
     if d <= 0:
         raise DomainError(f"radicand must be positive, got {d}")
-    s = 1
-    p = 2
-    while p * p <= d and p <= SQUAREFREE_TRIAL_BOUND:
-        sq = p * p
-        while d % sq == 0:
-            d //= sq
-            s *= p
-        p += 1 if p == 2 else 2
-    if d > SQUAREFREE_TRIAL_BOUND**2:
-        r = d  # squares are gone: strip the small primes, leaving ones above the bound
-        for p in range(2, SQUAREFREE_TRIAL_BOUND + 1):
-            if r % p == 0:
+    s, small, r, p = 1, 1, d, 2
+    while p * p <= r and p <= SQUAREFREE_TRIAL_BOUND:
+        if r % p == 0:
+            e = 0
+            while r % p == 0:
                 r //= p
-        root = isqrt(r)
-        if root * root == r:
-            return s * root, d // r
-        if r >= SQUAREFREE_TRIAL_BOUND**3:  # below it, r has at most two prime factors
-            raise SquarefreeError(
-                f"cannot certify squarefree part of {d} with trial bound {SQUAREFREE_TRIAL_BOUND}"
-            )
-    return s, d
+                e += 1
+            s, small = s * p ** (e >> 1), small * p ** (e & 1)
+        p += 1 if p == 2 else 2
+    root = isqrt(r)
+    return (s * root, small) if root * root == r else (s, small * r)
 
 
 # The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
@@ -170,13 +154,16 @@ class QuadIrr:
 
     __delattr__ = __setattr__
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # across radicands (sqrt(P^2*Q), P*sqrt(Q)) compare decides
         if other.__class__ is not QuadIrr:
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+        if self.d == other.d:
+            return self.a == other.a and self.b == other.b and self.c == other.c
+        return compare(self, other) == 0
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+    def __hash__(self):  # a/c, b^2*d/c^2 and the sign of b fix the value, whatever d is
+        a, b, c = self.a, self.b, self.c
+        return hash((Fraction(a, c), Fraction(b * b * self.d, c * c), b > 0))
 
     def __reduce__(self):  # pickle past the read-only guard
         return QuadIrr, (self.a, self.b, self.c, self.d)
@@ -227,18 +214,31 @@ def _row(x, d: int = 1, verb: str = "") -> tuple[int, int, int, int]:
 
     A QuadIrr gives its fields; an int or Fraction n/m gives (n, 0, m, d),
     over the radicand d of the value it meets (1: the rationals).  A string
-    is parsed and a float refused, as ensure_exact does.  A QuadIrr over a
-    radicand other than a given d >= 2 raises MixedRadicalError, here only.
+    is parsed and a float refused, as ensure_exact does.  A QuadIrr over
+    another radicand than a given d >= 2 is read over d (_over), and
+    raises MixedRadicalError, here only, when the two share no field.
     QuadIrr is tested by exact type first: only that skips Fraction's ABC
     instance check.
     """
     if x.__class__ is QuadIrr:
-        if d > 1 and x.d != d:
+        row = x.a, x.b, x.c, x.d
+        if d > 1 and x.d != d and (row := _over(row, d)) is None:
             raise MixedRadicalError(f"cannot {verb} sqrt({d}) and sqrt({x.d}) values exactly")
-        return x.a, x.b, x.c, x.d
+        return row
     if isinstance(x, _RATIONAL):
         return x.numerator, 0, x.denominator, d
     return _row(ensure_exact(x), d, verb)
+
+
+def _over(row: tuple, d: int) -> tuple | None:
+    """The row (a, b, c, e) read over the radicand d, or None across two
+    fields: sqrt(d) and sqrt(e) share one exactly when d*e is a perfect
+    square r^2 (Cohen, sec. 5.1), and then sqrt(e) = (r/d)*sqrt(d)."""
+    a, b, c, e = row
+    if e == d or not b:
+        return a, b, c, d
+    r = isqrt(d * e)
+    return None if r * r != d * e else (a * d, b * r, c * d, d)
 
 
 def _reciprocal(x) -> ExactReal:
@@ -246,7 +246,7 @@ def _reciprocal(x) -> ExactReal:
 
 
 def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
-    """Canonicalize (a + b*sqrt(d))/c; d is assumed squarefree already."""
+    """Canonicalize (a + b*sqrt(d))/c; d is a non-square radicand already."""
     if c == 0:
         raise ZeroDivisionError("division by zero")
     if c < 0:
@@ -262,17 +262,14 @@ def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
 def quad(a: int, b: int, c: int, d: int) -> ExactReal:
     """Build (a + b*sqrt(d))/c exactly.
 
-    The radicand has its square part extracted (``quad(0, 1, 1, 8)`` is
-    ``(0 + 2*sqrt(2))/1``); values that turn out rational are returned
-    as ``Fraction``.
+    The radicand has the squares squarefree_split finds extracted
+    (``quad(0, 1, 1, 8)`` is ``(0 + 2*sqrt(2))/1``); values that turn out
+    rational are returned as ``Fraction``.
     """
     if b == 0:
         return Fraction(a, c)
     s, m = squarefree_split(d)
-    b = b * s
-    if m == 1:
-        return Fraction(a + b, c)
-    return _norm(a, b, c, m)
+    return Fraction(a + b * s, c) if m == 1 else _norm(a, b * s, c, m)
 
 
 def sqrt_int(d: int) -> ExactReal:
@@ -370,10 +367,9 @@ def compare(x, y) -> int:
 
     Decided on the values' own rows (_row), with no Fraction built: both
     sides go over c1*c2 > 0, leaving the integer row
-    (a1*c2 - a2*c1) + b1*c2*sqrt(d1) - b2*c1*sqrt(d2).  Canonical
-    radicands are squarefree, so d1 = d2 exactly when the two values
-    share a field, and the row is then one radical, as it is when either
-    side is rational (b = 0); _sign_two decides any other pair.
+    (a1*c2 - a2*c1) + b1*c2*sqrt(d1) - b2*c1*sqrt(d2).  The row is one
+    radical when d1 = d2 or either side is rational (b = 0); _sign_two
+    decides any other pair, whether or not the two share a field.
     """
     a1, b1, c1, d1 = _row(x)
     a2, b2, c2, d2 = _row(y)
@@ -390,8 +386,8 @@ def sign_of(x) -> int:
 
 def floor_of(x) -> int:
     """Exact floor: the unique integer n with n <= x < n + 1.  Unless b = 0,
-    b*sqrt(d) is irrational (d squarefree >= 2), so r = isqrt(b*b*d) has
-    r*r < b*b*d."""
+    b*sqrt(d) is irrational (d >= 2 is not a square), so r = isqrt(b*b*d)
+    has r*r < b*b*d."""
     a, b, c, d = _row(x)
     r = isqrt(b * b * d)
     return (a + (r if b >= 0 else -r - 1)) // c

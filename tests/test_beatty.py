@@ -666,6 +666,40 @@ def test_cross_field_pairs_have_no_relation():
                 assert beatty.certificate_search(kind, alpha, beta) is None, (kind, alpha, beta)
 
 
+def _one_answer(kind, pairs, bound):
+    """The certificate every pair gets, re-checked on every pair."""
+    certs = {beatty.certificate_search(kind, alpha, beta, bound) for alpha, beta in pairs}
+    assert len(certs) == 1, (kind, certs)
+    cert = certs.pop()
+    assert cert is None or all(beatty.verify_certificate(cert, *pair) for pair in pairs)
+    return cert
+
+
+def test_one_field_under_two_radicands():
+    """sqrt(P^2*Q) and P*sqrt(Q) are one number over two radicands, P and Q
+    primes past the trial bound: the search and its re-check answer alike
+    for every spelling of a pair, and two fields still have no relation."""
+    P, Q = 1_000_003, 1_000_033
+    roots = quad(0, 1, 1, P * P * Q), quad(0, P, 1, Q)
+    assert roots[0].d != roots[1].d and roots[0] == roots[1]
+    spellings = [(r, s) for r in roots for s in roots]
+    for kind in K:
+        if kind is not K.FACT_F_PRIME:
+            pairs = [(2 + frac_of(r), _built_beta(kind, 2 + frac_of(s))) for r, s in spellings]
+            assert _one_answer(kind, pairs, 8) is not None, kind
+    pairs = [(1 + r, (3 + s) / 2) for r, s in spellings]
+    cert = _one_answer(K.FACT_C, pairs, 10**27)
+    assert (cert.a, cert.b, cert.c) == (500019500103500148, -250009750051750072, 1)
+    assert _one_answer(K.FACT_C, pairs, 10**17) is None
+    other = quad(0, 1, 1, P * Q)  # P^3*Q^2 is not a square
+    for r in roots:
+        assert _one_answer(K.FACT_C, [(1 + r, (3 + other) / 2)], 10**27) is None
+        assert not beatty.verify_certificate(cert, 1 + r, (3 + other) / 2)
+        for kind in (K.DISJOINT, K.COVER, K.SUBSET, K.PARTITION, K.FACT_D):
+            beta = _built_beta(kind, 2 + frac_of(other))
+            assert beatty.certificate_search(kind, 2 + frac_of(r), beta) is None, kind
+
+
 def test_verify_implication_suite():
     rep = beatty.verify_implication(
         beatty.CertKind.FACT_F_PRIME, Fraction(3), Fraction(3, 2),

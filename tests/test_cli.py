@@ -276,6 +276,23 @@ def test_verify_subcommand():
     assert code == 1
 
 
+def test_radicands_past_the_trial_bound_answer():
+    # 1000000000039 and 10000000000037 are primes past the cube of the
+    # trial-division bound: radicands that trial division cannot factor
+    results = []
+    for argv in (["approx", "hurwitz", "sqrt(1000000000039)", "10"],
+                 ["beatty", "member", "sqrt(10000000000037)", "5"]):
+        assert run_capture(argv)[0] == 0, argv
+        code, out, err = run_capture(argv + ["--format", "json"])
+        assert code == 0 and not err, argv
+        env = json.loads(out)
+        assert run_capture(env["argv"]) == (0, out, ""), argv
+        results.append(env["result"])
+    code, out, _ = run_capture(["approx", "verify", "sqrt(1000000000039)", results[0]["p"],
+                                results[0]["q"], "--kind", "hurwitz", "--bound-q", "10"])
+    assert code == 0 and "verified: True" in out
+
+
 def test_verify_refuses_options_of_other_kinds():
     base = ["approx", "verify", "sqrt(2)", "7", "5", "--kind", "dirichlet", "--bound-q", "5"]
     for extra in (["--tau", "1/2"], ["--side", "below"], ["--tau", "1/2", "--side", "below"]):

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioapprox import approx, beatty, exactnum
-from dioapprox.errors import (
-    DomainError,
-    MixedRadicalError,
-    ParseError,
-    SquarefreeError,
-)
+from dioapprox.errors import DomainError, MixedRadicalError, ParseError
 from dioapprox.exactnum import (
     QuadIrr,
     ceil_of,
@@ -271,10 +266,8 @@ def test_quadirr_is_an_immutable_value():
 def test_squarefree_certification_bound():
     p = 10_007  # prime beyond the default trial bound
     big, big2 = 1_000_003, 1_000_033  # primes whose product passes the cube of that bound
-    with pytest.raises(SquarefreeError):
-        quad(0, 1, 1, big * big2 * 3)
-    with pytest.raises(SquarefreeError):
-        squarefree_split(10**12 + 39)  # prime
+    assert isinstance(quad(0, 1, 1, big * big2 * 3), QuadIrr)
+    assert squarefree_split(10**12 + 39) == (1, 10**12 + 39)  # prime
     # below the cube of the bound, at most two large primes remain
     assert squarefree_split(p * p * 3) == (p, 3)
     assert squarefree_split(big * big * 3) == (big, 3)  # a square part is found at any size
@@ -282,6 +275,30 @@ def test_squarefree_certification_bound():
     assert isinstance(quad(0, 1, 1, 100000007), QuadIrr)
     # but an honest perfect square is still recognized via isqrt
     assert quad(0, 1, 1, p * p) == p
+
+
+def test_one_field_under_two_radicands():
+    # P and Q are primes past the trial bound, so sqrt(P^2*Q) keeps its
+    # square part and P*sqrt(Q) is the same number over another radicand
+    rng = random.Random(29)
+    for P, Q in ((1_000_003, 1_000_033), (10_007, 10_009), (99_991, 1_000_003)):
+        x, y = quad(0, 1, 1, P * P * Q), quad(0, P, 1, Q)
+        assert (x.d, y.d) == (P * P * Q, Q)
+        assert x == y and y == x and hash(x) == hash(y) and compare(x, y) == 0
+        assert floor_of(x) == floor_of(y) and ceil_of(x) == ceil_of(y)
+        others = [quad(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), d)
+                  for d in (Q, P * P * Q, 9 * Q)] + [Fraction(rng.randint(1, 9), 7), 3]
+        for z in others:
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for got, want in ((op(x, z), op(y, z)), (op(z, x), op(z, y))):
+                    assert got == want and hash(got) == hash(want), (op, z)
+                    assert compare(got, want) == 0 and floor_of(got) == floor_of(want)
+        assert x - y == 0 and x * x == P * P * Q and x / y == 1
+        assert len({x, y, quad(0, 2, 1, P * P * Q) / 2}) == 1
+    with pytest.raises(MixedRadicalError):
+        sqrt_int(2) * sqrt_int(3)
+    with pytest.raises(MixedRadicalError):
+        quad(0, 1, 1, 1_000_003 ** 2 * 1_000_033) + sqrt_int(1_000_003)
 
 
 def test_arithmetic_identities():
