@@ -27,10 +27,10 @@ from .errors import (
 )
 from .exactnum import (
     ExactReal,
+    _ceil_row,
     _over,
-    _quotient,
     _row,
-    ceil_of,
+    _sign_one,
     compare,
     convergents,
     ensure_exact,
@@ -97,15 +97,26 @@ def member(alpha, k: int) -> Optional[int]:
     """Witness n with floor(n*alpha) = k, or None.
 
     The least n with n*alpha >= k is ceil(k/alpha); k is a member
-    exactly when that n keeps n*alpha below k + 1.
+    exactly when that n keeps n*alpha below k + 1.  Both read alpha's
+    row (a, b, c, d): n*alpha < k + 1 is (k+1)*c - n*a - n*b*sqrt(d) > 0.
     """
     alpha = _positive(alpha)
     if k < 0:
         raise DomainError(f"membership is about k >= 0, got {k}")
     if k == 0:
         return 0
-    n = ceil_of(_quotient(k, 0, 1, *_row(alpha)))  # ceil(k/alpha)
-    return n if compare(alpha * n, k + 1) < 0 else None
+    a, b, c, d = row = _row(alpha)
+    n = _ceil_over(k, row)
+    return n if _sign_one((k + 1) * c - n * a, -n * b, d) > 0 else None
+
+
+def _ceil_over(k: int, row: tuple) -> int:
+    """ceil(k/alpha) for alpha > 0 of row (a, b, c, d): k/alpha is
+    k*c*(a - b*sqrt(d))/(a^2 - b^2*d), over a norm of either sign."""
+    a, b, c, d = row
+    norm = a * a - b * b * d
+    kc = k * c if norm > 0 else -k * c
+    return _ceil_row(kc * a, -kc * b, abs(norm), d)
 
 
 def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
@@ -216,7 +227,7 @@ def mu(alpha, h: int) -> int:
     alpha = _positive(alpha)
     if h < 0:
         raise DomainError(f"mu needs h >= 0, got {h}")
-    return ceil_of(_quotient(h + 1, 0, 1, *_row(alpha))) - 1
+    return _ceil_over(h + 1, _row(alpha)) - 1
 
 
 class PartitionReport(NamedTuple):

@@ -114,14 +114,17 @@ def _quotient(a1, b1, c1, a2, b2, c2, d) -> ExactReal:
 
 def _arith(formula, verb: str, reflected: bool = False):
     """A QuadIrr arithmetic method: formula on this value's row and the
-    other operand's, read over this value's radicand (_row); a reflected
-    method swaps the rows.  Any operand but an int, Fraction, QuadIrr or
-    string (a float too) gives NotImplemented, so Python tries the other
-    operand's method and raises TypeError if that fails as well."""
+    other operand's, both read over the smaller radicand (_row), so
+    x + y and y + x print alike; a reflected method swaps the rows.  Any
+    operand but an int, Fraction, QuadIrr or string (a float too) gives
+    NotImplemented, so Python tries the other operand's method and raises
+    TypeError if that fails as well."""
 
-    def method(self, other):
+    def method(self, other, reflected=reflected):
         if not isinstance(other, _OPERAND):
             return NotImplemented
+        if other.__class__ is QuadIrr and other.d < self.d:
+            return method(other, self, not reflected)
         a, b, c, d = _row(other, self.d, verb)
         if reflected:
             return formula(a, b, c, self.a, self.b, self.c, d)
@@ -394,7 +397,12 @@ def floor_of(x) -> int:
 
 
 def ceil_of(x) -> int:
-    a, b, c, d = _row(x)  # -floor(-x), -x having the row (-a, -b, c, d)
+    return _ceil_row(*_row(x))
+
+
+def _ceil_row(a: int, b: int, c: int, d: int) -> int:
+    """ceil((a + b*sqrt(d))/c) for c > 0: -floor(-x), -x having the row
+    (-a, -b, c, d)."""
     r = isqrt(b * b * d)
     return -((-a + (r if b <= 0 else -r - 1)) // c)
 
@@ -405,6 +413,19 @@ def frac_of(x) -> ExactReal:
     return x - floor_of(x)
 
 
+def _state(x) -> tuple[int, int, int, int]:
+    """x as integers (P, Q, D, r) meaning (P + sqrt(D))/Q, with Q | D - P^2
+    and r = isqrt(D); a rational is P/Q with Q > 0 and D = r = 0.  From
+    the row (a, b, c, d), D = b^2*d*c^2 and (P, Q) = (a*c, c*c), negated
+    when b < 0."""
+    a, b, c, d = _row(x)
+    if not b:
+        return a, c, 0, 0
+    s = c if b > 0 else -c
+    D = b * b * d * c * c
+    return a * s, c * s, D, isqrt(D)
+
+
 def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
     """The continued-fraction walk of x: yields (a_k, p_k, q_k, P, Q, D)
     for k = 0, 1, ..., where x_k = (P + sqrt(D))/Q is the k-th complete
@@ -412,16 +433,13 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
     p_k/q_k = [a_0; a_1, ..., a_k].
 
     A rational runs Euclid, has D = 0 and stops at its last quotient; a
-    quadratic irrational never stops.  It is rewritten as (P + sqrt(D))/Q
-    with Q | D - P^2, and the complete quotients follow the integer PQa
-    recurrence P' = a*Q - P, Q' = (D - P'^2)/Q, with isqrt(D) taken once.
+    quadratic irrational never stops.  Its complete quotients (_state)
+    follow the integer PQa recurrence P' = a*Q - P, Q' = (D - P'^2)/Q,
+    with isqrt(D) taken once.
     """
-    a, b, c, d = _row(x)
+    P, Q, D, r = _state(x)
     p0, q0, p1, q1 = 0, 1, 1, 0  # p_{k-2}, q_{k-2}, p_{k-1}, q_{k-1}
-    if b:
-        a, c = (a, c) if b > 0 else (-a, -c)
-        D, P, Q = b * b * d * c * c, a * abs(c), c * abs(c)
-        r = isqrt(D)
+    if D:
         while True:
             # sqrt(D) is irrational, so floor((P + sqrt(D))/Q) = floor((P + r + [Q < 0])/Q)
             quo = (P + r + (Q < 0)) // Q
@@ -429,11 +447,11 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
             yield quo, p1, q1, P, Q, D
             P = quo * Q - P
             Q = (D - P * P) // Q
-    while c:  # Euclid on a/c
-        quo, rem = divmod(a, c)
+    while Q:  # Euclid on P/Q
+        quo, rem = divmod(P, Q)
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-        yield quo, p1, q1, a, c, 0
-        a, c = c, rem
+        yield quo, p1, q1, P, Q, 0
+        P, Q = Q, rem
 
 
 def convergents(x) -> Iterator[tuple[int, int, int]]:
@@ -446,28 +464,45 @@ def convergents(x) -> Iterator[tuple[int, int, int]]:
 
 def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
     """Least n >= 1 such that some j/n lies between lo < hi, each end
-    included when its flag is set; the caller orders distinct ends.
+    included when its flag is set.
 
     Continued-fraction descent (Khinchin, ch. I): if the least integer c
     in reach of lo is outside, the interval sits in (f, f + 1] for
     f = floor(lo), and x -> 1/(x - f) maps it, ends swapped, onto an
     interval whose least numerator is the least denominator here.  Each
-    end maps on its own, so a step needs floor_of and one integer-vs-end
-    compare, never a two-radical sign.  (q, q_prev) is the denominator
-    row of the maps so far; hi = None stands for +infinity.
+    end maps on its own as _walk's integer state (P, Q, D, r) (_state):
+    floor as _walk takes it, x - f is P - f*Q, 1/x is (-P, (D - P^2)/Q)
+    (a rational swaps P and Q), and c < hi is one integer sign, so a step
+    builds no value, takes no gcd and needs no two-radical sign.
+    (q, q_prev) is the denominator row of the maps so far; hi = None
+    stands for +infinity.
     """
     lo, hi = ensure_exact(lo), ensure_exact(hi)
-    if compare(lo, hi) == 0:  # equal irrational ends would never part
+    if compare(lo, hi) >= 0:  # equal irrational ends would never part
         raise DomainError("least_denominator needs lo < hi")
+    lo, hi = _state(lo), _state(hi)
     q, q_prev = 0, 1
     while True:
-        f = floor_of(lo)
-        c = f if lo_in and lo == f else f + 1
-        if hi is None or compare(c, hi) < 0:  # at c == hi, an included hi maps to 1, included
+        P, Q, D, r = lo
+        f = (P + r + (Q < 0)) // Q
+        at_f = not D and P == f * Q  # lo == f
+        c = f if lo_in and at_f else f + 1
+        if hi is None:
             return q * c + q_prev
-        lo, hi = _reciprocal(hi - f), None if lo == f else _reciprocal(lo - f)
+        P, Q, D, _ = hi
+        # c < hi: (P - c*Q)*Q + Q*sqrt(D) > 0; at c == hi, an included hi maps to 1, included
+        if _sign_one((P - c * Q) * Q, Q if D else 0, D) > 0:
+            return q * c + q_prev
+        lo, hi = _flip(hi, f), None if at_f else _flip(lo, f)
         lo_in, hi_in = hi_in, lo_in
         q, q_prev = q * f + q_prev, q
+
+
+def _flip(state: tuple, f: int) -> tuple[int, int, int, int]:
+    """The state of 1/(x - f) for x > f."""
+    P, Q, D, r = state
+    P -= f * Q
+    return (-P, (D - P * P) // Q, D, r) if D else (Q, P, 0, 0)
 
 
 # -- textual I/O --------------------------------------------------------

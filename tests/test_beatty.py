@@ -42,6 +42,40 @@ def test_member_agrees_with_enumeration():
                 assert floor_of(alpha * witness) == k
 
 
+def _seeded_slope(rng, kind):
+    """A slope above 1/4: rational, over a small radicand, or over a
+    radicand past 10^12 (P^2*Q keeps its square part); some lie below 1."""
+    if kind == 0:
+        return Fraction(rng.randint(1, 400), rng.randint(1, 120))
+    if kind == 1:
+        x = quad(rng.randint(-9, 40), rng.choice([-1, 1, 2, 3]), rng.randint(1, 25),
+                 rng.choice(SQUAREFREE_POOL))
+    else:
+        d = rng.choice([10**12 + 39, 1_000_003**2 * 1_000_033])
+        s = isqrt(d)
+        x = quad(rng.randint(-5, 5) * s, rng.choice([-1, 1]), rng.randint(1, 8) * s, d)
+    return x if compare(x, Fraction(1, 4)) > 0 else rng.randint(1, 3) - x
+
+
+def test_member_and_mu_match_the_oracle_on_seeded_slopes():
+    rng = random.Random(37)
+    for i in range(2000):
+        alpha = _seeded_slope(rng, i % 3)
+        cap = rng.randint(0, 120)
+        members = oracle.beatty_naive(alpha, cap)
+        for k in {rng.randint(0, cap), rng.randint(0, cap), cap}:
+            witness = beatty.member(alpha, k)
+            assert (witness is not None) == (k in members), (alpha, k)
+            if witness is not None:  # the least index
+                assert floor_of(alpha * witness) == k
+                assert witness == 0 or floor_of(alpha * (witness - 1)) < k
+        if compare(alpha, 1) > 0:  # distinct floors: n >= 1 counts members from 1 on
+            assert beatty.mu(alpha, cap) == len(members) - 1, (alpha, cap)
+        else:
+            n = beatty.mu(alpha, cap)
+            assert floor_of(alpha * n) <= cap < floor_of(alpha * (n + 1)), (alpha, cap)
+
+
 def test_window_examples():
     win = beatty.window(PHI, 12)
     assert win.members == (0, 1, 3, 4, 6, 8, 9, 11, 12)

@@ -301,6 +301,21 @@ def test_one_field_under_two_radicands():
         quad(0, 1, 1, 1_000_003 ** 2 * 1_000_033) + sqrt_int(1_000_003)
 
 
+def test_a_result_takes_the_smaller_radicand():
+    # equal values over two radicands give one printed result in either order
+    P, Q = 1_000_003, 1_000_033
+    x, y = quad(0, 1, 1, P * P * Q), quad(0, P, 1, Q)
+    z, w = quad(1, 2, 3, P * P * Q), quad(5, -1, 2, Q)
+    for u, v in ((x, y), (z, y), (x, w), (z, w)):
+        assert repr(u + v) == repr(v + u) and (u + v).d == Q
+        assert repr(u * v) == repr(v * u)
+        assert repr(u - v) == repr(-(v - u))
+        assert repr(u / v) == repr(1 / (v / u))
+    assert repr(x + y) == "QuadIrr(0, 2000006, 1, 1000033)"
+    with pytest.raises(MixedRadicalError):
+        sqrt_int(3) * sqrt_int(2)
+
+
 def test_arithmetic_identities():
     assert PHI * PHI == PHI + 1
     assert SQRT2 * SQRT2 == Fraction(2)
@@ -507,6 +522,65 @@ def test_least_denominator_matches_scan():
     for x in (SQRT2, Fraction(3, 2)):
         with pytest.raises(DomainError):
             least_denominator(x, True, x, True)
+
+
+def test_least_denominator_refuses_reversed_ends():
+    for lo, hi in ((Fraction(1, 2), Fraction(1, 3)), (SQRT2, 1), (SQRT2, SQRT2 - 1)):
+        for a, b in FLAGS:
+            with pytest.raises(DomainError, match="least_denominator needs lo < hi"):
+                least_denominator(lo, a, hi, b)
+
+
+def _random_end(rng):
+    """An end drawn from negative, integer and plain rationals, small
+    radicands and radicands past 10^12 (P^2*Q keeps its square part)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(rng.randint(-90, 90), rng.randint(1, 25))
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6))
+    if kind == 2:
+        return quad(rng.randint(-60, 60), rng.choice([-3, -1, 1, 2]), rng.randint(1, 20),
+                    rng.choice(SQUAREFREE_POOL))
+    d = rng.choice([10**12 + 39, 1_000_003**2 * 1_000_033])
+    s = isqrt(d)
+    return quad(rng.randint(-3, 3) * s, rng.choice([-1, 1]), s, d) + rng.randint(-4, 4)
+
+
+def test_least_denominator_matches_scan_on_seeded_ends():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(2000):
+        lo = _random_end(rng)
+        if rng.random() < 0.5:  # the other end from anywhere, a gap of at least 1/30 otherwise
+            hi = _random_end(rng)
+        else:
+            hi = lo + Fraction(rng.randint(1, 40), rng.randint(1, 30))
+        if compare(lo, hi) > 0:
+            lo, hi = hi, lo
+        if compare(lo + Fraction(1, 40), hi) > 0:
+            continue
+        seen.add((type(lo).__name__, type(hi).__name__, sign_of(lo) < 0))
+        for a, b in FLAGS:
+            assert least_denominator(lo, a, hi, b) == _least_denominator_by_scan(lo, a, hi, b), (
+                lo, a, hi, b)
+    assert len(seen) == 8
+
+
+def test_least_denominator_builds_no_value(monkeypatch):
+    # the descent steps integer states: no QuadIrr is built, no gcd taken
+    ends = [(SQRT2, sqrt_int(3)), (PHI + Fraction(1, 10**6), PHI + Fraction(2, 10**6)),
+            (sqrt_int(10**12 + 39) / 10**6, sqrt_int(1_000_003**2 * 1_000_033) / 10**9),
+            (Fraction(355, 113), PHI + 2)]
+    want = [[least_denominator(lo, a, hi, b) for a, b in FLAGS] for lo, hi in ends]
+
+    def refuse(*args):
+        raise AssertionError("a value was built")
+
+    monkeypatch.setattr(exactnum, "_norm", refuse)
+    monkeypatch.setattr(exactnum, "gcd", refuse)
+    assert [[least_denominator(lo, a, hi, b) for a, b in FLAGS] for lo, hi in ends] == want
+    assert want[1][0] > 10**3
 
 
 # --- radical signs ------------------------------------------------------
