@@ -443,11 +443,11 @@ def _primitive_relation(x: tuple, y: tuple) -> Optional[tuple[int, int, int]]:
     return j * A, j * B, abs(num) // g
 
 
-def _solve_unit_rational(x: tuple, y: tuple, bound: int):
-    """Integer a, b in [1, bound] with a*x + b*y = 1 for two rational rows
-    (_slots, positive denominators), the one with the least b; None when
-    none exist.  Slots of slopes above 1 lie in (0, 1), so both scaled
-    coefficients are positive."""
+def _solve_unit_rational(x: tuple, y: tuple):
+    """Integer a, b >= 1 with a*x + b*y = 1 for two rational rows (_slots,
+    positive denominators), the one with the least b; None when none
+    exist.  Slots of slopes above 1 lie in (0, 1), so a < 1/x and b < 1/y:
+    the positive solutions are finite, and a falls as b grows."""
     (nx, _, mx, _), (ny, _, my, _) = x, y
     den = lcm(mx, my)
     A, B = nx * (den // mx), ny * (den // my)
@@ -456,23 +456,22 @@ def _solve_unit_rational(x: tuple, y: tuple, bound: int):
         return None
     a0, b0 = x0 * (den // g), y0 * (den // g)
     sa, sb = B // g, A // g  # a = a0 + sa*t and b = b0 - sb*t
-    tmin = max(-((a0 - 1) // sa), -((bound - b0) // sb))  # a >= 1 and b <= bound
-    tmax = min((bound - a0) // sa, (b0 - 1) // sb)  # a <= bound and b >= 1
-    if tmin > tmax:
-        return None
-    return (a0 + sa * tmax, b0 - sb * tmax, 1)  # b falls as t grows
+    t = (b0 - 1) // sb  # the largest t with b >= 1
+    a, b = a0 + sa * t, b0 - sb * t
+    return (a, b, 1) if a >= 1 else None
 
 
-def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
-    """Search for the integer relation certifying `kind`, or None.
+def certificate_search(kind: CertKind, alpha, beta):
+    """The integer relation certifying `kind`, or None when none exists.
 
     Every integer relation of two irrational slots is a multiple of the
     primitive one.  A unit kind needs its C = 1 and fact_d its gcd 1, and
     fact_c holds for a multiple exactly when it holds for the primitive
-    relation, the least; so that relation is the only candidate.  The
-    defining relation of any returned certificate is re-verified exactly
-    before it is handed back.  Two irrational slopes from different
-    fields have no relation, so no certificate.
+    relation, the least; so that relation is the only candidate.  Two
+    rational slots take the least-b positive solution of a*X + b*Y = 1.
+    The defining relation of any returned certificate is re-verified
+    exactly before it is handed back.  Two irrational slopes from
+    different fields have no relation, so no certificate.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
@@ -481,8 +480,8 @@ def certificate_search(kind: CertKind, alpha, beta, bound: int = 10**6):
     _check_pairing(kind, alpha, beta)
     rule = _RULES[kind]
     x, y = _slots(rule, alpha, beta)
-    found = _solve_unit_rational(x, y, bound) if rule.rational else _primitive_relation(x, y)
-    if found is None or not rule.side(*found) or max(map(abs, found)) > bound:
+    found = _solve_unit_rational(x, y) if rule.rational else _primitive_relation(x, y)
+    if found is None or not rule.side(*found):
         return None
     cert = Certificate(kind, *found)
     if not verify_certificate(cert, alpha, beta):

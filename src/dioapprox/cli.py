@@ -252,8 +252,8 @@ def _beatty_separate(alpha, beta):
     }
 
 
-def _beatty_cert(kind, alpha, beta, bound):
-    cert = beatty.certificate_search(beatty.CertKind(kind), alpha, beta, bound)
+def _beatty_cert(kind, alpha, beta):
+    cert = beatty.certificate_search(beatty.CertKind(kind), alpha, beta)
     if cert is None:
         return {"found": False}
     return {"found": True, "a": cert.a, "b": cert.b, "c": cert.c}
@@ -368,8 +368,7 @@ _COMMANDS = (
     _Command("beatty", "apdecomp", (_Arg("p", _INT), _Arg("q", _INT), _M), _beatty_apdecomp),
     _Command("beatty", "separate", (_ALPHA, _BETA), _beatty_separate),
     _Command("beatty", "cert",
-             (_Arg("kind", _CERT_KIND), _ALPHA, _BETA, _Arg("--bound", _INT, 10**6)),
-             _beatty_cert),
+             (_Arg("kind", _CERT_KIND), _ALPHA, _BETA), _beatty_cert),
     _Command("beatty", "imply",
              (_Arg("kind", _CERT_KIND), _ALPHA, _BETA,
               _Arg("a", _INT), _Arg("b", _INT), _Arg("c", _INT), _M),

@@ -9,8 +9,10 @@ The canonical form of a quadratic irrational is: ``c > 0``, ``d >= 2``
 not a square, ``b != 0`` and ``gcd(a, b, c) = 1``.  Constructions whose
 value is actually rational (``b = 0`` or ``d`` a perfect square) come
 out as ``Fraction``, so the type of a value always matches its
-rationality.  No radicand is factored: ``sqrt(d)`` and ``sqrt(e)`` share
-a field exactly when ``d*e`` is a perfect square (``_over``).
+rationality.  A radicand is kept as written and never factored:
+``sqrt(d)`` and ``sqrt(e)`` share a field exactly when ``d*e`` is a
+perfect square (``_over``), and arithmetic reads both operands over the
+smaller radicand.
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ __all__ = [
     "radical_sign",
     "sign_of",
     "sqrt_int",
-    "squarefree_split",
 ]
-
-#: Trial-division limit of squarefree_split.
-SQUAREFREE_TRIAL_BOUND = 10_000
 
 
 def _sgn(x) -> int:
@@ -66,27 +64,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def squarefree_split(d: int) -> tuple[int, int]:
-    """sqrt(d) = s*sqrt(m) with the squares that trial division up to
-    SQUAREFREE_TRIAL_BOUND = B finds pulled out; returns (s, m).  One pass
-    divides each p^e out of the cofactor r, p^(e//2) going to s and
-    p^(e%2) to m, until p > B or p^2 > r; r is pulled out last when it is
-    a square.  m is squarefree below B^3 = 10^12, a non-square or 1 always."""
-    if d <= 0:
-        raise DomainError(f"radicand must be positive, got {d}")
-    s, small, r, p = 1, 1, d, 2
-    while p * p <= r and p <= SQUAREFREE_TRIAL_BOUND:
-        if r % p == 0:
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            s, small = s * p ** (e >> 1), small * p ** (e & 1)
-        p += 1 if p == 2 else 2
-    root = isqrt(r)
-    return (s * root, small) if root * root == r else (s, small * r)
 
 
 # The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
@@ -263,16 +240,23 @@ def _norm(a: int, b: int, c: int, d: int) -> ExactReal:
 
 
 def quad(a: int, b: int, c: int, d: int) -> ExactReal:
-    """Build (a + b*sqrt(d))/c exactly.
+    """Build (a + b*sqrt(d))/c exactly from four ints, the radicand d > 0
+    kept as written.
 
-    The radicand has the squares squarefree_split finds extracted
-    (``quad(0, 1, 1, 8)`` is ``(0 + 2*sqrt(2))/1``); values that turn out
-    rational are returned as ``Fraction``.
+    ``quad(0, 1, 1, 8)`` is ``QuadIrr(0, 1, 1, 8)``: it equals, hashes and
+    compares as ``2*sqrt(2)``, since a QuadIrr's equality reads its value.
+    A value that is rational (b = 0 or d a perfect square) comes out as a
+    ``Fraction``.  Any argument but an int (a float too) is a DomainError.
     """
-    if b == 0:
-        return Fraction(a, c)
-    s, m = squarefree_split(d)
-    return Fraction(a + b * s, c) if m == 1 else _norm(a, b * s, c, m)
+    try:
+        if d <= 0:
+            raise DomainError(f"radicand must be positive, got {d}")
+        if b == 0:
+            return Fraction(a, c)
+        r = isqrt(d)
+        return Fraction(a + b * r, c) if r * r == d else _norm(a, b, c, d)
+    except TypeError:  # only a non-int argument gets here
+        raise DomainError(f"quad takes four ints, got {(a, b, c, d)!r}") from None
 
 
 def sqrt_int(d: int) -> ExactReal:
@@ -346,9 +330,12 @@ def _sign_two(u, v, d: int, w, e: int) -> int:
 def radical_sign(u, v=0, d=1, w=0, e=1) -> int:
     """Exact sign of u + v*sqrt(d) + w*sqrt(e); returns -1, 0 or +1.
 
-    u, v, w may be ints or Fractions; d and e any positive integers.
-    Squaring decides every sign, so no radicand is factored.
+    u, v, w are ints or Fractions (anything else, a float too, is a
+    DomainError); d and e any positive integers.  Squaring decides every
+    sign, so no radicand is factored.
     """
+    if not (isinstance(u, _RATIONAL) and isinstance(v, _RATIONAL) and isinstance(w, _RATIONAL)):
+        raise DomainError(f"radical_sign takes ints and Fractions, got {u!r}, {v!r}, {w!r}")
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
     if d < 1 or e < 1:
         raise DomainError("radicands must be positive integers")

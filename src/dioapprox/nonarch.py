@@ -138,7 +138,10 @@ class Poly:
 
 
 def _rational(c) -> Union[int, Fraction]:
-    c = Fraction(c)
+    """An int or a Fraction as an int when integral; anything else (a float
+    too) is a DomainError."""
+    if c.__class__ is not Fraction and not isinstance(c, (int, Fraction)):
+        raise DomainError(f"a rational is an int or a Fraction, not {type(c).__name__}")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -320,7 +323,7 @@ class RatFunc(_FieldOps):
         Fraction's terms are coprime and its denominator positive, so no gcd
         is taken."""
         if type(q) is not int and type(q) is not Fraction:
-            q = Fraction(q)
+            q = _rational(q)
         n, d = q.numerator, q.denominator
         _held(n.bit_length() + d.bit_length() + 2, "a rational function")
         return cls._canonical((n,) if n else (), (d,))
@@ -748,7 +751,8 @@ class IPElem(RatFunc):
 
     @classmethod
     def const(cls, q) -> "IPElem":
-        _integer_constant(Fraction(q))
+        q = _rational(q)
+        _integer_constant(q)
         return super().const(q)
 
     @property

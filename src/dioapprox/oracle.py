@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import DomainError
-from .exactnum import ExactReal, compare, ensure_exact, floor_of, is_rational
+from .errors import DomainError, ResourceLimitError
+from .exactnum import ExactReal, ceil_of, compare, ensure_exact, floor_of, is_rational
 
 __all__ = [
     "beatty_naive",
@@ -99,12 +99,21 @@ def dirichlet_naive(alpha: ExactReal, q_cap: int) -> list[tuple[int, int]]:
 
 
 def beatty_naive(alpha: ExactReal, cap: int) -> set[int]:
-    """Members of the floor sequence of alpha that do not exceed cap."""
+    """Members of the floor sequence of alpha that do not exceed cap.  The
+    scan takes one exact floor for each n up to ceil((cap + 1)/alpha), the
+    first index past cap; it is refused (ResourceLimitError) before it
+    starts when that index passes the one a slope of 1 reaches at
+    cap = BEATTY_GUARD."""
     if not 0 <= cap <= BEATTY_GUARD:
         raise DomainError(f"beatty_naive guard: need 0 <= M <= {BEATTY_GUARD}")
     alpha = ensure_exact(alpha)
     if compare(alpha, 0) <= 0:
         raise DomainError("beatty_naive needs alpha > 0")
+    last = ceil_of((cap + 1) / alpha)
+    if last > BEATTY_GUARD + 1:
+        raise ResourceLimitError(
+            f"beatty_naive guard: reaching {cap} takes {last} indices, past {BEATTY_GUARD + 1}"
+        )
     members = set()
     n = 0
     while True:

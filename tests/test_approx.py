@@ -358,3 +358,9 @@ def test_builders_match_the_verify_per_candidate_loop(monkeypatch):
         rounds = rng.choice((64, 64, 0, 1, 2, 3))
         limits += sum(isinstance(got, str) for got, _ in check(alpha, q_floor, tau, rounds))
     assert limits >= 10
+
+
+def test_verify_refuses_an_unknown_bound_kind():
+    appr = approx.Approximation(7, 5, approx.Bound("nope", 3), verified=False)
+    with pytest.raises(DomainError, match="unknown bound kind"):
+        approx.verify(SQRT2, appr)

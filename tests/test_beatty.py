@@ -610,23 +610,23 @@ def test_certificate_pairing_gates():
 K = beatty.CertKind
 
 
-@pytest.mark.parametrize("kind, alpha, beta, bound, want", [
-    pytest.param(K.DISJOINT, 2 + SQRT2, SQRT2, 10**6, (1, 1, 1), id="disjoint_unit"),
-    pytest.param(K.FACT_C, SQRT2, 1 + SQRT2, 10**6, (2, -1, 1), id="mixed_sign"),
-    pytest.param(K.DISJOINT, PHI, PHI, 10**6, None, id="unsolvable_returns_none"),
-    pytest.param(K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), 10**6, (2, 1, 1), id="rational_route"),
-    pytest.param(K.DISJOINT, SQRT2, SQRT3, 10**6, None, id="cross_radicand_rejected"),
-    pytest.param(K.FACT_D, quad(2, 1, 2, 2), SQRT2, 10**6, (1, 2, 2), id="positive_int_form"),
+@pytest.mark.parametrize("kind, alpha, beta, want", [
+    pytest.param(K.DISJOINT, 2 + SQRT2, SQRT2, (1, 1, 1), id="disjoint_unit"),
+    pytest.param(K.FACT_C, SQRT2, 1 + SQRT2, (2, -1, 1), id="mixed_sign"),
+    pytest.param(K.DISJOINT, PHI, PHI, None, id="unsolvable_returns_none"),
+    pytest.param(K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), (2, 1, 1), id="rational_route"),
+    pytest.param(K.DISJOINT, SQRT2, SQRT3, None, id="cross_radicand_rejected"),
+    pytest.param(K.FACT_D, quad(2, 1, 2, 2), SQRT2, (1, 2, 2), id="positive_int_form"),
     # 1/sqrt(2) + 1/(2 + sqrt(2)) = 1: the primitive relation has c = 1 and
-    # every multiple has gcd > 1, so no search runs up to the bound
-    pytest.param(K.FACT_D, SQRT2, 2 + SQRT2, 10**18, None, id="positive_int_unit_sum_is_none"),
+    # every multiple has gcd > 1, so no certificate exists
+    pytest.param(K.FACT_D, SQRT2, 2 + SQRT2, None, id="positive_int_unit_sum_is_none"),
 ])
-def test_relation_search(kind, alpha, beta, bound, want):
+def test_relation_search(kind, alpha, beta, want):
     if want is UnsupportedPairingError:
         with pytest.raises(UnsupportedPairingError):
-            beatty.certificate_search(kind, alpha, beta, bound)
+            beatty.certificate_search(kind, alpha, beta)
         return
-    cert = beatty.certificate_search(kind, alpha, beta, bound)
+    cert = beatty.certificate_search(kind, alpha, beta)
     assert (cert and (cert.a, cert.b, cert.c)) == want
     if cert is not None:
         assert beatty.verify_certificate(cert, alpha, beta)
@@ -643,7 +643,6 @@ def test_partition_certificate_needs_unit_coefficients():
     with pytest.raises(InvalidCertificateError):
         beatty.verify_implication(K.PARTITION, PHI, PHI_SQ,
                                   beatty.Certificate(K.PARTITION, 5, 7, 1), 50)
-    assert beatty.certificate_search(K.PARTITION, PHI, PHI_SQ, bound=0) is None
     # 1/sqrt(2) and 1/sqrt(3) lie in two fields, so no relation holds
     assert beatty.certificate_search(K.PARTITION, SQRT2, SQRT3) is None
     assert not beatty.verify_certificate(beatty.Certificate(K.PARTITION, 1, 1, 1), SQRT2, SQRT3)
@@ -660,12 +659,15 @@ def _built_beta(kind, alpha):
 
 
 def test_certificate_search_matches_relation_oracle():
-    """A certificate exactly when the oracle's box holds one, and then the
-    oracle's least.  Each kind meets pairs built with every kind's relation
-    (its own always has a hit) and an unrelated pair of one field; two
-    rationals for fact_f_prime."""
+    """The search against the oracle's box search.  Each kind meets pairs
+    built with every kind's relation (its own always has a hit) and an
+    unrelated pair of one field; two rationals for fact_f_prime.  A
+    rational pair's box holds every positive solution of a*X + b*Y = 1
+    (a*X <= 1 - Y and b*Y <= 1 - X), so the two answers are equal; an
+    irrational pair's certificate fits the box exactly when the oracle
+    finds one, and then is the oracle's least."""
     rng = random.Random(7)
-    box, hits = 8, []
+    hits = []
     for kind in K:
         for source in (*K, None):
             if kind is K.FACT_F_PRIME:
@@ -677,9 +679,17 @@ def test_certificate_search_matches_relation_oracle():
                 alpha = 2 + frac_of(quad(rng.randrange(-5, 6), rng.randrange(1, 4), rng.randrange(1, 6), d))
                 other = 1 + rng.randrange(2) + frac_of(quad(rng.randrange(-5, 6), 1, rng.randrange(1, 6), d))
             beta = other if source is None else _built_beta(source, alpha)
+            if kind is K.FACT_F_PRIME:
+                x, y = 1 / alpha, 1 - 1 / beta
+                box = max(floor_of((1 - y) / x), floor_of((1 - x) / y), 1)
+                assert box <= oracle.RELATION_GUARD, (alpha, beta)
+            else:
+                box = 8
             want = oracle.relation_naive(kind, alpha, beta, box)
-            cert = beatty.certificate_search(kind, alpha, beta, box)
-            assert (cert and (cert.a, cert.b, cert.c)) == want, (kind, source, alpha, beta)
+            cert = beatty.certificate_search(kind, alpha, beta)
+            got = cert and (cert.a, cert.b, cert.c)
+            fits = got is not None and max(map(abs, got)) <= box
+            assert fits == (want is not None) and (got == want or not fits), (kind, source, alpha, beta)
             assert want or source is not kind
             hits.append(want is not None)
     assert sum(hits) > len(K)  # some pairs built with another kind hit too
@@ -700,9 +710,9 @@ def test_cross_field_pairs_have_no_relation():
                 assert beatty.certificate_search(kind, alpha, beta) is None, (kind, alpha, beta)
 
 
-def _one_answer(kind, pairs, bound):
+def _one_answer(kind, pairs):
     """The certificate every pair gets, re-checked on every pair."""
-    certs = {beatty.certificate_search(kind, alpha, beta, bound) for alpha, beta in pairs}
+    certs = {beatty.certificate_search(kind, alpha, beta) for alpha, beta in pairs}
     assert len(certs) == 1, (kind, certs)
     cert = certs.pop()
     assert cert is None or all(beatty.verify_certificate(cert, *pair) for pair in pairs)
@@ -711,7 +721,7 @@ def _one_answer(kind, pairs, bound):
 
 def test_one_field_under_two_radicands():
     """sqrt(P^2*Q) and P*sqrt(Q) are one number over two radicands, P and Q
-    primes past the trial bound: the search and its re-check answer alike
+    primes: the search and its re-check answer alike
     for every spelling of a pair, and two fields still have no relation."""
     P, Q = 1_000_003, 1_000_033
     roots = quad(0, 1, 1, P * P * Q), quad(0, P, 1, Q)
@@ -720,14 +730,13 @@ def test_one_field_under_two_radicands():
     for kind in K:
         if kind is not K.FACT_F_PRIME:
             pairs = [(2 + frac_of(r), _built_beta(kind, 2 + frac_of(s))) for r, s in spellings]
-            assert _one_answer(kind, pairs, 8) is not None, kind
+            assert _one_answer(kind, pairs) is not None, kind
     pairs = [(1 + r, (3 + s) / 2) for r, s in spellings]
-    cert = _one_answer(K.FACT_C, pairs, 10**27)
+    cert = _one_answer(K.FACT_C, pairs)
     assert (cert.a, cert.b, cert.c) == (500019500103500148, -250009750051750072, 1)
-    assert _one_answer(K.FACT_C, pairs, 10**17) is None
     other = quad(0, 1, 1, P * Q)  # P^3*Q^2 is not a square
     for r in roots:
-        assert _one_answer(K.FACT_C, [(1 + r, (3 + other) / 2)], 10**27) is None
+        assert _one_answer(K.FACT_C, [(1 + r, (3 + other) / 2)]) is None
         assert not beatty.verify_certificate(cert, 1 + r, (3 + other) / 2)
         for kind in (K.DISJOINT, K.COVER, K.SUBSET, K.PARTITION, K.FACT_D):
             beta = _built_beta(kind, 2 + frac_of(other))

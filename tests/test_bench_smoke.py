@@ -24,7 +24,7 @@ def _assert_runs_correct(workload: str, trace: int):
     assert last["correct"] is True and last["failed"] == 0, last
 
 
-@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs", "nonarch-model"])
+@pytest.mark.parametrize("workload", ["beatty-scans", "approx-certs", "nonarch-model", "cli-batch"])
 def test_benchmark_runs_correct(workload):
     _assert_runs_correct(workload, 0)
 

@@ -277,8 +277,8 @@ def test_verify_subcommand():
 
 
 def test_radicands_past_the_trial_bound_answer():
-    # 1000000000039 and 10000000000037 are primes past the cube of the
-    # trial-division bound: radicands that trial division cannot factor
+    # 1000000000039 and 10000000000037 are primes past 10^12; no radicand
+    # is factored, so their size does not matter
     results = []
     for argv in (["approx", "hurwitz", "sqrt(1000000000039)", "10"],
                  ["beatty", "member", "sqrt(10000000000037)", "5"]):
@@ -511,7 +511,7 @@ REPLAY_SAMPLES = [
     ["beatty", "partition", "sqrt(2)", "2+sqrt(2)", "100"],
     ["beatty", "apdecomp", "5", "3", "50"],
     ["beatty", "separate", "3", "5/2"],
-    ["beatty", "cert", "disjoint", "sqrt(2)", "2+sqrt(2)", "--bound", "100"],
+    ["beatty", "cert", "disjoint", "sqrt(2)", "2+sqrt(2)"],
     ["beatty", "imply", "disjoint", "sqrt(2)", "2+sqrt(2)", "1", "1", "1", "100"],
     ["beatty", "common", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "0", "1", "--limit", "500"],
     ["beatty", "dmo", "sqrt(2)", "9/10", "19/20", "100"],
@@ -633,3 +633,27 @@ def test_fuzzed_argv_keeps_the_exit_contract(argv):
     assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
     if out and argv[-1] == "json":
         assert run_capture(json.loads(out)["argv"]) == (code, out, err), argv
+
+
+def test_answers_that_report_no_result():
+    # two fields: 1, sqrt(2) and sqrt(3) are independent, so no certificate exists
+    code, out, err = run_capture(["beatty", "cert", "disjoint", "1+sqrt(2)", "1+sqrt(3)"])
+    assert (code, err) == (0, "") and "found: False" in out
+    code, out, err = run_capture(["nonarch", "linf", "1", "(t+1)/(t)"])
+    assert (code, err) == (0, "") and "applicable: False" in out
+
+
+def test_cert_takes_no_bound():
+    code, _, err = run_capture(["beatty", "cert", "disjoint", "sqrt(2)", "2+sqrt(2)", "--bound", "100"])
+    assert code == 2 and "--bound" in err
+    # a certificate is found whatever its size
+    code, out, _ = run_capture(["beatty", "cert", "fact_c", "sqrt(1000003)", "1+sqrt(1000003)",
+                                "--format", "json"])
+    assert code == 0 and json.loads(out)["result"] == {"found": True, "a": "1000003", "b": "-1000002", "c": "1"}
+
+
+def test_oracle_beatty_refuses_a_tiny_slope_at_once():
+    started = time.perf_counter()
+    code, out, err = run_capture(["oracle", "beatty", "1/1000000", "3"])
+    assert (code, out) == (3, "") and "beatty_naive guard" in err
+    assert time.perf_counter() - started < 1

@@ -26,7 +26,6 @@ from dioapprox.exactnum import (
     radical_sign,
     sign_of,
     sqrt_int,
-    squarefree_split,
 )
 from support import PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, decompose, interval_sign
 
@@ -238,8 +237,16 @@ def test_rational_payloads_collapse():
 
 
 def test_square_part_extraction():
-    v = quad(0, 1, 1, 8)
-    assert isinstance(v, QuadIrr) and v.b == 2 and v.d == 2
+    # no square part is extracted: the radicand stays as written, and the
+    # value is 2*sqrt(2) all the same
+    v, w = quad(0, 1, 1, 8), quad(0, 2, 1, 2)
+    assert repr(v) == "QuadIrr(0, 1, 1, 8)"
+    assert v == w and hash(v) == hash(w) and compare(v, w) == 0
+    for x, y in ((v, w), (quad(1, 3, 2, 8), quad(5, -1, 7, 2))):
+        assert repr(x + y) == repr(y + x) and repr(x * y) == repr(y * x)
+    assert quad(0, 1, 1, 4) == 2 and type(quad(0, 1, 1, 4)) is Fraction
+    with pytest.raises(DomainError):
+        quad(0, 1, 1, 0)
 
 
 def test_gcd_and_sign_normalization():
@@ -264,22 +271,17 @@ def test_quadirr_is_an_immutable_value():
 
 
 def test_squarefree_certification_bound():
-    p = 10_007  # prime beyond the default trial bound
-    big, big2 = 1_000_003, 1_000_033  # primes whose product passes the cube of that bound
+    p = 10_007  # primes; every radicand is kept as written
+    big, big2 = 1_000_003, 1_000_033
     assert isinstance(quad(0, 1, 1, big * big2 * 3), QuadIrr)
-    assert squarefree_split(10**12 + 39) == (1, 10**12 + 39)  # prime
-    # below the cube of the bound, at most two large primes remain
-    assert squarefree_split(p * p * 3) == (p, 3)
-    assert squarefree_split(big * big * 3) == (big, 3)  # a square part is found at any size
-    assert squarefree_split(p * 10_009) == (1, p * 10_009)
     assert isinstance(quad(0, 1, 1, 100000007), QuadIrr)
     # but an honest perfect square is still recognized via isqrt
     assert quad(0, 1, 1, p * p) == p
 
 
 def test_one_field_under_two_radicands():
-    # P and Q are primes past the trial bound, so sqrt(P^2*Q) keeps its
-    # square part and P*sqrt(Q) is the same number over another radicand
+    # P and Q are primes; sqrt(P^2*Q) keeps its square part, as every
+    # radicand does, and P*sqrt(Q) is the same number over another radicand
     rng = random.Random(29)
     for P, Q in ((1_000_003, 1_000_033), (10_007, 10_009), (99_991, 1_000_003)):
         x, y = quad(0, 1, 1, P * P * Q), quad(0, P, 1, Q)
@@ -653,7 +655,7 @@ def test_hurwitz_squaring_chain():
 
 
 def test_two_radical_squaring_on_large_radicands():
-    # d*e passes the squarefree trial bound's square (10^8) in each call
+    # d*e passes 10^8 in each call
     alpha = sqrt_int(5000011)
     appr = approx.segre(alpha, Fraction(1, 3), 100)
     assert appr.verified and approx.verify(alpha, appr)
@@ -711,15 +713,26 @@ def test_decimal_string_round_trip_integers():
         assert format_exact(Fraction(n)) == str(n)
 
 
-def test_squarefree_split_basic():
-    assert squarefree_split(8) == (2, 2)
-    assert squarefree_split(49) == (7, 1)
-    assert squarefree_split(45) == (3, 5)
-    with pytest.raises(DomainError):
-        squarefree_split(0)
-
-
 def test_ensure_exact_accepts_strings():
     assert ensure_exact("sqrt(5)") == sqrt_int(5)
     assert ensure_exact(3) == Fraction(3)
     assert sign_of(ensure_exact("-1/2")) < 0
+
+
+def test_exact_entry_points_refuse_floats():
+    with pytest.raises(DomainError):
+        quad(1, 1, 2.0, 5)
+    with pytest.raises(DomainError):
+        quad(1, 1, 2, 5.0)
+    for args in ((0.5, 1, 2), (0, 0.5, 2), (1, 1, 2, 0.5, 3)):
+        with pytest.raises(DomainError):
+            radical_sign(*args)
+
+
+def test_typed_errors_of_the_kernel():
+    with pytest.raises(DomainError):
+        radical_sign(1, 1, 0)
+    with pytest.raises(ParseError, match="expected sqrt"):
+        parse_exact("2*3")
+    with pytest.raises(ParseError, match="parenthesized numerator"):
+        parse_exact("sqrt(8)/2")

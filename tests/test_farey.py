@@ -245,3 +245,12 @@ def test_bracket_and_greatest_below_at_scale():
     f = farey.greatest_below(order, 2)
     assert farey.phi_embed(f) < 2 <= farey.phi_embed(farey.successor(f))
     assert f == farey.farey_fraction(0, 1, order)
+
+
+def test_typed_errors_of_the_series():
+    with pytest.raises(DomainError, match="not reduced"):
+        farey.farey_fraction(2, 4, 5)
+    with pytest.raises(DomainError, match="order must be >= 1"):
+        farey.greatest_below(0, 1)
+    with pytest.raises(DomainError, match="order must be >= 1"):
+        farey.bracket(SQRT2_M1, 0)

@@ -1235,3 +1235,28 @@ def test_printed_model_values_read_back():
             assert na.parse_laurent(str(v)) == v, str(v)
         fractional += values[0].den != na.Poly([1])
     assert fractional > 250
+
+
+def test_exact_entry_points_refuse_floats():
+    for build in (lambda: na.RatFunc.const(0.1), lambda: na.Poly([0.5, 1]),
+                  lambda: na.IPElem.const(2.0)):
+        with pytest.raises(DomainError):
+            build()
+    assert na.RatFunc.const(Fraction(1, 10)) == rf((1,), (10,))
+    assert na.Poly([Fraction(1, 2), 1]).coeffs == (Fraction(1, 2), 1)
+    assert na.IPElem.const(2) == na.RatFunc.const(2)
+
+
+def test_typed_errors_of_the_model():
+    with pytest.raises(DomainError):
+        na.Poly([]).lc()
+    with pytest.raises(ZeroDivisionError):
+        na.RatFunc(na.Poly([1]), na.Poly([]))
+    with pytest.raises(PrecisionError):
+        na.sqrt1p_eps(4).coeff(4)
+    x = rf((1,), (1, 0, 0, 1))  # 1/(t^3 + 1) starts at eps^3
+    for prec in (3, 2):
+        with pytest.raises(PrecisionError):
+            na.to_series(x, prec)
+    with pytest.raises(DomainError):
+        na.sqrt1p_eps(0)

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from dioapprox import oracle
-from dioapprox.errors import DomainError
+from dioapprox.errors import DomainError, ResourceLimitError
+from dioapprox.exactnum import quad
 from support import PHI, SQRT2, SQRT2_M1, PHI_M1
 
 
@@ -59,6 +61,8 @@ def test_guards_are_hard_errors():
         oracle.series_product_naive([1], [1], 1001)
     with pytest.raises(DomainError):
         oracle.series_inverse_naive([1], 1001)
+    with pytest.raises(DomainError):  # no constant term to invert
+        oracle.series_inverse_naive([0, 1], 3)
     with pytest.raises(DomainError):
         oracle.poly_gcd_naive([1] * 1001, [1])
     with pytest.raises(DomainError):
@@ -107,3 +111,17 @@ def test_farey_walk_examples_and_guard():
             oracle.farey_walk(bad, 5)
     with pytest.raises(DomainError):
         oracle.farey_walk(Fraction(1, 10**6), 10**6)  # ~10^6 steps
+
+
+def test_beatty_naive_refuses_a_long_index_loop():
+    """The scan is refused before it starts when it would pass the index a
+    slope of 1 reaches at the largest cap; every slope >= 1 is admitted."""
+    started = time.perf_counter()
+    for alpha in (Fraction(1, 10**6), quad(0, 1, 10**12, 2), Fraction(99_999, 100_000)):
+        with pytest.raises(ResourceLimitError):
+            oracle.beatty_naive(alpha, oracle.BEATTY_GUARD)
+    with pytest.raises(ResourceLimitError):
+        oracle.beatty_naive(quad(0, 1, 10**12, 2), 3)  # about 2.8*10^12 indices
+    assert time.perf_counter() - started < 1
+    assert oracle.beatty_naive(Fraction(1, 2), 3) == {0, 1, 2, 3}
+    assert len(oracle.beatty_naive(Fraction(1), oracle.BEATTY_GUARD)) == oracle.BEATTY_GUARD + 1
