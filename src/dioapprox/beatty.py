@@ -28,11 +28,13 @@ from .errors import (
 from .exactnum import (
     ExactReal,
     _ceil_row,
+    _first_hit,
+    _floor_row,
     _over,
     _row,
     _sign_one,
+    _walk,
     compare,
-    convergents,
     ensure_exact,
     ensure_rational,
     ext_gcd,
@@ -119,11 +121,12 @@ def _ceil_over(k: int, row: tuple) -> int:
     return _ceil_row(kc * a, -kc * b, abs(norm), d)
 
 
-def _exact_ratio(alpha: ExactReal, n: int) -> tuple[int, int]:
+def _exact_ratio(alpha, n: int) -> tuple[int, int]:
     """p/q with floor(k*alpha) = k*p // q for 0 <= k <= n: the first convergent
-    with q > n, or a rational alpha itself.  For 0 < k < q, |k*alpha - k*p/q| <
-    k/(q*q_next) < 1/q, and k*p/q lies 1/q or more from every integer."""
-    for _, p, q in convergents(alpha):
+    with q > n, or a rational alpha itself; alpha is a value or a row (_walk).
+    For 0 < k < q, |k*alpha - k*p/q| < k/(q*q_next) < 1/q, and k*p/q lies
+    1/q or more from every integer."""
+    for _, p, q, _, _, _ in _walk(alpha):
         if q > n:
             break
     return p, q
@@ -589,35 +592,61 @@ def common_elements(alpha, beta, start: int, count: int,
 
 
 def _first_in_windows(windows, limit: int) -> Optional[int]:
-    """Least n <= limit with lo < frac(n*slope) < hi for every (slope, lo,
-    hi), re-checked exactly, or None.  For irrational slopes and D the
-    common denominator of lo and hi, D*frac(n*slope) is never an integer,
-    so the test is lo*D <= floor(n*D*slope) mod D < hi*D, that floor read
-    off one convergent of D*slope (_exact_ratio) and re-checked by floor_of."""
+    """Least n <= limit with low/D < frac(n*alpha) < high/D for every
+    (row, D, low, high), alpha irrational of row (a, b, c, d), re-checked
+    exactly, or None.
+
+    D*frac(n*alpha) is never an integer, so the test is
+    low <= floor(n*D*alpha) mod D < high.  With p/q the convergent of
+    D*alpha past the limit (_exact_ratio, on the row (a*D, b*D, c, d)),
+    that floor is n*p // q, and it lies in [low, high) exactly when
+    n*p mod q*D lies in [low*q, high*q - 1].  The narrowest window steps
+    from one hit n0 to the next, n0 + 1 + x for the least x of
+    _first_hit (O(log(q*D)) levels); the others are tested at each hit
+    in integers.  The answer is re-checked in every window by the floor
+    of the row (a*D*n, b*D*n, c, d).
+    """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    if len(windows) > 1:  # the narrowest first: it has the fewest hits to step through
+        windows = sorted(windows, key=lambda w: Fraction(w[3] - w[2], w[1]))
     tests = []
-    for slope, lo, hi in windows:
-        d = lcm(lo.denominator, hi.denominator)
-        sd = slope * d
-        tests.append((sd, *_exact_ratio(sd, limit), d, int(lo * d), int(hi * d)))
-    for n in range(1, limit + 1):
-        if all(low <= n * p // q % d < high for _, p, q, d, low, high in tests):
-            if not all(low <= floor_of(sd * n) % d < high for sd, _, _, d, low, high in tests):
-                raise AssertionError(f"index {n} failed its fractional-part re-check")
-            return n
-    return None
+    for (a, b, c, d), D, low, high in windows:
+        row = a * D, b * D, c, d
+        p, q = _exact_ratio(row, limit)
+        tests.append((p, q * D, low * q, high * q - 1, row, D, low, high))
+    (p, M, L, R, *_), *others = tests
+    n = 0
+    while True:
+        x = _first_hit(p, p * (n + 1), M, L, R)
+        if x is None or (n := n + 1 + x) > limit:
+            return None
+        if all(L2 <= n * p2 % M2 <= R2 for p2, M2, L2, R2, *_ in others):
+            break
+    for *_, (a, b, c, d), D, low, high in tests:
+        if not low <= _floor_row(a * n, b * n, c, d) % D < high:
+            raise AssertionError(f"index {n} failed its fractional-part re-check")
+    return n
+
+
+def _scaled(lo: Fraction, hi: Fraction, fault: str) -> tuple[int, int, int]:
+    """(D, lo*D, hi*D) for D the common denominator of lo and hi, in
+    integers; DomainError(fault) unless 0 <= lo < hi <= 1."""
+    D = lcm(lo.denominator, hi.denominator)
+    low, high = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+    if not 0 <= low < high <= D:
+        raise DomainError(fault)
+    return D, low, high
 
 
 def dmo_window_search(alpha, lo, hi, limit: int) -> Optional[int]:
     """Least n <= limit with lo < frac(n*alpha) < hi (_first_in_windows)."""
     alpha = _positive(alpha)
     lo, hi = ensure_rational(lo, "lo"), ensure_rational(hi, "hi")
-    if not (compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0):
-        raise DomainError("need 0 <= lo < hi <= 1")
+    sides = _scaled(lo, hi, "need 0 <= lo < hi <= 1")
     if is_rational(alpha):
         raise RationalInputError("fractional-part searches need irrational alpha")
-    return _first_in_windows([(alpha, lo, hi)], limit)
+    return _first_in_windows([(_row(alpha), *sides)], limit)
 
 
 def residue_search(alpha, modulus: int, residue: int, limit: int) -> Optional[int]:
@@ -628,8 +657,7 @@ def residue_search(alpha, modulus: int, residue: int, limit: int) -> Optional[in
         raise RationalInputError("residue searches need irrational alpha")
     if not 0 <= residue < modulus:
         raise DomainError("need 0 <= residue < modulus")
-    return _first_in_windows([(alpha, Fraction(residue, modulus),
-                               Fraction(residue + 1, modulus))], limit)
+    return _first_in_windows([(_row(alpha), modulus, residue, residue + 1)], limit)
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -683,15 +711,15 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
 
 def kronecker_search(alpha, beta, rect, limit: int) -> Optional[int]:
     """Least n <= limit with frac(n*alpha) in (l1, r1) and frac(n*beta)
-    in (l2, r2) (_first_in_windows)."""
+    in (l2, r2) (_first_in_windows): one step per hit of the narrower
+    window up to the answer."""
     alpha, beta = _positive(alpha), _positive(beta)
     if is_rational(alpha) or is_rational(beta):
         raise RationalInputError("fractional-part searches need irrationals")
     l1, r1, l2, r2 = (ensure_rational(x, "a rectangle side") for x in rect)
-    if not all(compare(lo, 0) >= 0 and compare(lo, hi) < 0 and compare(hi, 1) <= 0
-               for lo, hi in ((l1, r1), (l2, r2))):
-        raise DomainError("rectangle sides must satisfy 0 <= l < r <= 1")
-    return _first_in_windows([(alpha, l1, r1), (beta, l2, r2)], limit)
+    fault = "rectangle sides must satisfy 0 <= l < r <= 1"
+    return _first_in_windows([(_row(alpha), *_scaled(l1, r1, fault)),
+                              (_row(beta), *_scaled(l2, r2, fault))], limit)
 
 
 def agreement_radius(rho, m: int) -> Fraction:

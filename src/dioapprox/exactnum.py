@@ -375,10 +375,15 @@ def sign_of(x) -> int:
 
 
 def floor_of(x) -> int:
-    """Exact floor: the unique integer n with n <= x < n + 1.  Unless b = 0,
-    b*sqrt(d) is irrational (d >= 2 is not a square), so r = isqrt(b*b*d)
-    has r*r < b*b*d."""
+    """Exact floor: the unique integer n with n <= x < n + 1."""
     a, b, c, d = _row(x)
+    return _floor_row(a, b, c, d)
+
+
+def _floor_row(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c) for c > 0.  Unless b = 0, b*sqrt(d) is
+    irrational (d >= 2 is not a square), so r = isqrt(b*b*d) has
+    r*r < b*b*d."""
     r = isqrt(b * b * d)
     return (a + (r if b >= 0 else -r - 1)) // c
 
@@ -404,8 +409,8 @@ def _state(x) -> tuple[int, int, int, int]:
     """x as integers (P, Q, D, r) meaning (P + sqrt(D))/Q, with Q | D - P^2
     and r = isqrt(D); a rational is P/Q with Q > 0 and D = r = 0.  From
     the row (a, b, c, d), D = b^2*d*c^2 and (P, Q) = (a*c, c*c), negated
-    when b < 0."""
-    a, b, c, d = _row(x)
+    when b < 0.  x is a value or a row tuple, which need not be reduced."""
+    a, b, c, d = x if x.__class__ is tuple else _row(x)
     if not b:
         return a, c, 0, 0
     s = c if b > 0 else -c
@@ -414,10 +419,10 @@ def _state(x) -> tuple[int, int, int, int]:
 
 
 def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """The continued-fraction walk of x: yields (a_k, p_k, q_k, P, Q, D)
-    for k = 0, 1, ..., where x_k = (P + sqrt(D))/Q is the k-th complete
-    quotient (x = [a_0; ..., a_(k-1), x_k]), a_k = floor(x_k) and
-    p_k/q_k = [a_0; a_1, ..., a_k].
+    """The continued-fraction walk of x (a value or a row, _state): yields
+    (a_k, p_k, q_k, P, Q, D) for k = 0, 1, ..., where x_k = (P + sqrt(D))/Q
+    is the k-th complete quotient (x = [a_0; ..., a_(k-1), x_k]),
+    a_k = floor(x_k) and p_k/q_k = [a_0; a_1, ..., a_k].
 
     A rational runs Euclid, has D = 0 and stops at its last quotient; a
     quadratic irrational never stops.  Its complete quotients (_state)
@@ -439,6 +444,51 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
         yield quo, p1, q1, P, Q, 0
         P, Q = Q, rem
+
+
+def _first_hit(a: int, b: int, m: int, l: int, r: int) -> int | None:
+    """Least x >= 0 with (a*x + b) mod m in the arc [l, r] of Z/mZ, or
+    None when there is none (possible only when gcd(a, m) > 1); m >= 1
+    and 0 <= l, r < m, an arc with l > r wrapping past m - 1 to 0.
+
+    The arc has w = (r - l) mod m + 1 residues, so rotated by -l it is
+    [0, w - 1]: x = 0 when (b - l) mod m is below w, and otherwise the
+    question is a*x mod m in a plain [L, R] with 0 < L <= R < m.  That
+    question is one Euclid step on (a, m) (Ostrowski numeration in
+    integer form; V. T. Sos 1958, the three-distance theorem):
+    - a = 0 never leaves 0 < L: None.
+    - The least x with a*x >= L is ceil(L/a), and it answers when
+      a*ceil(L/a) <= R; every smaller x has a*x mod m = a*x < L.
+    - Otherwise no multiple of a lies in [L, R], so [L, R] sits inside
+      one gap (j*a, (j+1)*a).  a*x mod m = a*x - m*y lies in [L, R]
+      exactly when a multiple of a lies in [L + m*y, R + m*y], that is
+      when (m mod a)*y mod a lies in [(-R) mod a, (-L) mod a], a plain
+      interval inside [1, a - 1].  The least x for a given y is
+      ceil((L + m*y)/a), which grows with y, so the least y answers: the
+      same question on (m mod a, a).
+    The descent keeps its levels on a list, not the call stack, and
+    each level takes one divmod.  The levels are the Euclid steps of
+    (a, m), at most log_phi(m) + 2 by Lame's theorem, however large x.
+    """
+    a %= m
+    w = (r - l) % m + 1
+    b = (b - l) % m
+    if b < w:
+        return 0
+    L, R = m - b, m - b + w - 1
+    levels = []
+    while True:
+        if not a:
+            return None
+        k, s = divmod(-L, a)  # a*ceil(L/a) = L + s, ceil(L/a) = -k
+        if s <= R - L:
+            break
+        levels.append((a, m, L))
+        a, m, L, R = m % a, a, -R % a, s
+    x = -k
+    for a, m, L in reversed(levels):
+        x = -(-(L + m * x) // a)
+    return x
 
 
 def convergents(x) -> Iterator[tuple[int, int, int]]:

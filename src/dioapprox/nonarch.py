@@ -385,8 +385,9 @@ class EpsSeries(_FieldOps):
     @classmethod
     def make(cls, lead: int, coeffs: Iterable, exact: bool) -> "EpsSeries":
         """Leading zeros move into the lead, and an exact series drops its
-        trailing ones; a Fraction is taken as it is, anything else wrapped."""
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        trailing ones; a Fraction is taken as it is, an int wrapped, and
+        anything else (a float too) is a DomainError (_rational)."""
+        cs = [c if type(c) is Fraction else Fraction(_rational(c)) for c in coeffs]
         start = next((i for i, c in enumerate(cs) if c), len(cs))
         if exact:
             while cs and not cs[-1]:

@@ -8,7 +8,7 @@ sign machinery so the two can check each other.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from dioapprox import nonarch
+from dioapprox import exactnum, nonarch
 from dioapprox.exactnum import QuadIrr, quad, sqrt_int
 
 SQRT2 = sqrt_int(2)
@@ -148,3 +148,28 @@ def counted_gcds():
         yield degrees
     finally:
         nonarch._poly_gcd = poly_gcd
+
+
+def lame_bound(m: int) -> float:
+    """log_phi(m) + 2: Euclid on (a, m), a < m, takes at most log_phi(m)
+    division steps (Lame)."""
+    return m.bit_length() * 1.4405 + 2  # 1/log2(phi) < 1.4405
+
+
+@contextmanager
+def counted_levels():
+    """Count the levels of exactnum._first_hit's descent: each level takes
+    one divmod, so a counting divmod in the module's globals, which the
+    name lookup tries before the builtins, sees every one.  The kernel's
+    only other divmod is _walk's Euclid on a rational."""
+    levels = []
+
+    def counted(x, y):
+        levels.append(y)
+        return divmod(x, y)
+
+    exactnum.divmod = counted
+    try:
+        yield levels
+    finally:
+        del exactnum.divmod

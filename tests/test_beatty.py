@@ -13,7 +13,7 @@ from dioapprox.errors import (
     UnsupportedPairingError,
 )
 from dioapprox.exactnum import compare, floor_of, frac_of, quad, sqrt_int
-from support import PHI, PHI_SQ, SQRT2, SQRT3, SQUAREFREE_POOL
+from support import PHI, PHI_SQ, SQRT2, SQRT3, SQUAREFREE_POOL, counted_levels, lame_bound
 
 
 def test_term_examples():
@@ -969,6 +969,39 @@ def test_kronecker_search_matches_the_oracle():
     for rect in ((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
                  (Fraction(9, 10), 1, 0, Fraction(1, 10))):
         assert beatty.kronecker_search(SQRT2, 1 + SQRT2, rect, 2000) is None
+
+
+def test_far_hits_match_the_oracle():
+    # narrow windows whose first hits lie near 10^5, the oracle's guard; the
+    # last one's is 142,435
+    windows = [(SQRT2, Fraction(7127028729, 10**10), Fraction(1, 10**5)),
+               (PHI, Fraction(387096129, 625000000), Fraction(1, 10**5)),
+               (quad(0, 1, 1000, 10**6 + 3), Fraction(174698253, 1250000000), Fraction(1, 10**5)),
+               (quad(3, 2, 7, 2), Fraction(1, 401), Fraction(1, 10**5))]
+    hits = []
+    for alpha, lo, width in windows:
+        window = (alpha, lo, lo + width)
+        got = _first_hit(lambda n: beatty.dmo_window_search(*window, n), oracle.FRAC_GUARD)
+        assert got == oracle.frac_scan([window], oracle.FRAC_GUARD), window
+        hits.append(got)
+    assert all(h is None or h > 6 * 10**4 for h in hits) and hits.count(None) == 1, hits
+
+
+def test_searches_take_logarithmic_steps():
+    third = Fraction(1, 3)
+    assert beatty.dmo_window_search(SQRT2, third, third + Fraction(1, 10**6), 10**6) == 822801
+    assert beatty.dmo_window_search(SQRT2, third, third + Fraction(1, 10**6), 822800) is None
+    for alpha, width, limit in ((SQRT2, 10**30, 10**40), (PHI, 10**295, 10**300)):
+        hi = third + Fraction(1, width)
+        with counted_levels() as levels:
+            n = beatty.dmo_window_search(alpha, third, hi, limit)
+        assert n is not None and 1 <= n <= limit
+        f = alpha * n - floor_of(alpha * n)  # checked with no search
+        assert compare(f, third) > 0 and compare(f, hi) < 0
+        # Lame: one descent of at most log_phi(q*D) + 2 levels, q just past the limit
+        D = 3 * width
+        q = beatty._exact_ratio((alpha.a * D, alpha.b * D, alpha.c, alpha.d), limit)[1]
+        assert 0 < len(levels) <= lame_bound(q * D)
 
 
 def test_fractional_part_hits_are_rechecked(monkeypatch):

@@ -318,6 +318,17 @@ def test_verify_refuses_negative_tau():
             assert (code, out, err) == (2, "", f"error: tau must be >= 0, got {shown}\n"), spelling
 
 
+def test_dmo_answers_at_a_huge_limit():
+    # the window (1/3, 1/3 + 10^-30) at limit 10^40: one Euclid descent
+    hi = f"{10**30 + 3}/{3 * 10**30}"
+    code, out, err = run_capture(["beatty", "dmo", "sqrt(2)", "1/3", hi, str(10**40)])
+    assert (code, err) == (0, "")
+    assert "found: True\nn: 1107001669602459136224014437985\n" in out
+    # a window too narrow for a small limit is still exhausted (exit 3)
+    code, out, err = run_capture(["beatty", "dmo", "(1+1*sqrt(5))/2", "0", "1/4000000", "20"])
+    assert code == 3 and "found: False" in out and "resource.exhausted: True" in out and not err
+
+
 def test_negative_search_limits_are_usage_errors():
     searches = (["beatty", "dmo", "sqrt(2)", "0", "1"], ["beatty", "residue", "sqrt(2)", "3", "1"],
                 ["beatty", "kronecker", "sqrt(2)", "sqrt(3)", "0", "1", "0", "1"])

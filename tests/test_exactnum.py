@@ -27,7 +27,8 @@ from dioapprox.exactnum import (
     sign_of,
     sqrt_int,
 )
-from support import PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, decompose, interval_sign
+from support import (PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, counted_levels, decompose,
+                     interval_sign, lame_bound)
 
 
 # --- extended gcd ------------------------------------------------------
@@ -473,6 +474,58 @@ def test_walk_yields_the_complete_quotients():
             if xk == a:
                 break
             xk = 1 / (xk - a)
+
+
+# --- first hit of an arc ------------------------------------------------
+
+def _first_hit_by_scan(a, b, m, l, r):
+    """Least x in 0..m-1 with (a*x + b) mod m on the arc from l to r; the
+    residues repeat with period dividing m, so None past that."""
+    arc = set(range(l, r + 1)) if l <= r else set(range(l, m)) | set(range(r + 1))
+    return next((x for x in range(m) if (a * x + b) % m in arc), None)
+
+
+def test_first_hit_matches_a_scan():
+    rng = random.Random(67)
+    seen = dict.fromkeys(("a = 0", "l = 0", "gcd > 1", "wrapped", "none", "far"), 0)
+    for i in range(2400):
+        g = rng.choice((1, 1, 1, 2, 3, 10))
+        m = g * rng.randint(1, 500 // g)
+        a = 0 if i % 11 == 0 else g * rng.randrange(-m // g, 2 * m // g + 1)
+        b = rng.randrange(-m, 2 * m)
+        l, r = (0 if i % 7 == 0 else rng.randrange(m)), rng.randrange(m)
+        if i % 2:  # a narrow arc
+            r = (l + rng.randrange(3)) % m
+        got = exactnum._first_hit(a, b, m, l, r)
+        assert got == _first_hit_by_scan(a, b, m, l, r), (a, b, m, l, r)
+        seen["a = 0"] += a % m == 0
+        seen["l = 0"] += l == 0
+        seen["gcd > 1"] += gcd(a, m) > 1
+        seen["wrapped"] += l > r
+        seen["none"] += got is None
+        seen["far"] += got is not None and got > m // 4
+    assert min(seen.values()) >= 100, seen
+
+
+def test_first_hit_levels_stay_within_lames_bound():
+    rng = random.Random(71)
+    fib = [1, 2]
+    while fib[-1] < 10**60:
+        fib.append(fib[-1] + fib[-2])
+    cases = [(fib[k], 0, fib[k + 1], fib[k + 1] // 3, fib[k + 1] // 3) for k in range(5, len(fib) - 1, 7)]
+    for _ in range(300):
+        m = rng.randrange(2, 10**rng.randint(2, 60))
+        l = rng.randrange(m)
+        cases.append((rng.randrange(m), rng.randrange(m), m, l, (l + rng.randrange(5)) % m))
+    deepest = 0
+    for a, b, m, l, r in cases:
+        with counted_levels() as levels:
+            x = exactnum._first_hit(a, b, m, l, r)
+        assert len(levels) <= lame_bound(m), (a, m)
+        if x is not None:
+            assert l <= (a * x + b) % m <= r or (l > r and not r < (a * x + b) % m < l)
+        deepest = max(deepest, len(levels))
+    assert deepest > 200  # the Fibonacci pairs descend all the way
 
 
 # --- least denominator --------------------------------------------------

@@ -1247,6 +1247,16 @@ def test_exact_entry_points_refuse_floats():
     assert na.IPElem.const(2) == na.RatFunc.const(2)
 
 
+def test_series_make_refuses_floats():
+    for coeffs in ([0.1], [1, 0.5], [Fraction(1, 2), 2.0], ["1/2"]):
+        with pytest.raises(DomainError, match="a rational is an int or a Fraction"):
+            na.EpsSeries.make(0, coeffs, True)
+    s = na.EpsSeries.make(0, [3, Fraction(1, 10)], True)
+    assert s.coeffs == (Fraction(3), Fraction(1, 10))
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert na.format_laurent(na.add(s, 1)) == na.format_laurent(na.EpsSeries.make(0, [4, Fraction(1, 10)], True))
+
+
 def test_typed_errors_of_the_model():
     with pytest.raises(DomainError):
         na.Poly([]).lc()
