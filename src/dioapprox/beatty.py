@@ -134,16 +134,21 @@ def _exact_ratio(alpha, n: int) -> tuple[int, int]:
 
 def _word(p: int, q: int, n: int) -> bytes:
     """The first n bytes of the indicator of {floor(j*p/q) : j >= 0}, for
-    coprime p >= q >= 1: byte k is 1 exactly when k is a term.
+    coprime p, q >= 1: byte k is 1 exactly when k is a term (every k when
+    p < q).  ResourceLimitError past WORD_LIMIT bytes, before any is built.
 
-    This is the standard word of p/q, built from its continued fraction
-    t0, t1, ... by U_-1 = 0, U_0 = 1 0^(t0-1), U_k = U_(k-1)^t_k U_(k-2)
-    for odd k and U_(k-2) U_(k-1)^t_k for even k >= 2; the last U is one
-    period, of length p (Lothaire, Algebraic Combinatorics on Words, ch. 2).
-    Every word is cut to n bytes, so a step repeats U_(k-1) at most
-    ceil(n/len) times, and once U_(k-2) is full length each further word
-    is U_(k-1) (odd k) or U_(k-2) (even k): O(n) copying, O(log p) steps.
+    For p >= q this is the standard word of p/q, built from its continued
+    fraction t0, t1, ... by U_-1 = 0, U_0 = 1 0^(t0-1), U_k = U_(k-1)^t_k
+    U_(k-2) for odd k and U_(k-2) U_(k-1)^t_k for even k >= 2; the last U
+    is one period, of length p (Lothaire, Algebraic Combinatorics on Words,
+    ch. 2).  Every word is cut to n bytes, so a step repeats U_(k-1) at
+    most ceil(n/len) times, and once U_(k-2) is full length each further
+    word is U_(k-1) (odd k) or U_(k-2) (even k): O(n) copying, O(log p) steps.
     """
+    if n > WORD_LIMIT:
+        raise ResourceLimitError(f"a word of {n} bytes exceeds WORD_LIMIT = {WORD_LIMIT}")
+    if p < q:
+        return b"\1" * n
     t, (a, b) = p // q, (q, p % q)
     prev, cur = b"\0", b"\1" + bytes(min(t - 1, n))
     odd = True
@@ -181,10 +186,15 @@ class BeattyWindow:
 
     @cached_property
     def members(self) -> tuple[int, ...]:
-        """The set bytes of the word.  A word of slope below 5 (a member in
-        every 5 bytes or more) is walked byte by byte; a sparser one is
-        read one regex match per member, its zero runs skipped in C."""
+        """The set bytes of the word, refused past WINDOW_LIMIT before any is
+        listed: the floors below bound + 1 of p/q, distinct for p >= q, are
+        min(bound + 1, ceil((bound + 1)*q/p)).  A word of slope below 5 (a
+        member in every 5 bytes or more) is walked byte by byte; a sparser
+        one is read one regex match per member, its zero runs skipped in C."""
         p, q = self.ratio
+        size = min(self.bound + 1, -(-(self.bound + 1) * q // p))
+        if size > WINDOW_LIMIT:
+            raise ResourceLimitError(f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}")
         if p < 5 * q:
             return tuple(compress(range(self.bound + 1), self.word))
         return tuple(map(re.Match.start, re.finditer(b"\1", self.word)))
@@ -204,25 +214,14 @@ class BeattyWindow:
 
 
 def window(alpha, bound: int) -> BeattyWindow:
-    """Complete membership word on [0, bound], read off one convergent
-    (_word); ResourceLimitError past WINDOW_LIMIT members or a word past
-    WORD_LIMIT bytes, both checked before anything is built."""
+    """Complete membership word on [0, bound], read off the convergent exact
+    up to the last index whose term is <= bound (_word refuses a word past
+    WORD_LIMIT bytes; .members refuses past WINDOW_LIMIT members)."""
     alpha = _positive(alpha)
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
-    last = mu(alpha, bound)  # the largest index whose term is <= bound
-    p, q = _exact_ratio(alpha, last)
-    size = last + 1 if p >= q else bound + 1  # a slope below 1 hits every integer
-    if size > WINDOW_LIMIT:
-        raise ResourceLimitError(
-            f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}"
-        )
-    if bound + 1 > WORD_LIMIT:
-        raise ResourceLimitError(
-            f"a window word of {bound + 1} bytes exceeds WORD_LIMIT = {WORD_LIMIT}"
-        )
-    word = _word(p, q, bound + 1) if p >= q else b"\1" * (bound + 1)
-    return BeattyWindow(alpha, bound, word, (p, q))
+    p, q = _exact_ratio(alpha, mu(alpha, bound))
+    return BeattyWindow(alpha, bound, _word(p, q, bound + 1), (p, q))
 
 
 def mu(alpha, h: int) -> int:
@@ -560,25 +559,23 @@ class CommonScan(NamedTuple):
 def common_elements(alpha, beta, start: int, count: int,
                     *, limit: int = DEFAULT_SCAN_LIMIT) -> CommonScan:
     """First `count` shared values above `start`: the set bytes of A & B for
-    the two words (_word), built at about 2*start + 256 bytes and doubled
-    while under (limit + 1)/2, then at limit + 1, so under 2*(limit + 1)
-    bytes per word in all.  An unfilled result at `limit` carries
-    exhausted=True; a limit + 1 past WORD_LIMIT is refused before any word.
-    scanned_to is the least term of either sequence above the last value
-    found, or at index 1 when count is 0.
+    the two words (_word), built at about 2*start + 256 bytes and doubled up
+    to limit + 1, so under 3*(limit + 1) bytes per word in all.  An unfilled
+    result at `limit` carries exhausted=True; a round whose words pass
+    WORD_LIMIT is refused before they are built (_word), after the same
+    rounds at every limit past it.  scanned_to is the least term of either
+    sequence above the last value found, or at index 1 when count is 0.
     """
     alpha, beta = _positive(alpha), _positive(beta)
     if count < 0 or start < 0:
         raise DomainError("need start >= 0 and count >= 0")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    if count and limit + 1 > WORD_LIMIT:
-        raise ResourceLimitError(f"a scan word of {limit + 1} bytes exceeds WORD_LIMIT = {WORD_LIMIT}")
     ratios = [_exact_ratio(x, mu(x, limit) + 1) for x in (alpha, beta)]
     found = []
     n = min(2 * start + 256, limit + 1)
     while len(found) < count:
-        a, b = (_as_int(_word(p, q, n) if p >= q else b"\1" * n) for p, q in ratios)
+        a, b = (_as_int(_word(p, q, n)) for p, q in ratios)
         shared = (a & b).to_bytes(n, "little")
         k = found[-1] if found else start
         while len(found) < count and (k := shared.find(1, k + 1)) > 0:
@@ -586,7 +583,7 @@ def common_elements(alpha, beta, start: int, count: int,
         if len(found) < count:
             if n == limit + 1:
                 return CommonScan(tuple(found), True, limit)
-            n = limit + 1 if 4 * n > limit + 1 else 2 * n
+            n = min(2 * n, limit + 1)
     after = [(-(-(found[-1] + 1) * q // p) if found else 1) * p // q for p, q in ratios]
     return CommonScan(tuple(found), False, min(after))
 
@@ -680,24 +677,23 @@ def pth_root_dmo_witness(p: int, lo, hi) -> tuple[int, int]:
     contain an integer once n exceeds the (p-1)-th root of t/p for the
     mesh denominator t, so termination is certain; ResourceLimitError
     when that bound is past DEFAULT_SCAN_LIMIT and no n up to it works, or
-    before any power when one could pass POWER_BITS_LIMIT bits.
+    at the first n whose powers could pass POWER_BITS_LIMIT bits, untaken.
     """
     if p < 2:
         raise DomainError("root degree must be >= 2")
     lo, hi = ensure_rational(lo, "lo"), ensure_rational(hi, "hi")
     if not (0 <= lo < hi < 1):
         raise DomainError("need 0 <= lo < hi < 1")
-    x = lcm(lo.denominator, hi.denominator) // p + 1
     (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    n_last = min((1 << x.bit_length() // (p - 1) + 1) + 2, DEFAULT_SCAN_LIMIT)  # >= the last n
-    bits = p * ((n_last + 1) * max(b, d)).bit_length()  # bounds (n*b + a)^p and (n*d + c)^p
-    if bits > POWER_BITS_LIMIT:
-        raise ResourceLimitError(
-            f"powers of up to {bits} bits exceed POWER_BITS_LIMIT = {POWER_BITS_LIMIT}"
-        )
-    n_stop = _int_nth_root(x, p - 1) + 2
-    bp, dp = b**p, d**p
-    for n in range(1, min(n_stop, DEFAULT_SCAN_LIMIT) + 1):
+    for n in range(1, DEFAULT_SCAN_LIMIT + 1):
+        bits = p * ((n + 1) * max(b, d)).bit_length()  # bounds b^p, d^p, (n*b + a)^p, (n*d + c)^p
+        if bits > POWER_BITS_LIMIT:
+            raise ResourceLimitError(f"{bits}-bit powers at n = {n} exceed POWER_BITS_LIMIT = {POWER_BITS_LIMIT}")
+        if n == 1:  # lcm(b, d) < 2^bits, so the root's powers stay under bits bits too
+            bp, dp = b**p, d**p
+            n_stop = _int_nth_root(lcm(b, d) // p + 1, p - 1) + 2
+        if n > n_stop:
+            break
         m = (n * b + a) ** p // bp + 1  # the least integer above (n + lo)^p
         if m * dp < (n * d + c) ** p:
             return m, n

@@ -480,17 +480,13 @@ def _execute(cmd: _Command, ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _render_plain(envelope: dict, stream):
-    def emit(prefix, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                emit(f"{prefix}{k}.", v) if isinstance(v, dict) else emit_kv(f"{prefix}{k}", v)
-        else:
-            emit_kv(prefix.rstrip("."), value)
-
-    def emit_kv(key, value):
-        if isinstance(value, list):
-            value = " ".join(str(v) for v in value)
-        print(f"{key}: {value}", file=stream)
+    def emit(prefix, fields: dict):
+        for k, v in fields.items():
+            if isinstance(v, dict):
+                emit(f"{prefix}{k}.", v)
+            else:
+                v = " ".join(str(x) for x in v) if isinstance(v, list) else v
+                print(f"{prefix}{k}: {v}", file=stream)
 
     print(f"command: {envelope['command']}", file=stream)
     emit("", envelope["result"])

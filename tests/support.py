@@ -7,6 +7,7 @@ sign machinery so the two can check each other.
 
 from contextlib import contextmanager
 from fractions import Fraction
+import tracemalloc
 
 from dioapprox import exactnum, nonarch
 from dioapprox.exactnum import QuadIrr, quad, sqrt_int
@@ -173,3 +174,17 @@ def counted_levels():
         yield levels
     finally:
         del exactnum.divmod
+
+
+def peak_traced(call):
+    """call()'s result, or the exception it raised, and the peak in bytes
+    of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except Exception as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -20,7 +20,14 @@ def test_dirichlet_pinned_examples():
     a = approx.dirichlet(SQRT2_M1, 10)
     assert (a.p, a.q) == (2, 5) and a.verified
     a = approx.dirichlet(SQRT2, 5)
-    assert (a.p, a.q) == (7, 5)
+    assert (a.p, a.q) == (7, 5) and a.value() == Fraction(7, 5)
+
+
+def test_builders_recheck_the_candidate(monkeypatch):
+    # 1/7 claimed inside the window of sqrt(2) past Q = 5
+    monkeypatch.setattr(approx, "_candidates", lambda alpha, bound, intermediates: iter([(1, 7, True)]))
+    with pytest.raises(AssertionError, match="failed its own bound"):
+        approx.large_denominator(SQRT2, 5)
 
 
 def test_dirichlet_degenerate_order_one():

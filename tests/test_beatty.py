@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -13,13 +14,16 @@ from dioapprox.errors import (
     UnsupportedPairingError,
 )
 from dioapprox.exactnum import compare, floor_of, frac_of, quad, sqrt_int
-from support import PHI, PHI_SQ, SQRT2, SQRT3, SQUAREFREE_POOL, counted_levels, lame_bound
+from support import (PHI, PHI_SQ, SQRT2, SQRT3, SQUAREFREE_POOL, counted_levels, lame_bound,
+                     peak_traced)
 
 
 def test_term_examples():
     assert beatty.beatty_term(SQRT2, 5) == 7
     assert beatty.beatty_term(PHI, 0) == 0
     assert beatty.beatty_term(Fraction(3, 2), 7) == 10
+    with pytest.raises(DomainError, match="index must be >= 0"):
+        beatty.beatty_term(SQRT2, -1)
 
 
 def test_member_examples():
@@ -182,49 +186,69 @@ def test_sparse_window_members():
 
 
 def test_window_limit_guard():
+    """A window is built whatever its member count; .members refuses past
+    WINDOW_LIMIT before listing any, so the checks that read only words
+    are bounded by WORD_LIMIT alone."""
     assert beatty.WINDOW_LIMIT == 10**6
-    cert = beatty.Certificate(beatty.CertKind.COVER, 1, 1, 1)
-    for call in (
-        lambda: beatty.window(PHI, 10**9),
-        lambda: beatty.window(SQRT2 / 10**4, 10**6),  # every integer is a member
-        lambda: beatty.partition_check(PHI, PHI_SQ, 10**9),
-        lambda: beatty.verify_implication(beatty.CertKind.COVER, PHI, PHI_SQ, cert, 10**9),
-        lambda: beatty.ap_decomposition(7, 3, 10**9),
-    ):
-        with pytest.raises(ResourceLimitError, match="WINDOW_LIMIT"):
-            call()
+    # 6,180,340 members; 1,000,001, as every integer is a member
+    for alpha, bound in ((PHI, 10**7 - 1), (SQRT2 / 10**4, 10**6)):
+        win = beatty.window(alpha, bound)
+        exc, peak = peak_traced(lambda: win.members)
+        assert isinstance(exc, ResourceLimitError) and "WINDOW_LIMIT" in str(exc)
+        assert peak < 10**6  # beyond the word that already exists
     assert len(beatty.window(SQRT2 / 10**4, 10**5).members) == 10**5 + 1
+    cert = beatty.Certificate(beatty.CertKind.PARTITION, 1, 1, 1)
+    assert beatty.partition_check(PHI, PHI_SQ, 3 * 10**6).ok
+    assert beatty.verify_implication(beatty.CertKind.PARTITION, PHI, PHI_SQ, cert, 3 * 10**6).ok
+    assert beatty.ap_decomposition(7, 3, 5 * 10**6).ok
+
+
+def test_window_member_count_is_read_off_the_ratio(monkeypatch):
+    """.members refuses exactly when it would list more than WINDOW_LIMIT:
+    the count it reads off the ratio is the number of members, on random
+    slopes, rational ones below 1 included."""
+    rng = random.Random(71)
+    for _ in range(300):
+        alpha = rng.choice((Fraction(rng.randint(1, 60), rng.randint(1, 30)),
+                            quad(rng.randint(0, 9), rng.randint(1, 5), rng.randint(1, 30),
+                                 rng.choice(SQUAREFREE_POOL))))
+        bound = rng.randrange(300)
+        members = tuple(k for k, bit in enumerate(beatty.window(alpha, bound).word) if bit)
+        assert set(members) == oracle.beatty_naive(alpha, bound)
+        monkeypatch.setattr(beatty, "WINDOW_LIMIT", len(members))
+        assert beatty.window(alpha, bound).members == members
+        monkeypatch.setattr(beatty, "WINDOW_LIMIT", len(members) - 1)
+        with pytest.raises(ResourceLimitError, match="WINDOW_LIMIT"):
+            beatty.window(alpha, bound).members
 
 
 def test_word_limit_guard():
-    """A window's word spans bound + 1 bytes whatever its member count, so a
-    sparse window past WORD_LIMIT is refused before any word is built, and
-    so is an oversized progression check, before its prediction is built,
-    and a common-element scan whose words could pass WORD_LIMIT."""
-    import tracemalloc
-
+    """Every word is built by _word, which refuses one past WORD_LIMIT bytes
+    before building it, so each refusal here costs under 1 MB: a sparse
+    window (few members, a long word), the checks that read windows'
+    words, an oversized progression check before its prediction is built,
+    and a scan whose first round would pass the limit."""
     assert beatty.WORD_LIMIT == 10**7
     cert = beatty.Certificate(beatty.CertKind.DISJOINT, 10**7, 10**7, 1)
     for call, limit in (
+        (lambda: beatty._word(3, 2, 10**7 + 1), "WORD_LIMIT"),
+        (lambda: beatty._word(2, 3, 10**7 + 1), "WORD_LIMIT"),  # all ones
         (lambda: beatty.window(10**7, 10**12), "WORD_LIMIT"),  # 100,001 members
+        (lambda: beatty.window(PHI, 10**9), "WORD_LIMIT"),
+        (lambda: beatty.window(SQRT2 / 10**4, 10**12), "WORD_LIMIT"),
         (lambda: beatty.partition_check(10**7, 10**7 + 1, 10**12), "WORD_LIMIT"),
         (lambda: beatty.verify_implication(beatty.CertKind.DISJOINT, 10**7 * PHI,
                                            10**7 * PHI_SQ, cert, 10**12), "WORD_LIMIT"),
         (lambda: beatty.ap_decomposition(10**12, 1, 10**13), "WORD_LIMIT"),
-        (lambda: beatty.ap_decomposition(7, 3, 10**9), "WINDOW_LIMIT"),
+        (lambda: beatty.ap_decomposition(7, 3, 10**9), "WORD_LIMIT"),
         # 10^7 progressions of one period, refused before any is built
         (lambda: beatty.ap_decomposition(99999999999999999999, 10**7, 1000), "WINDOW_LIMIT"),
-        # 10^6 progressions are allowed, but the window is checked before they are built
-        (lambda: beatty.ap_decomposition(10**6 + 1, 10**6, 10**9), "WINDOW_LIMIT"),
-        (lambda: beatty.common_elements(PHI, PHI_SQ, 0, 1, limit=10**8), "WORD_LIMIT"),
+        # 10^6 progressions are allowed, but the window's word is refused before they are built
+        (lambda: beatty.ap_decomposition(10**6 + 1, 10**6, 10**9), "WORD_LIMIT"),
+        (lambda: beatty.common_elements(SQRT2, 1 + SQRT2, 10**7, 1, limit=10**8), "WORD_LIMIT"),
     ):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match=limit):
-                call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        exc, peak = peak_traced(call)
+        assert isinstance(exc, ResourceLimitError) and limit in str(exc), exc
         assert peak < 10**6
     win = beatty.window(10**7, 10**7 - 1)
     assert len(win.word) == beatty.WORD_LIMIT and win.members == (0,)
@@ -232,6 +256,29 @@ def test_word_limit_guard():
     assert beatty.ap_decomposition(10**12, 1, 10) == (
         (beatty.ArithProgression(10**12, 0),), True, 10, None)
     assert beatty.ap_decomposition(10**12 + 1, 2, 10).ok
+
+
+def test_scan_rounds_meet_the_word_limit(monkeypatch):
+    """A scan's words are refused only in the round that would pass
+    WORD_LIMIT: a count met below it answers at any limit, and an empty
+    scan refuses once its words have covered at least the first
+    WORD_LIMIT/2 integers, at a traced peak of at most 8*WORD_LIMIT.
+    The rounds below the limit are the same at every limit past it, so a
+    larger limit never refuses what a smaller one answers."""
+    scan = beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3, limit=10**8)
+    assert scan == beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3) and scan.found == (2, 4, 7)
+    # its last value 5,999,999 lies in the round of 8,388,608 bytes
+    for limit in (15 * 10**6, 10**8):
+        assert beatty.common_elements(SQRT2, 1 + SQRT2, 0, 2485281, limit=limit).found[-1] == 5999999
+    word = beatty._word
+    for limit in (10**7, 15 * 10**6, 10**8):
+        built = []
+        monkeypatch.setattr(beatty, "_word", lambda p, q, n: built.append(n) or word(p, q, n))
+        exc, peak = peak_traced(lambda: beatty.common_elements(PHI, PHI_SQ, 0, 1, limit=limit))
+        assert isinstance(exc, ResourceLimitError) and "WORD_LIMIT" in str(exc)
+        assert peak <= 8 * beatty.WORD_LIMIT
+        assert built[:-1] == [256 << k for k in range(16) for _ in "ab"]  # up to 8,388,608
+        assert built[-1] == min(256 << 16, limit + 1) > beatty.WORD_LIMIT
 
 
 def test_window_small_slope_covers_everything():
@@ -445,6 +492,8 @@ def test_ap_decomposition_rejects_slope_below_one():
     for modulus, residue in ((3, 5), (0, 0), (3, -1)):
         with pytest.raises(DomainError):
             beatty.ArithProgression(modulus, residue)
+    pr = beatty.ArithProgression(7, 2)
+    assert [x for x in range(-7, 20) if pr.covers(x)] == [2, 9, 16]
 
 
 # --- separation ----------------------------------------------------------
@@ -571,7 +620,21 @@ def test_separation_requires_distinct_slopes():
         beatty.separation_witness(PHI, PHI)
 
 
+def test_separation_witness_is_rechecked(monkeypatch):
+    # for 5/2 and 3 the split is at n = 1; at n = 6, 15 = floor(6*5/2) is in both
+    monkeypatch.setattr(beatty, "least_denominator", lambda *ends: 6)
+    with pytest.raises(AssertionError, match="membership re-check"):
+        beatty.separation_witness(3, Fraction(5, 2))
+
+
 # --- certificates ---------------------------------------------------------
+
+def test_certificate_search_rechecks_the_relation(monkeypatch):
+    # a unit relation that does not hold: 2/sqrt(2) + 3/(2 + sqrt(2)) is not 1
+    monkeypatch.setattr(beatty, "_primitive_relation", lambda x, y: (2, 3, 1))
+    with pytest.raises(AssertionError, match="non-verifying certificate"):
+        beatty.certificate_search(beatty.CertKind.DISJOINT, SQRT2, 2 + SQRT2)
+
 
 def test_certificate_search_examples():
     cert = beatty.certificate_search(beatty.CertKind.FACT_F_PRIME, Fraction(3), Fraction(3, 2))
@@ -803,13 +866,15 @@ def test_common_elements_examples(monkeypatch):
         beatty.common_elements(SQRT2, 1 + SQRT2, 0, 3, limit=-1)
     with pytest.raises(DomainError, match="need start >= 0"):  # checked before the limit
         beatty.common_elements(SQRT2, 1 + SQRT2, -1, 3, limit=-1)
-    # an empty scan builds each word in rounds of fewer than 2*(limit + 1) bytes in all
+    # an empty scan doubles its two words from 256 bytes up to limit + 1,
+    # fewer than 3*(limit + 1) bytes per word in all
     built = []
     word = beatty._word
     monkeypatch.setattr(beatty, "_word", lambda p, q, n: built.append(n) or word(p, q, n))
     limit = beatty.DEFAULT_SCAN_LIMIT
     assert beatty.common_elements(PHI, PHI_SQ, 0, 1) == ((), True, limit)
-    assert max(built) == limit + 1 and sum(built) <= 4 * (limit + 1)
+    assert built == [256 << k for k in range(9) for _ in "ab"] + [limit + 1] * 2
+    assert sum(built) < 6 * (limit + 1)
 
 
 def test_common_elements_respects_start():
@@ -1028,17 +1093,40 @@ def test_pth_root_witness_scan_is_bounded(monkeypatch):
     assert beatty.pth_root_dmo_witness(3, Fraction(1, 2), Fraction(5000001, 10**7))[1] == 647
 
 
-def test_pth_root_refuses_powers_past_the_bits_limit():
-    # the scan's bound for (1/3, 1/2) is n_last = 4, and 15 = (4 + 1)*3 has 4 bits
+def test_pth_root_refuses_powers_past_the_bits_limit(monkeypatch):
+    """Each n checks p*bitlen((n + 1)*max(b, d)), which bounds b^p, d^p and
+    that n's two powers, before taking any: for (1/3, 1/2) it is 3*p bits
+    at n = 1, so degrees up to 1000 answer there."""
     assert beatty.POWER_BITS_LIMIT == 750 * 4
-    m, n = beatty.pth_root_dmo_witness(750, Fraction(1, 3), Fraction(1, 2))
-    assert n == 1 and 4**750 < 3**750 * m and 2**750 * m < 3**750
-    assert len(str(m)) < 4300
-    for p, lo, hi in ((751, Fraction(1, 3), Fraction(1, 2)),
-                      (10**7, Fraction(1, 3), Fraction(1, 2)),
-                      (3, Fraction(1, 10**4000 + 1), Fraction(1, 10**4000))):
-        with pytest.raises(ResourceLimitError, match="POWER_BITS_LIMIT"):
-            beatty.pth_root_dmo_witness(p, lo, hi)
+    for p in (750, 751, 1000):
+        m, n = beatty.pth_root_dmo_witness(p, Fraction(1, 3), Fraction(1, 2))
+        assert n == 1 and 4**p < 3**p * m and 2**p * m < 3**p
+    for p, lo, hi, n in ((1001, Fraction(1, 3), Fraction(1, 2), 1),
+                         (10**7, Fraction(1, 3), Fraction(1, 2), 1),
+                         (3, Fraction(1, 10**4000 + 1), Fraction(1, 10**4000), 1),
+                         # no witness below n = 1023, where (n + 1)*2^990 gains a bit
+                         (3, 0, Fraction(1, 2**990), 1023)):
+        exc, peak = peak_traced(lambda: beatty.pth_root_dmo_witness(p, lo, hi))
+        assert isinstance(exc, ResourceLimitError)
+        assert f"at n = {n} exceed POWER_BITS_LIMIT" in str(exc)
+        assert peak < 10**6  # 3^(10^7) alone would take 2 MB
+    # a refusal at n = 1 takes no root of the 10^5-digit mesh denominator,
+    # which would bisect over its 332,000 bits first
+    roots = []
+    root = beatty._int_nth_root
+    monkeypatch.setattr(beatty, "_int_nth_root", lambda x, k: roots.append(x) or root(x, k))
+    lo, hi = Fraction(1, 10**100000 + 1), Fraction(1, 10**100000)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="at n = 1 exceed POWER_BITS_LIMIT"):
+        beatty.pth_root_dmo_witness(2, lo, hi)
+    assert time.perf_counter() - t0 < 1 and roots == []
+
+
+def test_pth_root_rechecks_the_guaranteed_bound(monkeypatch):
+    # a wrong root ends the scan at n = 2, below the first witness
+    monkeypatch.setattr(beatty, "_int_nth_root", lambda x, n: 0)
+    with pytest.raises(AssertionError, match="guaranteed-termination bound"):
+        beatty.pth_root_dmo_witness(2, 0, Fraction(1, 10**8))
 
 
 def test_pth_root_witness_verified_by_powers():

@@ -123,15 +123,33 @@ def test_resource_exit_code():
 
 
 def test_window_limit_exit_code():
-    for argv in (["beatty", "window", "(1+1*sqrt(5))/2", "1000000000"],
-                 ["beatty", "partition", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "1000000000"]):
+    # a word past WORD_LIMIT is refused before it is built, and past
+    # WINDOW_LIMIT members a window's list before any is listed
+    for argv, limit in ((["beatty", "window", "(1+1*sqrt(5))/2", "1000000000"], "WORD_LIMIT"),
+                        (["beatty", "partition", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2",
+                          "1000000000"], "WORD_LIMIT"),
+                        # a sparse window: 100,001 members, but a word of 10^12 + 1 bytes
+                        (["beatty", "window", "10000000", "1000000000000"], "WORD_LIMIT"),
+                        # every integer is a member
+                        (["beatty", "window", "(0+1*sqrt(2))/10000", "1000000"], "WINDOW_LIMIT")):
         code, out, err = run_capture(argv)
         assert code == 3 and out == ""
-        assert "WINDOW_LIMIT" in err and "Traceback" not in err
-    # a sparse window: 100,001 members, but a word of 10^12 + 1 bytes
-    code, out, err = run_capture(["beatty", "window", "10000000", "1000000000000"])
-    assert code == 3 and out == ""
-    assert "WORD_LIMIT" in err and "Traceback" not in err
+        assert limit in err and "Traceback" not in err
+
+
+def test_answers_that_fit_every_limit():
+    """Each limit is checked where the work it bounds is built, so these
+    answer: a scan whose count is met in its first words, checks that read
+    words only, and a witness whose powers stay under POWER_BITS_LIMIT."""
+    for argv, line in ((["beatty", "common", "sqrt(2)", "1+sqrt(2)", "0", "3",
+                         "--limit", "100000000"], "found: 2 4 7"),
+                       (["beatty", "partition", "sqrt(2)", "2+sqrt(2)", "3000000"], "status: PASS"),
+                       (["beatty", "apdecomp", "7", "3", "5000000"], "status: PASS"),
+                       (["beatty", "pthroot", "751", "1/3", "1/2"], "n: 1")):
+        code, out, err = run_capture(argv)
+        assert code == 0 and not err and line in out.splitlines(), argv
+    m = int(out.splitlines()[1].removeprefix("M: "))
+    assert 4**751 < 3**751 * m and 2**751 * m < 3**751
 
 
 def test_scan_and_progression_limits_exit_code():
@@ -237,11 +255,18 @@ def test_series_of_a_dense_quotient_stops_at_the_coefficient_limit():
     assert time.perf_counter() - start < 5  # expanding all 600 terms takes several seconds
 
 
-def test_partition_certificate_with_other_coefficients_is_refused():
+def test_partition_certificate_with_other_coefficients_is_refused(monkeypatch):
     code, out, err = run_capture(["beatty", "imply", "partition", "(1+1*sqrt(5))/2",
                                   "(3+1*sqrt(5))/2", "5", "7", "1", "50"])
     assert code == 2 and out == ""
     assert "does not hold" in err and "Traceback" not in err
+    # a certificate that holds, with a set check that fails, prints the violation
+    monkeypatch.setattr(beatty, "verify_implication", lambda kind, alpha, beta, cert, M:
+                        beatty.ImplicationReport(False, kind, M, "3 is in both sequences"))
+    code, out, err = run_capture(["beatty", "imply", "partition", "(1+1*sqrt(5))/2",
+                                  "(3+1*sqrt(5))/2", "1", "1", "1", "50"])
+    assert code == 1 and not err
+    assert out.splitlines()[1:] == ["status: FAIL", "violation: 3 is in both sequences"]
 
 
 def test_implication_on_rational_slopes_is_refused():
@@ -520,11 +545,14 @@ REPLAY_SAMPLES = [
     ["beatty", "window", "sqrt(2)", "12"],
     ["beatty", "mu", "sqrt(2)", "10"],
     ["beatty", "partition", "sqrt(2)", "2+sqrt(2)", "100"],
+    ["beatty", "partition", "sqrt(2)", "2+sqrt(2)", "3000000"],
     ["beatty", "apdecomp", "5", "3", "50"],
+    ["beatty", "apdecomp", "7", "3", "5000000"],
     ["beatty", "separate", "3", "5/2"],
     ["beatty", "cert", "disjoint", "sqrt(2)", "2+sqrt(2)"],
     ["beatty", "imply", "disjoint", "sqrt(2)", "2+sqrt(2)", "1", "1", "1", "100"],
     ["beatty", "common", "(1+1*sqrt(5))/2", "(3+1*sqrt(5))/2", "0", "1", "--limit", "500"],
+    ["beatty", "common", "sqrt(2)", "1+sqrt(2)", "0", "3", "--limit", "100000000"],
     ["beatty", "dmo", "sqrt(2)", "9/10", "19/20", "100"],
     ["beatty", "residue", "sqrt(2)", "3", "1", "100"],
     ["beatty", "pthroot", "2", "1/3", "1/2"],

@@ -72,6 +72,7 @@ def test_compare_examples():
     assert compare(SQRT2, Fraction(3, 2)) < 0
     assert compare(PHI, PHI) == 0
     assert compare(1 + SQRT2, Fraction(12, 5)) > 0
+    assert SQRT2 <= SQRT2 <= Fraction(3, 2) and PHI >= PHI >= SQRT2 and not SQRT2 >= PHI
 
 
 def _random_exact(rng):
@@ -324,6 +325,7 @@ def test_arithmetic_identities():
     assert SQRT2 * SQRT2 == Fraction(2)
     assert 1 / (1 + SQRT2) == SQRT2 - 1
     assert (PHI - 1) * PHI == Fraction(1)
+    assert PHI.inverse() == PHI - 1 and (1 + SQRT2).inverse() == SQRT2 - 1
     assert frac_of(SQRT2) == SQRT2_M1
 
 

@@ -15,6 +15,9 @@ def as_pairs(order):
 
 def test_sequence_small_orders():
     assert as_pairs(1) == [(0, 1), (1, 1)]
+    x = farey.farey_fraction(2, 5, 5)
+    assert repr(x) == "FareyFraction(2/5, order=5)"
+    assert len({x, farey.farey_fraction(2, 5, 5), farey.farey_fraction(2, 5, 6)}) == 2
     assert as_pairs(5) == [
         (0, 1), (1, 5), (1, 4), (1, 3), (2, 5), (1, 2),
         (3, 5), (2, 3), (3, 4), (4, 5), (1, 1),

@@ -236,6 +236,7 @@ def test_constants_are_canonical_without_a_gcd(monkeypatch):
             assert type(got) is cls and got == want and hash(got) == hash(want)
             assert (got.num, got.den) == (want.num, want.den)
     assert na.RatFunc.const(0).den == na.Poly([1]) and na.IPElem.const(Fraction(4, 2)).constant() == 2
+    assert (na.RatFunc.const(1) == 1) is False  # a RatFunc equals only a RatFunc
     with pytest.raises(DomainError, match="must be an integer, got 1/2"):
         na.IPElem.const(Fraction(1, 2))
     with pytest.raises(ResourceLimitError, match="COEFF_BITS_LIMIT"):
@@ -370,6 +371,7 @@ def test_to_series_matches_naive():
         assert not s.exact and s.prec == prec
         want = oracle.series_product_naive(f, oracle.series_inverse_naive(g, prec - lead), prec - lead)
         assert [s.coeff(lead + i) for i in range(prec - lead)] == want
+        assert na.to_series(s, prec) is s
 
 
 def test_series_rows_are_exact_on_every_scale():
@@ -819,6 +821,7 @@ def test_linf_experiment_infinitesimal_gap():
     rho = na.add(sigma, INV_T)
     rep = na.linf_experiment(sigma, rho)
     assert not rep.applicable
+    assert oracle.linf_scan(Fraction(3, 2), 0, Fraction(3, 2), 1, 10) is None  # the floors never split
 
 
 def test_linf_experiment_nonstandard_slope():
@@ -828,6 +831,20 @@ def test_linf_experiment_nonstandard_slope():
     assert rep.separator == na.IPElem(na.Poly([4]))
     # the separator really is a sigma-sequence element and skipped by rho
     assert na.beatty_nonarch(sigma, na.IPElem.const(rep.k + 1)) == rep.separator
+
+
+@pytest.mark.parametrize("name, fake, match", [
+    # for 5/4 and 3/2, m = 4 and the floors split at n = 2
+    ("_floor_pair", lambda n, d: na.IPElem(na.Poly([4, 1])), "infinite bound"),
+    ("least_denominator", lambda *ends: 6, "no split found"),
+    ("least_denominator", lambda *ends: 1, "do not split"),
+    ("beatty_nonarch", lambda alpha, k, floors=iter((2, 2, 1, 3)): na.IPElem.const(next(floors)),
+     "between neighbors"),
+])
+def test_linf_experiment_rechecks_each_step(monkeypatch, name, fake, match):
+    monkeypatch.setattr(na, name, fake)
+    with pytest.raises(AssertionError, match=match):
+        na.linf_experiment(na.RatFunc.const(Fraction(5, 4)), na.RatFunc.const(Fraction(3, 2)))
 
 
 def test_linf_experiment_domain_checks():
@@ -1186,6 +1203,7 @@ def test_format_round_trip():
         if x.num.is_zero():
             continue
         assert na.parse_laurent(na.format_laurent(x)) == x
+    assert na.format_laurent(na.EpsSeries.make(0, [0, 0], True)) == "0"
 
 
 def test_a_product_after_a_slash_must_be_parenthesized():
