@@ -15,11 +15,11 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import DomainError, RationalInputError, ResourceLimitError
 from .exactnum import (
     ExactReal,
+    _last_convergents,
     _row,
     _sign_one,
     _walk,
     compare,
-    convergents,
     ensure_exact,
     ensure_rational,
     is_rational,
@@ -168,18 +168,15 @@ def _finish(alpha: ExactReal, p: int, q: int, bound: Bound) -> Approximation:
 def dirichlet(alpha: ExactReal, q_cap: int) -> Approximation:
     """p/q with 1 <= q <= Q, gcd(p, q) = 1 and |alpha - p/q| <= 1/(q*Q).
 
-    The last convergent p_k/q_k with q_k <= Q: the next denominator
-    exceeds Q, so |alpha - p_k/q_k| < 1/(q_k q_(k+1)) < 1/(q_k Q)
-    (Hardy & Wright, ch. X).
+    The last convergent p_k/q_k with q_k <= Q (_last_convergents), alpha's
+    order-Q Farey neighbor on its side: the next denominator exceeds Q, so
+    |alpha - p_k/q_k| < 1/(q_k q_(k+1)) < 1/(q_k Q) (Hardy & Wright, ch. X).
     """
     alpha = _require_positive_irrational(alpha)
     if q_cap < 1:
         raise DomainError(f"Q must be >= 1, got {q_cap}")
-    for _, p, q in convergents(alpha):
-        if q > q_cap:
-            break
-        pick = p, q
-    return _finish(alpha, *pick, Bound.dirichlet(q_cap))
+    _, _, p, q, _, _ = _last_convergents(alpha, q_cap)
+    return _finish(alpha, p, q, Bound.dirichlet(q_cap))
 
 
 def _candidates(alpha: ExactReal, bound: Bound,

@@ -37,7 +37,6 @@ from .exactnum import (
     compare,
     ensure_exact,
     ensure_rational,
-    ext_gcd,
     floor_of,
     is_rational,
     least_denominator,
@@ -452,14 +451,13 @@ def _solve_unit_rational(x: tuple, y: tuple):
     the positive solutions are finite, and a falls as b grows."""
     (nx, _, mx, _), (ny, _, my, _) = x, y
     den = lcm(mx, my)
-    A, B = nx * (den // mx), ny * (den // my)
-    g, x0, y0 = ext_gcd(A, B)
+    A, B = nx * (den // mx), ny * (den // my)  # a*A + b*B = den
+    g = gcd(A, B)
     if den % g:
         return None
-    a0, b0 = x0 * (den // g), y0 * (den // g)
-    sa, sb = B // g, A // g  # a = a0 + sa*t and b = b0 - sb*t
-    t = (b0 - 1) // sb  # the largest t with b >= 1
-    a, b = a0 + sa * t, b0 - sb * t
+    A, B, den = A // g, B // g, den // g
+    b = den * pow(B, -1, A) % A or A  # b*B = den mod A, coprime A and B
+    a = (den - b * B) // A
     return (a, b, 1) if a >= 1 else None
 
 
@@ -518,6 +516,7 @@ class ImplicationReport(NamedTuple):
 def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> ImplicationReport:
     """Check the set relation a certificate implies, over [0, bound].
 
+    fact_c and fact_d stop at the first shared member (common_elements).
     A FAIL here never means the mathematics is wrong; it flags an
     implementation bug, which is exactly why the check exists.
     """
@@ -528,6 +527,10 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
         raise InvalidCertificateError(
             f"certificate {cert} does not hold for the given pair"
         )
+    if kind in (CertKind.FACT_C, CertKind.FACT_D):
+        shared = common_elements(alpha, beta, 0, 1, limit=bound).found
+        violation = None if shared else f"no common element in [1, {bound}]"
+        return ImplicationReport(violation is None, kind, bound, violation)
     a, b = _as_int(window(alpha, bound).word), _as_int(window(beta, bound).word)
     first_shared = _lowest(a & b & ~1)
     violation = None
@@ -541,9 +544,6 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
         only_a = _lowest(a & ~b)
         if only_a is not None:
             violation = f"{only_a} is in the first sequence only"
-    if violation is None and kind in (CertKind.FACT_C, CertKind.FACT_D):
-        if first_shared is None:
-            violation = f"no common element in [1, {bound}]"
     return ImplicationReport(violation is None, kind, bound, violation)
 
 

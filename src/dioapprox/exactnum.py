@@ -499,6 +499,18 @@ def convergents(x) -> Iterator[tuple[int, int, int]]:
         yield a, p, q
 
 
+def _last_convergents(x, n: int) -> tuple[int, int, int, int, int, bool]:
+    """(p_(k-1), q_(k-1), p_k, q_k, k, exact) for the last convergent p_k/q_k
+    of x (a value or a row, _walk) with q_k <= n, n >= 1; p_(-1)/q_(-1) = 1/0.
+    exact says x = p_k/q_k: a rational with denominator <= n ends there."""
+    k, p0, q0, p1, q1 = -1, 0, 1, 1, 0
+    for _, p, q, _, _, _ in _walk(x):
+        if q > n:
+            return p0, q0, p1, q1, k, False
+        k, p0, q0, p1, q1 = k + 1, p1, q1, p, q
+    return p0, q0, p1, q1, k, True
+
+
 def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:
     """Least n >= 1 such that some j/n lies between lo < hi, each end
     included when its flag is set.

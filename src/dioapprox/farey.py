@@ -1,6 +1,6 @@
-"""Farey series of order N: ordered enumeration, neighbor computation via
-Bezout shifts, mediants, the floor embedding into [0, N^2], greatest-element
-search and exact bracketing by consecutive terms, from convergents.
+"""Farey series of order N: ordered enumeration, mediants, the floor embedding
+into [0, N^2], and, from the last convergents within N, the neighbors of a
+term, greatest-element search and exact bracketing by consecutive terms.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, NotFoundError, RationalInputError
-from .exactnum import ExactReal, convergents, ensure_exact, ext_gcd, floor_of, is_rational
+from .exactnum import ExactReal, _last_convergents, ensure_exact, floor_of, is_rational
 
 __all__ = [
     "FareyBracket",
@@ -94,27 +94,19 @@ def sequence(order: int) -> Iterator[FareyFraction]:
 
 
 def successor(f: FareyFraction) -> FareyFraction:
-    """Immediate right neighbor of f in its series.
-
-    Solves k*x - h*y = 1 and shifts the solution so the denominator lands
-    in (N-k, N]; the shifted pair is exactly the successor.
-    """
+    """Immediate right neighbor of f in its series (_neighbors)."""
     if f.h == f.k:
         raise DomainError("1/1 has no successor")
-    _, u, v = ext_gcd(f.k, f.h)
-    x0, y0 = u, -v  # k*x0 - h*y0 = 1
-    r = (f.order - y0) // f.k
-    return farey_fraction(x0 + r * f.h, y0 + r * f.k, f.order)
+    h, k = _neighbors((f.h, 0, f.k, 1), f.order)[1]
+    return farey_fraction(h, k, f.order)
 
 
 def predecessor(f: FareyFraction) -> FareyFraction:
-    """Immediate left neighbor: mirror construction with h*y - k*x = 1."""
+    """Immediate left neighbor of f in its series (_neighbors)."""
     if f.h == 0:
         raise DomainError("0/1 has no predecessor")
-    _, u, v = ext_gcd(f.h, f.k)
-    y0, x0 = u, -v  # h*y0 - k*x0 = 1
-    r = (f.order - y0) // f.k
-    return farey_fraction(x0 + r * f.h, y0 + r * f.k, f.order)
+    h, k = _neighbors((f.h, 0, f.k, 1), f.order)[0]
+    return farey_fraction(h, k, f.order)
 
 
 class MediantResult(NamedTuple):
@@ -136,21 +128,19 @@ def phi_embed(f: FareyFraction) -> int:
     return (f.order * f.order * f.h) // f.k
 
 
-def _neighbors(terms, order: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The order-N terms (lo, hi) around a target that is not a term, from
-    its convergents: the last p_k/q_k with q_k <= N, and the semiconvergent
-    (p_{k-1} + t*p_k)/(q_{k-1} + t*q_k) with t = floor((N - q_{k-1})/q_k)
-    on the other side.  Even k puts the convergent below."""
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    below = False
-    for _, h, k in terms:
-        if k > order:
-            break
-        h0, k0, h1, k1 = h1, k1, h, k
-        below = not below
-    t = (order - k0) // k1
+def _neighbors(x, order: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The order-N terms (lo, hi) next to x in [0, 1] (a value or a row,
+    _walk), from the last convergents p_(k-1)/q_(k-1), p_k/q_k of x with
+    q_k <= N (_last_convergents).  On the side of p_(k-1) lies the
+    semiconvergent (p_(k-1) + t*p_k)/(q_(k-1) + t*q_k), t = floor((N -
+    q_(k-1))/q_k).  On the other lies p_k when x is not a term, and
+    (s*p_k - p_(k-1))/(s*q_k - q_(k-1)), s = floor((N + q_(k-1))/q_k),
+    when x = p_k/q_k is one.  Even k puts p_(k-1) above x."""
+    h0, k0, h1, k1, k, exact = _last_convergents(x, order)
+    t, s = (order - k0) // k1, (order + k0) // k1
     semi = (h0 + t * h1, k0 + t * k1)
-    return ((h1, k1), semi) if below else (semi, (h1, k1))
+    near = (s * h1 - h0, s * k1 - k0) if exact else (h1, k1)
+    return (semi, near) if k & 1 else (near, semi)
 
 
 def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:
@@ -161,14 +151,12 @@ def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:
     cutoff = m if strict else m + 1
     if cutoff < 1:
         raise NotFoundError(f"no series member embeds below {m}")
-    if m > order * order:
-        raise DomainError(f"m must be at most N^2 = {order * order}, got {m}")
-    target = Fraction(cutoff, order * order)
-    if target > 1:
+    square = order * order
+    if m > square:
+        raise DomainError(f"m must be at most N^2 = {square}, got {m}")
+    if cutoff > square:
         return farey_fraction(1, 1, order)
-    if target.denominator <= order:
-        return predecessor(farey_fraction(target.numerator, target.denominator, order))
-    h, k = _neighbors(convergents(target), order)[0]
+    h, k = _neighbors((cutoff, 0, square, 1), order)[0]
     return farey_fraction(h, k, order)
 
 
@@ -199,5 +187,5 @@ def bracket(alpha: ExactReal, order: int) -> FareyBracket:
         raise DomainError(f"series order must be >= 1, got {order}")
     if floor_of(alpha) != 0:
         raise DomainError("bracket target must lie strictly between 0 and 1")
-    (lh, lk), (hh, hk) = _neighbors(convergents(alpha), order)
+    (lh, lk), (hh, hk) = _neighbors(alpha, order)
     return FareyBracket(FareyFraction(lh, lk, order), FareyFraction(hh, hk, order))

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -412,7 +412,6 @@ def test_checks_report_corrupted_windows(monkeypatch, which, edit):
         (K.DISJOINT, 2 + SQRT2, SQRT2, beatty.Certificate(K.DISJOINT, 1, 1, 1)),
         (K.COVER, PHI, PHI_SQ, beatty.Certificate(K.COVER, 1, 1, 1)),
         (K.FACT_F_PRIME, Fraction(3), Fraction(3, 2), beatty.Certificate(K.FACT_F_PRIME, 2, 1, 1)),
-        (K.FACT_C, SQRT2, 1 + SQRT2, fact_c),
         # a certificate of another kind: the implied relation fails uncorrupted
         (K.DISJOINT, SQRT2, 1 + SQRT2, fact_c),
         (K.SUBSET, SQRT2, 1 + SQRT2, fact_c),
@@ -427,6 +426,34 @@ def test_checks_report_corrupted_windows(monkeypatch, which, edit):
             rep = beatty.ap_decomposition(p, q, 150)
             assert rep.mismatch == _per_k_ap(p, q, handed[0], 150) is not None
             assert not rep.ok
+
+
+def test_fact_implications_read_the_first_shared_member(monkeypatch):
+    """fact_c and fact_d ask common_elements for one shared member above 0
+    and build no window: an empty scan is the violation, one member a PASS."""
+    K = beatty.CertKind
+    cases = ((K.FACT_C, SQRT2, 1 + SQRT2, beatty.Certificate(K.FACT_C, 2, -1, 1)),
+             (K.FACT_D, quad(2, 1, 2, 2), SQRT2, beatty.Certificate(K.FACT_D, 1, 2, 2)))
+    for kind, alpha, beta, cert in cases:
+        assert beatty.verify_implication(kind, alpha, beta, cert, 10**9).ok
+        with pytest.raises(DomainError, match="limit must be >= 0, got -1"):
+            beatty.verify_implication(kind, alpha, beta, cert, -1)
+    monkeypatch.setattr(beatty, "window", None)  # a fact kind that read a window would fail
+    calls = []
+
+    def scanning(found):
+        def scan(alpha, beta, start, count, *, limit):
+            calls.append((alpha, beta, start, count, limit))
+            return beatty.CommonScan(found, not found, limit)
+        return scan
+
+    for kind, alpha, beta, cert in cases:
+        calls.clear()
+        for found, violation in (((), "no common element in [1, 200]"), ((7,), None)):
+            monkeypatch.setattr(beatty, "common_elements", scanning(found))
+            rep = beatty.verify_implication(kind, alpha, beta, cert, 200)
+            assert rep == beatty.ImplicationReport(violation is None, kind, 200, violation)
+        assert calls == [(alpha, beta, 0, 1, 200)] * 2
 
 
 def test_checks_match_per_k_scans_on_random_pairs():
@@ -719,6 +746,32 @@ def _built_beta(kind, alpha):
         "partition": 1 - x, "disjoint": (1 - x) / 2, "cover": 1 - x / 2, "subset": 2 * x,
         "fact_f_prime": 2 * x, "fact_c": 3 * x - 1, "fact_d": 2 - 3 * x,
     }[kind.value]
+
+
+def test_unit_solver_matches_a_scan_of_b():
+    """_solve_unit_rational against a scan of b = 1..A: over the common
+    denominator den the relation is a*A + b*B = den, its least b >= 1
+    makes den - b*B a multiple of A, and it is kept only when a >= 1."""
+    assert beatty._solve_unit_rational((1, 0, 3, 1), (1, 0, 3, 1)) == (2, 1, 1)
+    assert beatty._solve_unit_rational((2, 0, 5, 1), (2, 0, 5, 1)) is None  # gcd 2 does not divide 5
+    assert beatty._solve_unit_rational((1, 0, 2, 1), (1, 0, 3, 1)) is None  # b = 3 gives a = 0
+    rng = random.Random(71)
+    seen = {"no b": 0, "a < 1": 0, "solved": 0}
+    for _ in range(3000):
+        mx, my = rng.randrange(2, 40), rng.randrange(2, 40)
+        nx, ny = rng.randrange(1, mx), rng.randrange(1, my)
+        den = lcm(mx, my)
+        A, B = nx * den // mx, ny * den // my
+        b = next((b for b in range(1, A + 1) if (den - b * B) % A == 0), None)
+        if b is None:
+            want, case = None, "no b"
+        elif den - b * B < A:
+            want, case = None, "a < 1"
+        else:
+            want, case = ((den - b * B) // A, b, 1), "solved"
+        seen[case] += 1
+        assert beatty._solve_unit_rational((nx, 0, mx, 1), (ny, 0, my, 1)) == want, (nx, mx, ny, my)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_certificate_search_matches_relation_oracle():

@@ -269,6 +269,17 @@ def test_partition_certificate_with_other_coefficients_is_refused(monkeypatch):
     assert out.splitlines()[1:] == ["status: FAIL", "violation: 3 is in both sequences"]
 
 
+def test_fact_implication_stops_at_the_first_shared_member():
+    # a shared member in the first 256-byte round answers at any bound
+    code, out, err = run_capture(["beatty", "imply", "fact_c", "sqrt(2)", "1+sqrt(2)",
+                                  "2", "-1", "1", "1000000000"])
+    assert code == 0 and not err and "status: PASS" in out.splitlines()
+    code, out, err = run_capture(["beatty", "imply", "fact_c", "sqrt(2)", "1+sqrt(2)",
+                                  "2", "-1", "1", "-1"])
+    assert code == 2 and out == ""
+    assert "limit must be >= 0, got -1" in err and "Traceback" not in err
+
+
 def test_implication_on_rational_slopes_is_refused():
     # Beatty's theorem is about irrational slopes; `beatty cert` refuses these pairs too
     for argv in (["beatty", "imply", "partition", "2", "2", "1", "1", "1", "5"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -84,6 +85,60 @@ def test_round_trip_matches_enumeration():
             if 0 < i < len(terms) - 1:
                 assert farey.successor(farey.predecessor(f)) == f
                 assert farey.predecessor(farey.successor(f)) == f
+
+
+def test_neighbors_match_the_naive_series():
+    for order in range(1, 61):
+        terms = oracle.farey_naive(order)
+        for i, (h, k) in enumerate(terms):
+            f = farey.farey_fraction(h, k, order)
+            if i > 0:
+                assert (farey.predecessor(f).h, farey.predecessor(f).k) == terms[i - 1]
+            if i < len(terms) - 1:
+                assert (farey.successor(f).h, farey.successor(f).k) == terms[i + 1]
+
+
+def _quotient_sum(h, k):
+    total = 0
+    while k:
+        q, (h, k) = h // k, (k, h % k)
+        total += q
+    return total
+
+
+def test_neighbors_at_large_orders():
+    """Terms h/k with k up to 10^12 and N up to 1000*k against the mediant
+    walk, which takes the sum of h/k's partial quotients plus about N/k
+    steps; successors by the symmetry h/k -> 1 - h/k of the series."""
+    rng = random.Random(53)
+    checked = 0
+    while checked < 1000:
+        k = rng.randint(2, 10 ** rng.randint(1, 12))
+        h = rng.randrange(1, k)
+        if gcd(h, k) != 1 or _quotient_sum(h, k) >= oracle.WALK_GUARD - 1000:
+            continue
+        order = rng.randint(k, 1000 * k)
+        pred = farey.predecessor(farey.farey_fraction(h, k, order))
+        assert (pred.h, pred.k) == oracle.farey_walk(Fraction(h, k), order)[0], (h, k, order)
+        succ = farey.successor(farey.farey_fraction(h, k, order))
+        mirror = farey.predecessor(farey.farey_fraction(k - h, k, order))
+        assert (succ.h, succ.k) == (mirror.k - mirror.h, mirror.k), (h, k, order)
+        checked += 1
+    for order in (1, 2, 3, 10**6, 10**12, rng.randint(4, 10**30)):
+        f = lambda h, k: farey.farey_fraction(h, k, order)
+        assert farey.successor(f(0, 1)) == f(1, order)
+        assert farey.predecessor(f(1, 1)) == f(order - 1, order)
+        assert farey.predecessor(f(1, order)) == f(0, 1)
+        if order > 1:
+            assert farey.successor(f(1, order)) == f(1, order - 1)
+    order = 10**6
+    for m, term in ((order * order // 2, (1, 2)), (3 * order * order // 8, (3, 8))):
+        below = farey.greatest_below(order, m)
+        assert below == farey.greatest_below(order, m - 1, strict=False)
+        farey.FareyBracket(below, farey.farey_fraction(*term, order))  # checks they are neighbors
+        assert farey.phi_embed(below) < m == farey.phi_embed(farey.farey_fraction(*term, order))
+    assert farey.greatest_below(order, order * order // 2) == farey.farey_fraction(
+        order // 2 - 1, order - 1, order)
 
 
 def test_mediant_examples():
