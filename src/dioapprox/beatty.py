@@ -75,7 +75,7 @@ __all__ = [
 
 DEFAULT_SCAN_LIMIT = 100_000
 WINDOW_LIMIT = 10**6  # most members a window may hold
-WORD_LIMIT = 10**7  # most integers (bytes of its word) a window may span
+WORD_LIMIT = 10**7  # most integers a word (bits of an int) may span
 POWER_BITS_LIMIT = 3_000  # most bits of a power pth_root_dmo_witness may take
 
 
@@ -131,51 +131,93 @@ def _exact_ratio(alpha, n: int) -> tuple[int, int]:
     return p, q
 
 
-def _word(p: int, q: int, n: int) -> bytes:
-    """The first n bytes of the indicator of {floor(j*p/q) : j >= 0}, for
-    coprime p, q >= 1: byte k is 1 exactly when k is a term (every k when
-    p < q).  ResourceLimitError past WORD_LIMIT bytes, before any is built.
+# _REPUNITS[m - 1] is the sum of 2^(i*m) for i < 4096 // m, m <= 30 (one digit
+# of an int): a block of m bits times it is that many copies of the block, and
+# shifting it right by j*m drops j of them
+_REPUNITS = tuple(((1 << 4096 // m * m) - 1) // ((1 << m) - 1) for m in range(1, 31))
+
+
+def _word(p: int, q: int, n: int) -> int:
+    """The indicator of {floor(j*p/q) : j >= 0} on [0, n), for coprime p,
+    q >= 1, as an int: bit k is 1 exactly when k is a term (every k when
+    p < q).  ResourceLimitError for a word spanning more than WORD_LIMIT
+    integers, before any is built.
 
     For p >= q this is the standard word of p/q, built from its continued
     fraction t0, t1, ... by U_-1 = 0, U_0 = 1 0^(t0-1), U_k = U_(k-1)^t_k
     U_(k-2) for odd k and U_(k-2) U_(k-1)^t_k for even k >= 2; the last U
     is one period, of length p (Lothaire, Algebraic Combinatorics on Words,
-    ch. 2).  Every word is cut to n bytes, so a step repeats U_(k-1) at
-    most ceil(n/len) times, and once U_(k-2) is full length each further
-    word is U_(k-1) (odd k) or U_(k-2) (even k): O(n) copying, O(log p) steps.
+    ch. 2).  A word u of length m followed by v is u | v << m, so each
+    word's length is kept beside it, and every word is cut to n bits.  A
+    block of one digit (30 bits) takes up to 4096 bits of copies in one
+    multiplication by a repunit (_REPUNITS); past that, copies double, and
+    the last whole blocks of an exact power U^t are read off the top.  A
+    power that reaches n bits is doubled past n and cut.  Once U_(k-2) is
+    full length each further word is U_(k-1) (odd k) or U_(k-2) (even k):
+    O(n) bit operations, O(log p) steps.
     """
     if n > WORD_LIMIT:
-        raise ResourceLimitError(f"a word of {n} bytes exceeds WORD_LIMIT = {WORD_LIMIT}")
-    if p < q:
-        return b"\1" * n
+        raise ResourceLimitError(f"a word spanning {n} integers exceeds WORD_LIMIT = {WORD_LIMIT}")
+    mask = (1 << n) - 1
+    if p < q or n == 0:
+        return mask
     t, (a, b) = p // q, (q, p % q)
-    prev, cur = b"\0", b"\1" + bytes(min(t - 1, n))
+    prev, plen, cur, clen = 0, 1, 1, min(t, n)
     odd = True
-    while b and len(prev) < n:
+    while b and plen < n:
         t, (a, b) = a // b, (b, a % b)
-        body = cur * min(t, -(-n // len(cur)))
-        prev, cur = cur, (body + prev if odd else prev + body)[:n]
+        body, blen = cur, clen
+        if t > 1:  # cur^t, or cur repeated past n when that reaches n
+            if clen <= 30:
+                k = min(t, -(-n // clen), 4096 // clen)
+                body, blen = body * (_REPUNITS[clen - 1] >> (4096 // clen - k) * clen), k * clen
+            if t * clen >= n:
+                while blen < n:
+                    body |= body << blen
+                    blen *= 2
+            elif blen < t * clen:
+                total = t * clen
+                while 2 * blen <= total:
+                    body |= body << blen
+                    blen *= 2
+                if blen < total:  # the last whole blocks, read off the top
+                    body |= body >> 2 * blen - total << blen
+                    blen = total
+        prev, plen, cur, clen = cur, clen, body | prev << blen if odd else prev | body << plen, blen + plen
+        if clen > n:
+            cur, clen = cur & mask, n
         odd = not odd
     if b:
-        return (cur if odd else prev)[:n]
-    return (cur * -(-n // len(cur)))[:n]
+        return cur if odd else prev
+    if clen <= 30:  # cur is one period: repeat it past n
+        k = min(-(-n // clen), 4096 // clen)
+        cur, clen = cur * (_REPUNITS[clen - 1] >> (4096 // clen - k) * clen), k * clen
+    while clen < n:
+        cur |= cur << clen
+        clen *= 2
+    return cur & mask
 
 
 def _lowest(x: int) -> Optional[int]:
-    """Index of the lowest nonzero byte of x >= 0, or None for x = 0."""
-    return ((x & -x).bit_length() - 1) >> 3 if x else None
+    """Index of the lowest set bit of x, or None for x = 0; of the lowest
+    zero bit of y for x = ~y, y >= 0."""
+    return (x & -x).bit_length() - 1 if x else None
 
 
-def _as_int(word: bytes) -> int:
-    return int.from_bytes(word, "little")  # byte k is bit 8k
+def _bits(word: int) -> bytes:
+    """The word as ASCII 0/1, byte k for bit k, up to its highest set bit."""
+    return bin(word)[:1:-1].encode()
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
 class BeattyWindow:
     """The members of a floor sequence that lie in [0, bound], as a word:
-    byte k of `word` is 1 exactly when k is a member.  Immutable; ratio is
-    p/q with floor(n*alpha) = n*p // q at every index used."""
+    bit k of the int `word` is 1 exactly when k is a member.  Immutable;
+    ratio is p/q with floor(n*alpha) = n*p // q at every index used."""
 
-    def __init__(self, alpha: ExactReal, bound: int, word: bytes, ratio: tuple):
+    def __init__(self, alpha: ExactReal, bound: int, word: int, ratio: tuple):
         vars(self).update(alpha=alpha, bound=bound, word=word, ratio=ratio)
 
     def __setattr__(self, name, *_):
@@ -185,18 +227,20 @@ class BeattyWindow:
 
     @cached_property
     def members(self) -> tuple[int, ...]:
-        """The set bytes of the word, refused past WINDOW_LIMIT before any is
+        """The set bits of the word, refused past WINDOW_LIMIT before any is
         listed: the floors below bound + 1 of p/q, distinct for p >= q, are
-        min(bound + 1, ceil((bound + 1)*q/p)).  A word of slope below 5 (a
-        member in every 5 bytes or more) is walked byte by byte; a sparser
-        one is read one regex match per member, its zero runs skipped in C."""
+        min(bound + 1, ceil((bound + 1)*q/p)).  The word is read once as
+        ASCII 0/1 (_bits).  At a slope below 5 (a member in every 5
+        integers or more) that is walked a byte per integer; a sparser one
+        is read one regex match per member, its zero runs skipped in C."""
         p, q = self.ratio
         size = min(self.bound + 1, -(-(self.bound + 1) * q // p))
         if size > WINDOW_LIMIT:
             raise ResourceLimitError(f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}")
+        bits = _bits(self.word)
         if p < 5 * q:
-            return tuple(compress(range(self.bound + 1), self.word))
-        return tuple(map(re.Match.start, re.finditer(b"\1", self.word)))
+            return tuple(compress(range(self.bound + 1), bits.translate(_ZERO_ONE)))
+        return tuple(map(re.Match.start, re.finditer(b"1", bits)))
 
     def witness(self, k: int) -> int:
         """The least index of member k: ceil(k*q/p)."""
@@ -214,12 +258,14 @@ class BeattyWindow:
 
 def window(alpha, bound: int) -> BeattyWindow:
     """Complete membership word on [0, bound], read off the convergent exact
-    up to the last index whose term is <= bound (_word refuses a word past
-    WORD_LIMIT bytes; .members refuses past WINDOW_LIMIT members)."""
+    up to the last index whose term is <= bound (_word refuses a word
+    spanning more than WORD_LIMIT integers; .members refuses past
+    WINDOW_LIMIT members)."""
     alpha = _positive(alpha)
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
-    p, q = _exact_ratio(alpha, mu(alpha, bound))
+    row = _row(alpha)
+    p, q = _exact_ratio(row, _ceil_over(bound + 1, row) - 1)  # mu(alpha, bound)
     return BeattyWindow(alpha, bound, _word(p, q, bound + 1), (p, q))
 
 
@@ -249,9 +295,8 @@ def partition_check(alpha, beta, bound: int) -> PartitionReport:
     if compare(alpha, 1) <= 0 or compare(beta, 1) <= 0:
         raise DomainError("partition checking needs alpha, beta > 1")
     wa, wb = window(alpha, bound), window(beta, bound)
-    a, b = _as_int(wa.word), _as_int(wb.word)
-    first_shared = _lowest(a & b & ~1)
-    first_uncovered = _first_uncovered(a, b, bound)
+    first_shared = _lowest(wa.word & wb.word & ~1)
+    first_uncovered = _first_uncovered(wa.word, wb.word, bound)
     shared_witnesses = (None if first_shared is None
                         else (wa.witness(first_shared), wb.witness(first_shared)))
     ok = first_shared is None and first_uncovered is None
@@ -259,9 +304,10 @@ def partition_check(alpha, beta, bound: int) -> PartitionReport:
 
 
 def _first_uncovered(a: int, b: int, bound: int) -> Optional[int]:
-    """Least k in [1, bound] in neither of the words a and b, or None."""
-    k = (a | b).to_bytes(bound + 1, "little").find(0, 1)
-    return None if k < 0 else k
+    """Least k in [1, bound] in neither of the words a and b, or None: the
+    lowest zero bit of a | b | 1."""
+    k = _lowest(~(a | b | 1))
+    return k if k <= bound else None
 
 
 class ArithProgression(namedtuple("ArithProgression", "modulus residue")):
@@ -303,12 +349,15 @@ def ap_decomposition(p: int, q: int, bound: int) -> ApDecompositionReport:
         raise ResourceLimitError(f"{q} progressions exceed WINDOW_LIMIT = {WINDOW_LIMIT}")
     word = window(Fraction(p, q), bound).word  # refuses a bad or oversized window first
     progs = tuple(ArithProgression(p, (p * r) // q) for r in range(q))
-    period = bytearray(min(p, bound + 1))
+    period = bytearray(b"0" * min(p, bound + 1))  # ASCII 0/1, residue k at byte k
     for pr in progs:
         if pr.residue <= bound:
-            period[pr.residue] = 1
-    predicted = (period * (bound // p + 1))[:bound + 1]
-    mismatch = _lowest(_as_int(word) ^ _as_int(predicted))
+            period[pr.residue] = ord("1")
+    predicted, size = int(period[::-1], 2), len(period)
+    while size <= bound:  # one period int, doubled past the bound
+        predicted |= predicted << size
+        size *= 2
+    mismatch = _lowest(word ^ (predicted & ((1 << bound + 1) - 1)))
     return ApDecompositionReport(progs, mismatch is None, bound, mismatch)
 
 
@@ -531,7 +580,7 @@ def verify_implication(kind, alpha, beta, cert: Certificate, bound: int) -> Impl
         shared = common_elements(alpha, beta, 0, 1, limit=bound).found
         violation = None if shared else f"no common element in [1, {bound}]"
         return ImplicationReport(violation is None, kind, bound, violation)
-    a, b = _as_int(window(alpha, bound).word), _as_int(window(beta, bound).word)
+    a, b = window(alpha, bound).word, window(beta, bound).word
     first_shared = _lowest(a & b & ~1)
     violation = None
     if kind in (CertKind.DISJOINT, CertKind.PARTITION) and first_shared is not None:
@@ -558,9 +607,10 @@ class CommonScan(NamedTuple):
 
 def common_elements(alpha, beta, start: int, count: int,
                     *, limit: int = DEFAULT_SCAN_LIMIT) -> CommonScan:
-    """First `count` shared values above `start`: the set bytes of A & B for
-    the two words (_word), built at about 2*start + 256 bytes and doubled up
-    to limit + 1, so under 3*(limit + 1) bytes per word in all.  An unfilled
+    """First `count` shared values above `start`: the set bits of A & B for
+    the two words (_word), built at about 2*start + 256 integers and doubled
+    up to limit + 1, so spanning under 3*(limit + 1) integers per word in
+    all; A & B is read as ASCII 0/1 (_bits) once per round.  An unfilled
     result at `limit` carries exhausted=True; a round whose words pass
     WORD_LIMIT is refused before they are built (_word), after the same
     rounds at every limit past it.  scanned_to is the least term of either
@@ -575,10 +625,10 @@ def common_elements(alpha, beta, start: int, count: int,
     found = []
     n = min(2 * start + 256, limit + 1)
     while len(found) < count:
-        a, b = (_as_int(_word(p, q, n)) for p, q in ratios)
-        shared = (a & b).to_bytes(n, "little")
+        a, b = (_word(p, q, n) for p, q in ratios)
+        shared = _bits(a & b)
         k = found[-1] if found else start
-        while len(found) < count and (k := shared.find(1, k + 1)) > 0:
+        while len(found) < count and (k := shared.find(b"1", k + 1)) > 0:
             found.append(k)
         if len(found) < count:
             if n == limit + 1:

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -135,17 +136,28 @@ def test_window_matches_oracle_with_witnesses():
 
 
 def _floor_word(p, q, n):
-    """The first n bytes of the indicator of {j*p // q}, one j at a time."""
-    word, j = bytearray(n), 0
+    """The indicator of {j*p // q} on [0, n) as an int, set one j at a
+    time in a list of n binary digits (digit k for bit k)."""
+    digits, j = ["0"] * n, 0
     while j * p // q < n:
-        word[j * p // q] = 1
+        digits[j * p // q] = "1"
         j += 1
-    return bytes(word)
+    return int("".join(reversed(digits)) or "0", 2)
+
+
+def _members_of(word):
+    """The set bits of an int word, one bit at a time."""
+    return tuple(k for k in range(word.bit_length()) if word >> k & 1)
 
 
 def test_word_matches_floor_reference():
     rng = random.Random(61)
     cases = [(1, 1, 50), (7, 1, 30), (7, 3, 1), (7, 3, 0), (8, 5, 100), (10**12, 1, 40)]
+    # lengths either side of a byte, a 30-bit digit and a 64-bit word, at
+    # slopes below 1, of 1, with short blocks, and a huge partial quotient
+    cases += [(p, q, n) for p, q in ((2, 3), (1, 1), (3, 2), (8, 5), (13, 8), (10**12, 1),
+                                     (10**12 + 1, 10**12), (2 * 10**12 + 1, 2))
+              for n in (0, 1, 7, 8, 9, 29, 30, 31, 63, 64, 65)]
     for _ in range(800):
         q = rng.choice((rng.randrange(1, 40), rng.randrange(1, 10**6), rng.randrange(1, 10**12)))
         p = q + rng.choice((rng.randrange(q + 5), rng.randrange(10**12)))
@@ -161,28 +173,44 @@ def test_window_on_a_huge_partial_quotient():
     for m in (1, 2):
         alpha = quad(0, m, 10**6, 10**12 + 1)
         win = beatty.window(alpha, 10**5)
-        assert len(win.word) == 10**5 + 1
+        # bits 0, m, 2m, ... up to 10^5: the repunit (2^(10^5 + m) - 1)/(2^m - 1)
+        assert win.word == ((1 << 10**5 + m) - 1) // ((1 << m) - 1)
         assert win.members == tuple(range(0, 10**5 + 1, m))
         assert set(beatty.window(alpha, 500).members) == oracle.beatty_naive(alpha, 500)
 
 
-class _UnwalkedWord(bytes):
-    """A word that refuses to be walked byte by byte."""
-
-    def __iter__(self):
-        raise AssertionError("the word was walked byte by byte")
-
-
-def test_sparse_window_members():
+def test_sparse_window_members(monkeypatch):
     """Slope 100 over 10^7 integers: 100,000 members, found one by one
-    with no walk over every byte of the word.  Either side of slope 5,
-    where the walk takes over, members are the set bytes of the word."""
+    with no walk over every integer of the word (the walk, compress, is
+    made to fail) and no Python line run per member, let alone per
+    integer (a trace counts the lines run in beatty).  Either side of
+    slope 5, where the walk takes over, members are the set bits of the
+    word."""
     win = beatty.window(100, 10**7 - 1)
-    sparse = beatty.BeattyWindow(win.alpha, win.bound, _UnwalkedWord(win.word), win.ratio)
-    assert sparse.members == tuple(range(0, 10**7, 100))
+
+    def walk(*_):
+        raise AssertionError("the word was walked integer by integer")
+
+    lines = []
+
+    def trace(frame, event, _):
+        if frame.f_globals is vars(beatty):
+            lines.append(event)
+            return trace
+        return None
+
+    monkeypatch.setattr(beatty, "compress", walk)
+    sys.settrace(trace)
+    try:
+        members = win.members
+    finally:
+        sys.settrace(None)
+    monkeypatch.undo()
+    assert members == tuple(range(0, 10**7, 100))
+    assert len(lines) < 100, len(lines)
     for alpha in (Fraction(49, 10), Fraction(5), Fraction(51, 10), 4 + SQRT2, 5 + SQRT2):
         win = beatty.window(alpha, 1000)
-        assert win.members == tuple(k for k, bit in enumerate(win.word) if bit)
+        assert win.members == _members_of(win.word)
 
 
 def test_window_limit_guard():
@@ -203,6 +231,21 @@ def test_window_limit_guard():
     assert beatty.ap_decomposition(7, 3, 5 * 10**6).ok
 
 
+def test_word_checks_take_a_bit_per_integer():
+    """The checks that read words hold a bit per integer: over the 10^7
+    integers below WORD_LIMIT each keeps its traced peak within
+    WORD_LIMIT bytes, a byte per integer."""
+    cert = beatty.Certificate(beatty.CertKind.PARTITION, 1, 1, 1)
+    bound = beatty.WORD_LIMIT - 1
+    for call in (lambda: beatty.partition_check(PHI, PHI_SQ, bound),
+                 lambda: beatty.verify_implication(beatty.CertKind.PARTITION, PHI, PHI_SQ,
+                                                   cert, bound),
+                 lambda: beatty.ap_decomposition(7, 3, bound)):
+        report, peak = peak_traced(call)
+        assert report.ok and report.checked_to == bound, report
+        assert peak <= beatty.WORD_LIMIT, peak
+
+
 def test_window_member_count_is_read_off_the_ratio(monkeypatch):
     """.members refuses exactly when it would list more than WINDOW_LIMIT:
     the count it reads off the ratio is the number of members, on random
@@ -213,7 +256,7 @@ def test_window_member_count_is_read_off_the_ratio(monkeypatch):
                             quad(rng.randint(0, 9), rng.randint(1, 5), rng.randint(1, 30),
                                  rng.choice(SQUAREFREE_POOL))))
         bound = rng.randrange(300)
-        members = tuple(k for k, bit in enumerate(beatty.window(alpha, bound).word) if bit)
+        members = _members_of(beatty.window(alpha, bound).word)
         assert set(members) == oracle.beatty_naive(alpha, bound)
         monkeypatch.setattr(beatty, "WINDOW_LIMIT", len(members))
         assert beatty.window(alpha, bound).members == members
@@ -223,11 +266,12 @@ def test_window_member_count_is_read_off_the_ratio(monkeypatch):
 
 
 def test_word_limit_guard():
-    """Every word is built by _word, which refuses one past WORD_LIMIT bytes
-    before building it, so each refusal here costs under 1 MB: a sparse
-    window (few members, a long word), the checks that read windows'
-    words, an oversized progression check before its prediction is built,
-    and a scan whose first round would pass the limit."""
+    """Every word is built by _word, which refuses one spanning more than
+    WORD_LIMIT integers before building it, so each refusal here costs
+    under 1 MB: a sparse window (few members, a long word), the checks
+    that read windows' words, an oversized progression check before its
+    prediction is built, and a scan whose first round would pass the
+    limit."""
     assert beatty.WORD_LIMIT == 10**7
     cert = beatty.Certificate(beatty.CertKind.DISJOINT, 10**7, 10**7, 1)
     for call, limit in (
@@ -250,9 +294,10 @@ def test_word_limit_guard():
         exc, peak = peak_traced(call)
         assert isinstance(exc, ResourceLimitError) and limit in str(exc), exc
         assert peak < 10**6
-    win = beatty.window(10**7, 10**7 - 1)
-    assert len(win.word) == beatty.WORD_LIMIT and win.members == (0,)
-    # a huge modulus with a small bound needs a prediction of bound + 1 bytes only
+    win = beatty.window(10**7, 10**7 - 1)  # spans WORD_LIMIT integers: allowed
+    assert win.word == 1 and win.members == (0,)
+    assert beatty._word(2, 3, beatty.WORD_LIMIT) == (1 << beatty.WORD_LIMIT) - 1
+    # a huge modulus with a small bound needs a prediction of bound + 1 bits only
     assert beatty.ap_decomposition(10**12, 1, 10) == (
         (beatty.ArithProgression(10**12, 0),), True, 10, None)
     assert beatty.ap_decomposition(10**12 + 1, 2, 10).ok
@@ -326,6 +371,9 @@ def test_partition_check_failure_report():
     assert rep.first_uncovered == 2
     assert rep.first_shared == 3
     assert rep.shared_witnesses == (2, 1)
+    # a failure at the bound itself is inside the check
+    assert beatty.partition_check(Fraction(3, 2), Fraction(3), 2) == (False, 2, None, 2, None)
+    assert beatty.partition_check(Fraction(3, 2), Fraction(3), 1) == (True, 1, None, None, None)
 
 
 def _corrupting_window(monkeypatch, which, edit):
@@ -337,13 +385,15 @@ def _corrupting_window(monkeypatch, which, edit):
     def fake(alpha, bound):
         win = real(alpha, bound)
         if len(handed) == which:
-            word = bytearray(win.word)
+            word = win.word
             mid = win.members[len(win.members) // 2]
-            if "add" in edit:
-                word[word.rindex(0, 1)] = 1
+            if "add" in edit:  # the highest zero bit in [1, bound]
+                gaps = ~word & ((1 << win.bound + 1) - 2)
+                assert gaps, "no non-member to add"
+                word ^= 1 << gaps.bit_length() - 1
             if "drop" in edit:
-                word[mid] = 0
-            win = beatty.BeattyWindow(win.alpha, win.bound, bytes(word), win.ratio)
+                word ^= 1 << mid
+            win = beatty.BeattyWindow(win.alpha, win.bound, word, win.ratio)
         handed.append(win)
         return win
 
@@ -500,6 +550,8 @@ def test_ap_decomposition_examples():
 
     rep = beatty.ap_decomposition(3, 2, 30)
     assert [(p.modulus, p.residue) for p in rep.progressions] == [(3, 0), (3, 1)] and rep.ok
+    # every bound, a whole number of periods or not
+    assert all(beatty.ap_decomposition(7, 3, bound).ok for bound in range(70))
 
 
 def test_ap_decomposition_distinct_residues_and_reduction():
