@@ -15,7 +15,6 @@ from .exactnum import (
     QuadIrr,
     compare,
     ensure_exact,
-    ext_gcd,
     floor_of,
     format_exact,
     parse_exact,
@@ -31,7 +30,6 @@ __all__ = [
     "QuadIrr",
     "compare",
     "ensure_exact",
-    "ext_gcd",
     "floor_of",
     "format_exact",
     "parse_exact",

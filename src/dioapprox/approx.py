@@ -175,7 +175,7 @@ def dirichlet(alpha: ExactReal, q_cap: int) -> Approximation:
     alpha = _require_positive_irrational(alpha)
     if q_cap < 1:
         raise DomainError(f"Q must be >= 1, got {q_cap}")
-    _, _, p, q, _, _ = _last_convergents(alpha, q_cap)
+    _, _, p, q, _ = _last_convergents(alpha, q_cap)
     return _finish(alpha, p, q, Bound.dirichlet(q_cap))
 
 
@@ -199,9 +199,9 @@ def _candidates(alpha: ExactReal, bound: Bound,
     """
     lo, hi, w = bound.window()
     wn, wd = w.numerator, w.denominator
-    p0, q0, p1, q1 = 0, 1, 1, 0  # p_(k-2), q_(k-2), p_(k-1), q_(k-1)
-    for k, (a, p, q, P, Q, D) in enumerate(_walk(alpha)):
+    for k, (a, p, q, p1, q1, P, Q, D) in enumerate(_walk(alpha)):
         if q > bound.q_limit:  # the convergent, the last of step k's candidates, is past Q
+            p0, q0 = p - a * p1, q - a * q1  # p_(k-2), q_(k-2)
             c = lo if k & 1 else hi
             cn, cd = c.numerator, c.denominator
             L, X1 = cn * cn * wd, P * q1 + Q * q0
@@ -213,7 +213,6 @@ def _candidates(alpha: ExactReal, bound: Bound,
                     R, X2 = wn * cd * cd * m * m, P - t * Q
                     inside = _sign_one(L0 - R * (X2 * X2 + D), 2 * (L1 - R * X2), D) > 0
                     yield p0 + t * p1, m, inside
-        p0, q0, p1, q1 = p1, q1, p, q
 
 
 def _first(alpha: ExactReal, bound: Bound, budget: int, intermediates: bool) -> Approximation:

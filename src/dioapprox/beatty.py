@@ -13,9 +13,9 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-import re
+from operator import floordiv, mul
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -30,10 +30,10 @@ from .exactnum import (
     _ceil_row,
     _first_hit,
     _floor_row,
+    _last_convergents,
     _over,
     _row,
     _sign_one,
-    _walk,
     compare,
     ensure_exact,
     ensure_rational,
@@ -118,17 +118,6 @@ def _ceil_over(k: int, row: tuple) -> int:
     norm = a * a - b * b * d
     kc = k * c if norm > 0 else -k * c
     return _ceil_row(kc * a, -kc * b, abs(norm), d)
-
-
-def _exact_ratio(alpha, n: int) -> tuple[int, int]:
-    """p/q with floor(k*alpha) = k*p // q for 0 <= k <= n: the first convergent
-    with q > n, or a rational alpha itself; alpha is a value or a row (_walk).
-    For 0 < k < q, |k*alpha - k*p/q| < k/(q*q_next) < 1/q, and k*p/q lies
-    1/q or more from every integer."""
-    for _, p, q, _, _, _ in _walk(alpha):
-        if q > n:
-            break
-    return p, q
 
 
 # _REPUNITS[m - 1] is the sum of 2^(i*m) for i < 4096 // m, m <= 30 (one digit
@@ -229,18 +218,18 @@ class BeattyWindow:
     def members(self) -> tuple[int, ...]:
         """The set bits of the word, refused past WINDOW_LIMIT before any is
         listed: the floors below bound + 1 of p/q, distinct for p >= q, are
-        min(bound + 1, ceil((bound + 1)*q/p)).  The word is read once as
-        ASCII 0/1 (_bits).  At a slope below 5 (a member in every 5
-        integers or more) that is walked a byte per integer; a sparser one
-        is read one regex match per member, its zero runs skipped in C."""
+        min(bound + 1, ceil((bound + 1)*q/p)).  At a slope below 5 (a member
+        in every 5 integers or more) the word is read once as ASCII 0/1
+        (_bits) and walked a byte per integer; a sparser window lists its
+        members j*p // q for j < size straight off the ratio, in C, with no
+        pass over the word."""
         p, q = self.ratio
         size = min(self.bound + 1, -(-(self.bound + 1) * q // p))
         if size > WINDOW_LIMIT:
             raise ResourceLimitError(f"a window of {size} members exceeds WINDOW_LIMIT = {WINDOW_LIMIT}")
-        bits = _bits(self.word)
         if p < 5 * q:
-            return tuple(compress(range(self.bound + 1), bits.translate(_ZERO_ONE)))
-        return tuple(map(re.Match.start, re.finditer(b"1", bits)))
+            return tuple(compress(range(self.bound + 1), _bits(self.word).translate(_ZERO_ONE)))
+        return tuple(map(floordiv, map(mul, range(size), repeat(p)), repeat(q)))
 
     def witness(self, k: int) -> int:
         """The least index of member k: ceil(k*q/p)."""
@@ -265,7 +254,7 @@ def window(alpha, bound: int) -> BeattyWindow:
     if bound < 0:
         raise DomainError(f"window bound must be >= 0, got {bound}")
     row = _row(alpha)
-    p, q = _exact_ratio(row, _ceil_over(bound + 1, row) - 1)  # mu(alpha, bound)
+    p, q = _last_convergents(row, _ceil_over(bound + 1, row) - 1)[4]  # mu(alpha, bound)
     return BeattyWindow(alpha, bound, _word(p, q, bound + 1), (p, q))
 
 
@@ -621,7 +610,7 @@ def common_elements(alpha, beta, start: int, count: int,
         raise DomainError("need start >= 0 and count >= 0")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    ratios = [_exact_ratio(x, mu(x, limit) + 1) for x in (alpha, beta)]
+    ratios = [_last_convergents(x, mu(x, limit) + 1)[4] for x in (alpha, beta)]
     found = []
     n = min(2 * start + 256, limit + 1)
     while len(found) < count:
@@ -645,7 +634,7 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
 
     D*frac(n*alpha) is never an integer, so the test is
     low <= floor(n*D*alpha) mod D < high.  With p/q the convergent of
-    D*alpha past the limit (_exact_ratio, on the row (a*D, b*D, c, d)),
+    D*alpha past the limit (_last_convergents, on the row (a*D, b*D, c, d)),
     that floor is n*p // q, and it lies in [low, high) exactly when
     n*p mod q*D lies in [low*q, high*q - 1].  The narrowest window steps
     from one hit n0 to the next, n0 + 1 + x for the least x of
@@ -660,7 +649,7 @@ def _first_in_windows(windows, limit: int) -> Optional[int]:
     tests = []
     for (a, b, c, d), D, low, high in windows:
         row = a * D, b * D, c, d
-        p, q = _exact_ratio(row, limit)
+        p, q = _last_convergents(row, limit)[4]
         tests.append((p, q * D, low * q, high * q - 1, row, D, low, high))
     (p, M, L, R, *_), *others = tests
     n = 0

@@ -31,7 +31,6 @@ __all__ = [
     "convergents",
     "ensure_exact",
     "ensure_rational",
-    "ext_gcd",
     "floor_of",
     "format_exact",
     "frac_of",
@@ -47,23 +46,6 @@ __all__ = [
 
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid.  Returns (g, x, y) with a*x + b*y = g = gcd(a,b) > 0."""
-    if a == 0 and b == 0:
-        raise DomainError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # The row formulas: two rows (a1, b1, c1) and (a2, b2, c2) over one
@@ -418,11 +400,12 @@ def _state(x) -> tuple[int, int, int, int]:
     return a * s, c * s, D, isqrt(D)
 
 
-def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
+def _walk(x) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """The continued-fraction walk of x (a value or a row, _state): yields
-    (a_k, p_k, q_k, P, Q, D) for k = 0, 1, ..., where x_k = (P + sqrt(D))/Q
-    is the k-th complete quotient (x = [a_0; ..., a_(k-1), x_k]),
-    a_k = floor(x_k) and p_k/q_k = [a_0; a_1, ..., a_k].
+    (a_k, p_k, q_k, p_(k-1), q_(k-1), P, Q, D) for k = 0, 1, ..., where
+    x_k = (P + sqrt(D))/Q is the k-th complete quotient
+    (x = [a_0; ..., a_(k-1), x_k]), a_k = floor(x_k),
+    p_k/q_k = [a_0; a_1, ..., a_k] and p_(-1)/q_(-1) = 1/0.
 
     A rational runs Euclid, has D = 0 and stops at its last quotient; a
     quadratic irrational never stops.  Its complete quotients (_state)
@@ -436,13 +419,13 @@ def _walk(x) -> Iterator[tuple[int, int, int, int, int, int]]:
             # sqrt(D) is irrational, so floor((P + sqrt(D))/Q) = floor((P + r + [Q < 0])/Q)
             quo = (P + r + (Q < 0)) // Q
             p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-            yield quo, p1, q1, P, Q, D
+            yield quo, p1, q1, p0, q0, P, Q, D
             P = quo * Q - P
             Q = (D - P * P) // Q
     while Q:  # Euclid on P/Q
         quo, rem = divmod(P, Q)
         p0, q0, p1, q1 = p1, q1, quo * p1 + p0, quo * q1 + q0
-        yield quo, p1, q1, P, Q, 0
+        yield quo, p1, q1, p0, q0, P, Q, 0
         P, Q = Q, rem
 
 
@@ -495,20 +478,29 @@ def convergents(x) -> Iterator[tuple[int, int, int]]:
     """Partial quotients and convergents of x: yields (a_k, p_k, q_k) for
     k = 0, 1, ..., with p_k/q_k = [a_0; a_1, ..., a_k].  A rational's
     stop at its last quotient; see _walk."""
-    for a, p, q, _, _, _ in _walk(x):
-        yield a, p, q
+    for step in _walk(x):
+        yield step[:3]
 
 
-def _last_convergents(x, n: int) -> tuple[int, int, int, int, int, bool]:
-    """(p_(k-1), q_(k-1), p_k, q_k, k, exact) for the last convergent p_k/q_k
-    of x (a value or a row, _walk) with q_k <= n, n >= 1; p_(-1)/q_(-1) = 1/0.
-    exact says x = p_k/q_k: a rational with denominator <= n ends there."""
-    k, p0, q0, p1, q1 = -1, 0, 1, 1, 0
-    for _, p, q, _, _, _ in _walk(x):
-        if q > n:
-            return p0, q0, p1, q1, k, False
-        k, p0, q0, p1, q1 = k + 1, p1, q1, p, q
-    return p0, q0, p1, q1, k, True
+def _last_convergents(x, n: int) -> tuple[int, int, int, int, tuple[int, int]]:
+    """(p_(k-1), q_(k-1), p_k, q_k, past) for the last convergent p_k/q_k of
+    x (a value or a row, _walk) with q_k <= n, n >= 0 (p_(-1)/q_(-1) = 1/0
+    answers n = 0).  past = (p, q) is p_(k+1)/q_(k+1), the first convergent
+    past n, or x = p_k/q_k itself when x is a rational whose walk ends
+    within n, so q <= n exactly when x = p_k/q_k.  p_(k-1) is
+    p_(k+1) - a_(k+1)*p_k.
+
+    So floor(j*x) = j*p // q for 0 <= j <= n, which the Beatty windows and
+    searches read: unless x = p/q outright, 0 < j < q and
+    |j*x - j*p/q| <= j/(q*q') < 1/q, with q' the denominator after q,
+    while j*p/q lies 1/q or more from every integer.
+    """
+    for step in _walk(x):
+        if step[2] > n:
+            a, p, q, p1, q1 = step[:5]
+            return p - a * p1, q - a * q1, p1, q1, (p, q)
+    _, p, q, p1, q1 = step[:5]
+    return p1, q1, p, q, (p, q)
 
 
 def least_denominator(lo, lo_in: bool, hi, hi_in: bool) -> int:

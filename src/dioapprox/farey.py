@@ -135,12 +135,13 @@ def _neighbors(x, order: int) -> tuple[tuple[int, int], tuple[int, int]]:
     semiconvergent (p_(k-1) + t*p_k)/(q_(k-1) + t*q_k), t = floor((N -
     q_(k-1))/q_k).  On the other lies p_k when x is not a term, and
     (s*p_k - p_(k-1))/(s*q_k - q_(k-1)), s = floor((N + q_(k-1))/q_k),
-    when x = p_k/q_k is one.  Even k puts p_(k-1) above x."""
-    h0, k0, h1, k1, k, exact = _last_convergents(x, order)
+    when x = p_k/q_k is one.  p_(k-1) lies above x for even k, that is
+    when p_k*q_(k-1) - p_(k-1)*q_k = (-1)^(k-1) is -1."""
+    h0, k0, h1, k1, past = _last_convergents(x, order)
     t, s = (order - k0) // k1, (order + k0) // k1
     semi = (h0 + t * h1, k0 + t * k1)
-    near = (s * h1 - h0, s * k1 - k0) if exact else (h1, k1)
-    return (semi, near) if k & 1 else (near, semi)
+    near = (s * h1 - h0, s * k1 - k0) if past[1] <= order else (h1, k1)
+    return (semi, near) if h1 * k0 > h0 * k1 else (near, semi)
 
 
 def greatest_below(order: int, m: int, *, strict: bool = True) -> FareyFraction:

@@ -1170,14 +1170,14 @@ def test_searches_take_logarithmic_steps():
         assert compare(f, third) > 0 and compare(f, hi) < 0
         # Lame: one descent of at most log_phi(q*D) + 2 levels, q just past the limit
         D = 3 * width
-        q = beatty._exact_ratio((alpha.a * D, alpha.b * D, alpha.c, alpha.d), limit)[1]
+        q = beatty._last_convergents((alpha.a * D, alpha.b * D, alpha.c, alpha.d), limit)[4][1]
         assert 0 < len(levels) <= lame_bound(q * D)
 
 
 def test_fractional_part_hits_are_rechecked(monkeypatch):
     # a wrong convergent makes the integer test pass at n = 2, where
     # frac(2*sqrt(2)) = 0.83 lies outside (1/3, 1/2)
-    monkeypatch.setattr(beatty, "_exact_ratio", lambda alpha, n: (1, 1))
+    monkeypatch.setattr(beatty, "_last_convergents", lambda alpha, n: (0, 1, 1, 0, (1, 1)))
     with pytest.raises(AssertionError, match="re-check"):
         beatty.dmo_window_search(SQRT2, Fraction(1, 3), Fraction(1, 2), 10)
     with pytest.raises(AssertionError, match="re-check"):

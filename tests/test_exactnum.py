@@ -16,10 +16,10 @@ from dioapprox.exactnum import (
     compare,
     convergents,
     ensure_exact,
-    ext_gcd,
     floor_of,
     format_exact,
     frac_of,
+    is_rational,
     least_denominator,
     parse_exact,
     quad,
@@ -29,33 +29,6 @@ from dioapprox.exactnum import (
 )
 from support import (PHI, SQRT2, SQRT2_M1, SQUAREFREE_POOL, counted_levels, decompose,
                      interval_sign, lame_bound)
-
-
-# --- extended gcd ------------------------------------------------------
-
-def test_ext_gcd_pinned():
-    assert ext_gcd(5, 3) == (1, -1, 2)
-    assert ext_gcd(7, 0) == (7, 1, 0)
-
-
-def test_ext_gcd_bezout_identity():
-    g, x, y = ext_gcd(12, 18)
-    assert g == 6 and 12 * x + 18 * y == 6
-
-
-def test_ext_gcd_zero_zero_rejected():
-    with pytest.raises(DomainError):
-        ext_gcd(0, 0)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_ext_gcd_properties(a, b):
-    if a == 0 and b == 0:
-        return
-    g, x, y = ext_gcd(a, b)
-    assert g > 0
-    assert a % g == 0 and b % g == 0
-    assert a * x + b * y == g
 
 
 # --- floors and comparisons -------------------------------------------
@@ -471,11 +444,35 @@ def test_walk_yields_the_complete_quotients():
         xk = x
         steps = list(islice(exactnum._walk(x), 10))
         assert [step[:3] for step in steps] == list(islice(convergents(x), 10))
-        for a, _, _, P, Q, D in steps:
+        for a, *_, P, Q, D in steps:
             assert a == floor_of(xk) and xk == (Fraction(P, Q) if D == 0 else quad(P, 1, Q, D))
             if xk == a:
                 break
             xk = 1 / (xk - a)
+
+
+def test_last_convergents_read_the_walk():
+    # p_k/q_k is the last convergent with q_k <= n and past the next, or x
+    # itself when a rational ends within n; past's floors are x's up to n
+    from itertools import islice
+
+    rng = random.Random(29)
+    xs = [quad(rng.randint(-40, 40), rng.choice([-3, -1, 1, 2]), rng.randint(1, 30),
+               rng.choice(SQUAREFREE_POOL)) for _ in range(40)]
+    for x in xs + [Fraction(355, 113), Fraction(-7, 3), Fraction(5)]:
+        conv = [(p, q) for _, p, q in islice(convergents(x), 40)]  # past q = 10^6
+        ns = {0, 1, 2, 7, 10**4} | {m for _, q in conv if q <= 10**6 for m in (q, q - 1)}
+        for n in sorted(ns):
+            p0, q0, p, q, past = exactnum._last_convergents(x, n)
+            k = sum(qk <= n for _, qk in conv) - 1  # -1: p_(-1)/q_(-1) = 1/0
+            seq = [(0, 1), (1, 0)] + conv  # seq[k + 2] is p_k/q_k
+            assert (p0, q0, p, q) == (*seq[k + 1], *seq[k + 2]), (x, n)
+            ends = is_rational(x) and conv[-1][1] <= n
+            assert past == ((p, q) if ends else seq[k + 3]), (x, n)
+            assert (past[1] <= n) == ends, (x, n)
+            assert p * q0 - p0 * q == (1 if k & 1 else -1), (x, n)  # (-1)^(k-1)
+            pp, qq = past
+            assert all(floor_of(j * x) == j * pp // qq for j in range(min(n, 2000) + 1)), (x, n)
 
 
 # --- first hit of an arc ------------------------------------------------
